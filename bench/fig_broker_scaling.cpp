@@ -1,15 +1,12 @@
 // fig_broker_scaling — the evloop concurrency sweep: how many live
 // sessions can one serving process carry, and at what latency?
 //
-// Four tiers, all driving canned reusable-mode sessions through real
+// Three tiers, all driving canned reusable-mode sessions through real
 // loopback TCP from the single-threaded evloop::ReusableLoadgen (one
-// mock client = one connect + one full reusable session):
+// mock client = one connect + one full reusable session) into the
+// sharded EvBroker:
 //
-//   workerpool-100  blocking svc::Broker, 8 worker threads, the
-//                   thread-per-connection baseline at 100 concurrent
-//   evloop-100      sharded EvBroker at the same 100-concurrent point —
-//                   the CI gate: its sessions/s must not fall below the
-//                   worker pool's (tools/bench_compare.py)
+//   evloop-100      100 concurrent
 //   evloop-1000     1000 concurrent — past any sane thread-pool size
 //   evloop-10000    10k mock clients through a 4096-connection window;
 //                   client AND server ends share this one process's fd
@@ -31,7 +28,6 @@
 #include "bench_util.hpp"
 #include "evloop/ev_broker.hpp"
 #include "evloop/loadgen.hpp"
-#include "svc/broker.hpp"
 
 namespace {
 
@@ -44,17 +40,15 @@ constexpr std::size_t kShards = 2;
 
 struct Tier {
   const char* point;
-  bool evloop;
   std::size_t sessions;    // total mock clients driven through the tier
   std::size_t window;      // max concurrently open connections
   std::size_t identities;  // distinct client OT-pool identities
 };
 
 constexpr Tier kTiers[] = {
-    {"workerpool-100", false, 2000, 100, 16},
-    {"evloop-100", true, 2000, 100, 16},
-    {"evloop-1000", true, 4000, 1000, 32},
-    {"evloop-10000", true, 10000, 4096, 64},
+    {"evloop-100", 2000, 100, 16},
+    {"evloop-1000", 4000, 1000, 32},
+    {"evloop-10000", 10000, 4096, 64},
 };
 
 struct TierRun {
@@ -72,7 +66,7 @@ evloop::LoadgenConfig loadgen_config(const Tier& t, std::uint16_t port) {
   return lcfg;
 }
 
-TierRun run_evloop_tier(const Tier& t, const fs::path& spool_dir) {
+TierRun run_tier(const Tier& t, const fs::path& spool_dir) {
   fs::remove_all(spool_dir);
   evloop::EvBrokerConfig cfg;
   cfg.bind_addr = "127.0.0.1";
@@ -100,41 +94,11 @@ TierRun run_evloop_tier(const Tier& t, const fs::path& spool_dir) {
   return out;
 }
 
-TierRun run_workerpool_tier(const Tier& t, const fs::path& spool_dir) {
-  fs::remove_all(spool_dir);
-  svc::BrokerConfig cfg;
-  cfg.bind_addr = "127.0.0.1";
-  cfg.port = 0;
-  cfg.bits = kBits;
-  cfg.rounds_per_session = kRounds;
-  cfg.spool_dir = spool_dir.string();
-  cfg.workers = 8;
-  cfg.admission_queue = t.window + 32;  // the whole window fits: no rejects
-  cfg.accept_poll_ms = 50;
-  cfg.spool_low_watermark = 0;
-  cfg.spool_high_watermark = 0;
-  cfg.ram_cache_sessions = 0;
-  cfg.verbose = false;
-  svc::Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
-
-  TierRun out;
-  evloop::ReusableLoadgen lg(broker.v3_registry(), *broker.reusable_context(),
-                             broker.expectation());
-  out.res = lg.run(loadgen_config(t, broker.port()));
-  broker.request_stop();
-  run.join();
-  out.served = broker.stats().server.reusable_sessions_served;
-  out.claims_clean = broker.v3_outstanding_claims() == 0;
-  fs::remove_all(spool_dir);
-  return out;
-}
-
 }  // namespace
 
 int main() {
   const std::uint64_t nofile = evloop::raise_nofile_limit();
-  bench::header("Broker scaling: evloop shard front vs blocking worker pool");
+  bench::header("Broker scaling: evloop shard front under concurrency");
   std::printf("b=%zu, %zu MAC rounds/session, reusable-mode canned sessions, "
               "%zu evloop shards, RLIMIT_NOFILE %llu\n",
               kBits, kRounds, kShards,
@@ -151,8 +115,7 @@ int main() {
   bench::JsonReporter rep("broker_scaling");
   bool all_ok = true;
   for (const Tier& t : kTiers) {
-    const TierRun r = t.evloop ? run_evloop_tier(t, spool_dir)
-                               : run_workerpool_tier(t, spool_dir);
+    const TierRun r = run_tier(t, spool_dir);
     const bool verified = r.res.ok == t.sessions && r.res.failed == 0 &&
                           r.served == t.sessions && r.claims_clean;
     all_ok = all_ok && verified;
@@ -164,7 +127,7 @@ int main() {
                 verified ? "" : "  FAILED");
     rep.row()
         .str("point", t.point)
-        .str("front", t.evloop ? "evloop" : "workerpool")
+        .str("front", "evloop")
         .num("sessions", static_cast<std::uint64_t>(t.sessions))
         .num("window", static_cast<std::uint64_t>(t.window))
         .num("identities", static_cast<std::uint64_t>(t.identities))
@@ -183,9 +146,7 @@ int main() {
   }
 
   std::printf("\nevery tier requires zero failed sessions and zero stuck "
-              "OT-pool claims; the CI gate holds evloop-100\n"
-              "sessions/s at or above workerpool-100 "
-              "(tools/bench_compare.py, measured-run ratio).\n");
+              "OT-pool claims (tools/bench_compare.py).\n");
   std::printf("wrote %s\n", rep.write().c_str());
   return all_ok ? 0 : 1;
 }

@@ -20,14 +20,15 @@
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "evloop/ev_broker.hpp"
 #include "net/client.hpp"
 #include "net/fault.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/channel.hpp"
 #include "proto/protocol.hpp"
 #include "proto/threaded_channel.hpp"
+#include "svc/session_spool.hpp"
 
 namespace {
 
@@ -166,6 +167,22 @@ struct TcpPair {
   std::unique_ptr<net::TcpChannel> a, b;
 };
 
+// The serving front on loopback, one shard (sequential serving), over a
+// throwaway spool; drains after `sessions` sessions.
+evloop::EvBrokerConfig server_config(const svc::TempSpoolDir& spool,
+                                     std::size_t bits, std::size_t rounds,
+                                     std::size_t sessions) {
+  evloop::EvBrokerConfig cfg;
+  cfg.bind_addr = "127.0.0.1";
+  cfg.port = 0;
+  cfg.bits = bits;
+  cfg.rounds_per_session = rounds;
+  cfg.spool_dir = spool.path();
+  cfg.shards = 1;
+  cfg.max_sessions = sessions;
+  return cfg;
+}
+
 TcpPair make_tcp_pair() {
   net::TcpListener lis(0, "127.0.0.1");
   TcpPair p;
@@ -268,16 +285,15 @@ int main(int argc, char** argv) {
     // steady-state wire cost (session bytes minus one-time pool setup);
     // bench_compare.py gates it at < 0.65x the v2 tcp-loopback row and
     // checks the decoded MAC is bit-identical to the v2 session's.
-    net::ServerConfig scfg;
-    scfg.bind_addr = "127.0.0.1";
-    scfg.port = 0;
-    scfg.bits = bits;
-    scfg.rounds_per_session = rounds;
-    scfg.max_sessions = 2;
-    scfg.accept_poll_ms = 50;
-    scfg.verbose = false;
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    const svc::TempSpoolDir spool;
+    evloop::EvBrokerConfig scfg = server_config(spool, bits, rounds, 2);
+    // A shallow stock: the start-up fill garbles two sessions per lane,
+    // and once stocked neither take below drops a lane under its low
+    // watermark, so no refill joins the timed session.
+    scfg.spool_low_watermark = 1;
+    scfg.spool_high_watermark = 2;
+    evloop::EvBroker server(scfg);
+    std::thread serve([&] { server.run(); });
 
     net::ClientConfig ccfg;
     ccfg.port = server.port();
@@ -314,16 +330,9 @@ int main(int argc, char** argv) {
     // extension batch; later sessions resume the pool, so their setup
     // shrinks to a ticket exchange — gated at <= 10% of the 1st.
     const std::size_t r_rounds = 8, sessions = 100;
-    net::ServerConfig scfg;
-    scfg.bind_addr = "127.0.0.1";
-    scfg.port = 0;
-    scfg.bits = bits;
-    scfg.rounds_per_session = r_rounds;
-    scfg.max_sessions = sessions;
-    scfg.accept_poll_ms = 50;
-    scfg.verbose = false;
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    const svc::TempSpoolDir spool;
+    evloop::EvBroker server(server_config(spool, bits, r_rounds, sessions));
+    std::thread serve([&] { server.run(); });
 
     crypto::SystemRandom id_rng(crypto::Block{0xF1, 0x6});
     auto state = net::make_v3_client_state(id_rng);

@@ -27,9 +27,10 @@
 
 #include "bench_util.hpp"
 #include "crypto/rng.hpp"
+#include "evloop/ev_broker.hpp"
 #include "net/client.hpp"
-#include "net/server.hpp"
 #include "net/v3_service.hpp"
+#include "svc/session_spool.hpp"
 
 namespace {
 
@@ -65,16 +66,17 @@ struct ModeSpec {
 // exactly like a real long-lived client). Cumulative time and bytes
 // are sampled at each checkpoint.
 std::vector<Checkpoint> run_mode(const ModeSpec& spec) {
-  net::ServerConfig scfg;
+  const svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg;
   scfg.bind_addr = "127.0.0.1";
   scfg.port = 0;
   scfg.bits = kBits;
   scfg.rounds_per_session = kRoundsPerSession;
+  scfg.spool_dir = spool.path();
+  scfg.shards = 1;
   scfg.max_sessions = spec.sessions;
-  scfg.accept_poll_ms = 50;
-  scfg.verbose = false;
-  net::Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  evloop::EvBroker server(scfg);
+  std::thread serve([&] { server.run(); });
 
   crypto::SystemRandom id_rng(crypto::Block{0xAB, 0xCD});
   auto state = net::make_v3_client_state(id_rng);

@@ -2,24 +2,25 @@
 // precompute-then-serve?
 //
 // Runs the same remote secure-MAC session twice against a cold
-// net::Server on loopback: once in precomputed mode (the client's first
-// table waits behind a full-session garble into the bank) and once in
-// stream mode (the server ships fixed-size chunks while it garbles, so
-// the client starts evaluating after one chunk). Three things are
-// measured per mode: end-to-end wall time, time-to-first-table at the
+// single-shard EvBroker on loopback: once in precomputed mode (the
+// client's first table waits behind a full-session garble by the spool
+// producer) and once in stream mode (the server ships fixed-size chunks
+// as it garbles them, so the client starts evaluating after one
+// chunk). Three things are measured per mode: end-to-end wall time, time-to-first-table at the
 // client, and the server's peak resident garbled tables — the stream
 // pipeline should be strictly better on the latter two, with wall time
 // approaching max(garble, transfer, eval) instead of their sum.
 //
-//   fig_stream_pipeline [rounds] [bits] [chunk_rounds] [queue_chunks]
+//   fig_stream_pipeline [rounds] [bits] [chunk_rounds]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
 
 #include "bench_util.hpp"
+#include "evloop/ev_broker.hpp"
 #include "net/client.hpp"
-#include "net/server.hpp"
+#include "svc/session_spool.hpp"
 
 namespace {
 
@@ -40,26 +41,29 @@ struct ModeResult {
 };
 
 ModeResult run_mode(net::SessionMode mode, std::size_t rounds,
-                    std::size_t bits, std::size_t chunk_rounds,
-                    std::size_t queue_chunks) {
-  net::ServerConfig scfg;
+                    std::size_t bits, std::size_t chunk_rounds) {
+  const svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg;
+  scfg.bind_addr = "127.0.0.1";
   scfg.port = 0;
   scfg.bits = bits;
   scfg.rounds_per_session = rounds;
+  scfg.spool_dir = spool.path();
+  scfg.shards = 1;
   scfg.max_sessions = 1;
-  scfg.verbose = false;
   scfg.stream_chunk_rounds = chunk_rounds;
-  scfg.stream_queue_chunks = queue_chunks;
-  scfg.bank_batch = 1;
-  // Cold start either way: in precomputed mode the bank begins empty, so
-  // the client's first table waits behind one full-session garble; in
-  // stream mode the watermark of 0 keeps the bank precompute thread
-  // idle so it cannot steal cores from the streaming garbler.
-  scfg.bank_low_watermark =
-      mode == net::SessionMode::kStream ? 0 : 1;
+  // v2 only: no v3 lane or reusable artifact competing for the cores.
+  scfg.allow_v3 = false;
+  // Cold start either way: in precomputed mode the spool begins empty,
+  // so the client's first table waits behind one full-session garble;
+  // in stream mode watermarks of 0 keep the producer idle so it cannot
+  // steal cores from the inline garbling.
+  const std::size_t stock = mode == net::SessionMode::kStream ? 0 : 1;
+  scfg.spool_low_watermark = stock;
+  scfg.spool_high_watermark = stock;
 
-  net::Server server(scfg);
-  std::thread serve_thread([&] { server.serve(); });
+  evloop::EvBroker server(scfg);
+  std::thread serve_thread([&] { server.run(); });
 
   net::ClientConfig ccfg;
   ccfg.port = server.port();
@@ -73,7 +77,7 @@ ModeResult run_mode(net::SessionMode mode, std::size_t rounds,
   serve_thread.join();
 
   res.first_table_seconds = cst.first_table_seconds;
-  res.peak_resident_tables = server.stats().peak_resident_tables;
+  res.peak_resident_tables = server.stats().server.peak_resident_tables;
   res.mac_per_sec = static_cast<double>(cst.rounds) / res.wall_seconds;
   res.bytes_per_mac =
       static_cast<double>(cst.bytes_received + cst.bytes_sent) /
@@ -90,19 +94,17 @@ int main(int argc, char** argv) {
   const std::size_t bits = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 16;
   const std::size_t chunk_rounds =
       argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 16;
-  const std::size_t queue_chunks =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 4;
-  if (rounds == 0 || bits == 0 || chunk_rounds == 0 || queue_chunks == 0) {
+  if (argc > 4 || rounds == 0 || bits == 0 || chunk_rounds == 0) {
     std::fprintf(stderr,
-                 "usage: fig_stream_pipeline [rounds] [bits] [chunk_rounds] "
-                 "[queue_chunks]\n");
+                 "usage: fig_stream_pipeline [rounds] [bits] "
+                 "[chunk_rounds]\n");
     return 2;
   }
 
   bench::header("Garble-while-transfer streaming vs precomputed serving");
   std::printf("cold server, TCP loopback, IKNP OT, b=%zu, %zu rounds "
-              "(stream: %zu rounds/chunk, queue %zu chunks)\n\n",
-              bits, rounds, chunk_rounds, queue_chunks);
+              "(stream: %zu rounds/chunk)\n\n",
+              bits, rounds, chunk_rounds);
   std::printf("%-12s %12s %16s %16s %12s %12s %9s\n", "mode", "wall s",
               "first-table s", "peak res tables", "MAC/s", "bytes/MAC",
               "verified");
@@ -114,7 +116,7 @@ int main(int argc, char** argv) {
                                      net::SessionMode::kStream};
   const char* names[2] = {"precomputed", "stream"};
   for (int m = 0; m < 2; ++m) {
-    results[m] = run_mode(modes[m], rounds, bits, chunk_rounds, queue_chunks);
+    results[m] = run_mode(modes[m], rounds, bits, chunk_rounds);
     const ModeResult& r = results[m];
     std::printf("%-12s %12.3f %16.4f %16llu %12.0f %12.0f %9s\n", names[m],
                 r.wall_seconds, r.first_table_seconds,

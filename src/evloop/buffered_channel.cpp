@@ -1,8 +1,11 @@
 #include "evloop/buffered_channel.hpp"
 
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "net/error.hpp"
 
@@ -109,7 +112,7 @@ void BufferedChannel::mark_written(std::size_t n) {
   }
 }
 
-void BufferedChannel::raw_send(const std::uint8_t* data, std::size_t n) {
+void BufferedChannel::stage(const std::uint8_t* data, std::size_t n) {
   if (n == 0) return;
   if (staging_.size() + n > max_frame_bytes_) flush();
   if (n >= max_frame_bytes_)
@@ -117,10 +120,7 @@ void BufferedChannel::raw_send(const std::uint8_t* data, std::size_t n) {
   staging_.insert(staging_.end(), data, data + n);
 }
 
-void BufferedChannel::raw_recv(std::uint8_t* data, std::size_t n) {
-  // Mirror TcpChannel: a recv is a phase boundary, everything staged
-  // must be on the wire (here: queued for the event loop) first.
-  flush();
+void BufferedChannel::read_in(std::uint8_t* data, std::size_t n) {
   if (n > available())
     throw std::logic_error(
         "BufferedChannel: recv underflow (driver advanced a session "
@@ -128,6 +128,84 @@ void BufferedChannel::raw_recv(std::uint8_t* data, std::size_t n) {
   std::memcpy(data, in_.data() + in_pos_, n);
   in_pos_ += n;
   compact();
+}
+
+void BufferedChannel::raw_send(const std::uint8_t* data, std::size_t n) {
+  if (faults_ != nullptr) {
+    faulty_send(data, n);
+    return;
+  }
+  stage(data, n);
+}
+
+void BufferedChannel::raw_recv(std::uint8_t* data, std::size_t n) {
+  // Mirror TcpChannel: a recv is a phase boundary, everything staged
+  // must be on the wire (here: queued for the event loop) first.
+  flush();
+  if (faults_ != nullptr) {
+    faulty_recv(data, n);
+    return;
+  }
+  read_in(data, n);
+}
+
+// Same fault semantics as net::FaultyChannel, with "the transport" being
+// this channel's staged output: bytes staged before the fatal op still
+// go out (as a closing TcpChannel would flush them), nothing after it.
+void BufferedChannel::faulty_send(const std::uint8_t* data, std::size_t n) {
+  if (dropped_) throw net::PeerClosedError("fault: send after injected close");
+  const net::FaultInjector::Action a = faults_->on_send();
+  switch (a.kind) {
+    case net::FaultKind::kClose:
+      dropped_ = true;
+      throw net::PeerClosedError("fault: injected close at send op");
+    case net::FaultKind::kTruncate:
+      stage(data, n / 2);
+      flush();
+      dropped_ = true;
+      throw net::PeerClosedError("fault: injected truncation at send op");
+    case net::FaultKind::kFlip: {
+      std::vector<std::uint8_t> mangled(data, data + n);
+      net::fault_flip_bit(mangled.data(), n, a.rand);
+      stage(mangled.data(), mangled.size());
+      return;
+    }
+    case net::FaultKind::kSplit: {
+      const std::size_t cut = net::fault_split_point(n, a.rand);
+      stage(data, cut);
+      flush();
+      stage(data + cut, n - cut);
+      return;
+    }
+    case net::FaultKind::kStall:
+      // Sleeps on the shard thread: every session on the shard stalls,
+      // which is what a stalled server process looks like to clients.
+      std::this_thread::sleep_for(std::chrono::milliseconds(a.param));
+      break;
+    default:
+      break;
+  }
+  stage(data, n);
+}
+
+void BufferedChannel::faulty_recv(std::uint8_t* data, std::size_t n) {
+  if (dropped_) throw net::PeerClosedError("fault: recv after injected close");
+  const net::FaultInjector::Action a = faults_->on_recv();
+  switch (a.kind) {
+    case net::FaultKind::kClose:
+      dropped_ = true;
+      throw net::PeerClosedError("fault: injected close at recv op");
+    case net::FaultKind::kFlip:
+      read_in(data, n);
+      net::fault_flip_bit(data, n, a.rand);
+      return;
+    case net::FaultKind::kStall:
+      std::this_thread::sleep_for(std::chrono::milliseconds(a.param));
+      break;
+    default:
+      break;
+  }
+  read_in(data, n);
 }
 
 }  // namespace maxel::evloop

@@ -15,6 +15,13 @@
 // Mirrors one load-bearing TcpChannel behavior: raw_recv() flushes
 // pending sends first, because protocol phases rely on
 // flush-before-recv to avoid deadlocking the peer.
+//
+// Server-side fault injection: with a net::FaultInjector attached,
+// every raw_send/raw_recv consults it first — the op granularity
+// FaultyChannel counts around a TcpChannel, so a plan's indices mean
+// the same on both sides of the wire. An injected close or truncation
+// throws net::PeerClosedError and leaves the channel dead (later ops
+// throw too); the owning session fails through its normal error path.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +31,7 @@
 
 #include <sys/uio.h>
 
+#include "net/fault.hpp"
 #include "proto/channel.hpp"
 
 namespace maxel::evloop {
@@ -44,6 +52,10 @@ class BufferedChannel final : public proto::Channel {
   [[nodiscard]] std::uint8_t peek_u8(std::size_t off) const;
   [[nodiscard]] std::uint32_t peek_u32(std::size_t off) const;
   [[nodiscard]] std::uint64_t peek_u64(std::size_t off) const;
+
+  // Attaches a fault schedule (nullptr detaches). The injector is not
+  // owned and may be shared across channels and threads.
+  void set_fault_injector(net::FaultInjector* faults) { faults_ = faults; }
 
   // --- outbound (channel -> event loop) ---
   // Cuts a frame from the staged sends onto the output queue.
@@ -71,6 +83,10 @@ class BufferedChannel final : public proto::Channel {
   // peer can't balloon us.
   [[nodiscard]] std::size_t in_cap() const { return max_frame_bytes_ + (80u << 20); }
   void compact();
+  void stage(const std::uint8_t* data, std::size_t n);
+  void read_in(std::uint8_t* data, std::size_t n);
+  void faulty_send(const std::uint8_t* data, std::size_t n);
+  void faulty_recv(std::uint8_t* data, std::size_t n);
 
   std::size_t max_frame_bytes_;
   // Inbound: raw (not yet de-framed) then de-framed contiguous bytes.
@@ -81,6 +97,8 @@ class BufferedChannel final : public proto::Channel {
   // Outbound: staged (unframed) sends, then framed segments.
   std::vector<std::uint8_t> staging_;
   std::deque<Segment> out_;
+  net::FaultInjector* faults_ = nullptr;
+  bool dropped_ = false;  // an injected close/truncation killed the link
 };
 
 }  // namespace maxel::evloop

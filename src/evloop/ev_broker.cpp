@@ -97,6 +97,9 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
       spool_(svc::SpoolConfig{cfg.spool_dir, cfg.ram_cache_sessions, true}),
       pool_(cfg.precompute_cores, crypto::SystemRandom().next_block()) {
   if (cfg_.shards == 0) cfg_.shards = 1;
+  if (!cfg_.fault_plan.empty())
+    faults_ = std::make_unique<net::FaultInjector>(
+        net::FaultPlan::parse(cfg_.fault_plan));
   if (cfg_.idle_timeout_ms > 0) {
     cfg_.tcp.recv_timeout_ms = cfg_.idle_timeout_ms;
     cfg_.tcp.send_timeout_ms = cfg_.idle_timeout_ms;
@@ -128,6 +131,7 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
   serve_ctx_.stream_chunk_rounds = cfg_.stream_chunk_rounds;
   serve_ctx_.take_session = [this] { return take_session_blocking(); };
   serve_ctx_.take_v3 = [this] { return take_v3_blocking(); };
+  serve_ctx_.faults = faults_.get();
 
   // The busy verdict, framed once: the EMFILE path sends it raw with a
   // single syscall, no channel object needed on a dying fd.
@@ -208,38 +212,69 @@ void EvBroker::ensure_reusable() {
   metrics_.counter("reusable_garbles").inc();
 }
 
-// --- spool plumbing (same discipline as svc::Broker) ------------------------
+// --- spool plumbing --------------------------------------------------------
 
-proto::PrecomputedSession EvBroker::take_session_blocking() {
+template <class S, class TakeSpooled>
+S EvBroker::take_blocking(Handoff<S>& lane, const char* handoff_counter,
+                          TakeSpooled take_spooled) {
+  std::unique_lock<std::mutex> lock(spool_mu_, std::defer_lock);
+  bool waiting = false;  // counted in lane.waiting while blocked
   for (;;) {
-    if (auto s = spool_.take()) {
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
-      spool_cv_.notify_all();
+    std::optional<S> s = take_spooled();
+    lock.lock();
+    if (!s && !lane.fresh.empty()) {
+      s = std::move(lane.fresh.front());
+      lane.fresh.pop_front();
+      metrics_.counter(handoff_counter).inc();
+    }
+    if (s || producer_stop_.load(std::memory_order_relaxed)) {
+      if (waiting) --lane.waiting;
+      if (!s) throw net::NetError("evbroker stopping: spool drained");
       return std::move(*s);
     }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("evbroker stopping: spool drained");
+    if (!waiting) ++lane.waiting;
+    waiting = true;
     metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
     spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
+    lock.unlock();
   }
 }
 
+proto::PrecomputedSession EvBroker::take_session_blocking() {
+  return take_blocking(handoff_, "spool_handoffs", [this] {
+    auto s = spool_.take();
+    if (s) {
+      metrics_.gauge("spool_ready").set(
+          static_cast<std::int64_t>(spool_.ready()));
+      spool_cv_.notify_all();
+    }
+    return s;
+  });
+}
+
 proto::PrecomputedSessionV3 EvBroker::take_v3_blocking() {
-  for (;;) {
-    if (auto s = spool_.take_v3(v3_reg_.lineage())) {
+  return take_blocking(handoff_v3_, "spool_handoffs_v3", [this] {
+    auto s = spool_.take_v3(v3_reg_.lineage());
+    if (s) {
       metrics_.gauge("spool_ready_v3").set(
           static_cast<std::int64_t>(spool_.ready_v3()));
       spool_cv_.notify_all();
-      return std::move(*s);
     }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("evbroker stopping: spool drained");
-    metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
-    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
+    return s;
+  });
+}
+
+template <class S, class Put>
+void EvBroker::hand_off_then_spool(Handoff<S>& lane, std::vector<S>& batch,
+                                   Put put) {
+  std::size_t i = 0;
+  {
+    const std::lock_guard<std::mutex> lock(spool_mu_);
+    for (; i < batch.size() && lane.fresh.size() < lane.waiting; ++i)
+      lane.fresh.push_back(std::move(batch[i]));
   }
+  if (i > 0) spool_cv_.notify_all();
+  for (; i < batch.size(); ++i) put(batch[i]);
 }
 
 void EvBroker::producer_loop() {
@@ -261,8 +296,9 @@ void EvBroker::producer_loop() {
                                             cfg_.rounds_per_session,
                                             pool_.core_rng(core));
       });
-      for (auto& s : fresh) spool_.put(std::move(s));
       precomputed_.fetch_add(batch, std::memory_order_relaxed);
+      hand_off_then_spool(handoff_, fresh,
+                          [&](auto& s) { spool_.put(std::move(s)); });
       metrics_.gauge("spool_ready").set(
           static_cast<std::int64_t>(spool_.ready()));
     }
@@ -275,8 +311,9 @@ void EvBroker::producer_loop() {
                                                v3_reg_.delta(),
                                                rng.next_block(), rng);
       });
-      for (auto& s : fresh) spool_.put_v3(s);
       precomputed_.fetch_add(batch, std::memory_order_relaxed);
+      hand_off_then_spool(handoff_v3_, fresh,
+                          [&](auto& s) { spool_.put_v3(s); });
       metrics_.gauge("spool_ready_v3").set(
           static_cast<std::int64_t>(spool_.ready_v3()));
     }
@@ -549,6 +586,9 @@ void EvBroker::record_result(Shard& sh, EvConn& c, bool evicted_idle) {
       std::fprintf(stderr, "[evbroker] shard %zu session error: %s\n",
                    sh.index, s.error_text().c_str());
   }
+  if (faults_)
+    metrics_.gauge("faults_injected")
+        .set(static_cast<std::int64_t>(faults_->faults_fired()));
   const std::lock_guard<std::mutex> lock(stats_mu_);
   shard_stats_[sh.index].merge(local);
 }
@@ -585,6 +625,11 @@ void EvBroker::run() {
   producer_stop_.store(true, std::memory_order_relaxed);
   spool_cv_.notify_all();
   producer.join();
+  // A hand-off whose taker found spooled stock first is spooled, not lost.
+  for (auto& s : handoff_.fresh) spool_.put(std::move(s));
+  for (auto& s : handoff_v3_.fresh) spool_.put_v3(s);
+  handoff_.fresh.clear();
+  handoff_v3_.fresh.clear();
   const std::lock_guard<std::mutex> lock(stats_mu_);
   accept_wall_seconds_ += seconds_since(t0);
 }

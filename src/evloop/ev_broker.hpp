@@ -1,13 +1,18 @@
-// Sharded event-loop front: N single-threaded shards, each running an
-// EvLoop with its own SO_REUSEPORT listener, serving every session mode
-// through non-blocking EvSession machines instead of a
-// thread-per-connection worker pool. 10k concurrent sessions cost 10k
-// fds and state machines, not 10k stacks.
+// The serving front — the cloud host of Fig. 1: N single-threaded
+// shards, each running an EvLoop with its own SO_REUSEPORT listener,
+// serving every session mode through non-blocking EvSession machines
+// instead of a thread per connection. 10k concurrent sessions cost 10k
+// fds and state machines, not 10k stacks; shards = 1 is the sequential
+// server.
 //
-// Shared state across shards (same objects the blocking svc::Broker
-// uses): one SessionSpool, one V3PoolRegistry (one garbling delta), one
-// read-only reusable artifact, one MetricsRegistry, one producer thread
-// keeping the spool between its watermarks. Per-client pool phases are
+// Shared state across shards: one SessionSpool, one V3PoolRegistry (one
+// garbling delta), one read-only reusable artifact, one MetricsRegistry,
+// one producer thread keeping the spool between its watermarks (the
+// software stand-in for the accelerator streaming fresh sessions up
+// over PCIe). A freshly garbled batch is offered to sessions waiting on
+// an empty lane before it is spooled, so a cold start's first table
+// waits behind the garble, not behind the spool put too (counted in
+// spool_handoffs / spool_handoffs_v3). Per-client pool phases are
 // serialized by Entry::ev_gate (see evloop/session.hpp), so two shards
 // serving the same client never interleave wire phases.
 //
@@ -21,13 +26,17 @@
 // Idle eviction: one timer wheel per shard, one armed timer per
 // connection, lazily re-armed against last-activity — 10k idle sessions
 // cost a wheel scan per tick, not 10k poll timeouts. An eviction counts
-// idle_timeouts + connection_errors, exactly like the blocking broker's
-// TimeoutError path.
+// idle_timeouts + connection_errors.
+//
+// Fault injection: a non-empty fault_plan (net/fault.hpp grammar) wraps
+// every session's channel in one FaultInjector that spans the broker's
+// lifetime, so each event fires once across all connections and shards.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,10 +49,11 @@
 #include "gc/v3.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
+#include "net/fault.hpp"
+#include "net/server_stats.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
-#include "svc/broker.hpp"
+#include "svc/broker_stats.hpp"
 #include "svc/metrics.hpp"
 #include "svc/session_spool.hpp"
 
@@ -96,8 +106,11 @@ struct EvBrokerConfig {
   bool allow_reusable = true;
   net::TcpOptions tcp;
   // Per-connection idle deadline; when 0, tcp.recv_timeout_ms bounds a
-  // silent peer instead (same default the blocking transport enforces).
+  // silent peer instead (same default the TCP transport enforces).
   int idle_timeout_ms = 0;
+  // Deterministic server-side fault schedule (net/fault.hpp grammar);
+  // empty = no injection. Throws std::invalid_argument when malformed.
+  std::string fault_plan;
 };
 
 class EvBroker {
@@ -153,10 +166,28 @@ class EvBroker {
   void producer_loop();
   proto::PrecomputedSession take_session_blocking();
   proto::PrecomputedSessionV3 take_v3_blocking();
+  // Per lane, guarded by spool_mu_: how many takers are blocked on an
+  // empty lane, and the fresh sessions the producer handed them instead
+  // of spooling, so after a cold start the first table waits behind the
+  // garble only, not behind the spool put as well.
+  template <class S>
+  struct Handoff {
+    std::size_t waiting = 0;
+    std::deque<S> fresh;
+  };
+  // Claims from the spool lane, else from the lane's hand-offs, else
+  // blocks as one of the lane's waiters.
+  template <class S, class TakeSpooled>
+  S take_blocking(Handoff<S>& lane, const char* handoff_counter,
+                  TakeSpooled take_spooled);
+  // Hands up to one fresh session per blocked taker over, spools the rest.
+  template <class S, class Put>
+  void hand_off_then_spool(Handoff<S>& lane, std::vector<S>& batch, Put put);
   void ensure_reusable();
   [[nodiscard]] std::uint64_t idle_deadline_ms() const;
 
   EvBrokerConfig cfg_;
+  std::unique_ptr<net::FaultInjector> faults_;  // null when fault_plan empty
   circuit::Circuit circ_;
   gc::V3Analysis v3_an_;
   net::V3PoolRegistry v3_reg_;
@@ -182,6 +213,8 @@ class EvBroker {
 
   std::mutex spool_mu_;
   std::condition_variable spool_cv_;
+  Handoff<proto::PrecomputedSession> handoff_;
+  Handoff<proto::PrecomputedSessionV3> handoff_v3_;
 
   mutable std::mutex stats_mu_;
   std::vector<net::ServerStats> shard_stats_;

@@ -1,176 +1,149 @@
 #include "evloop/ev_service.hpp"
 
-#include <csignal>
-#include <cstdint>
+#include <pthread.h>
+#include <signal.h>
+
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <ctime>
+#include <exception>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "evloop/ev_broker.hpp"
+#include "net/cli.hpp"
 
 namespace maxel::evloop {
 
 namespace {
 
-EvBroker* g_signal_broker = nullptr;
-
-void handle_signal(int) {
-  if (g_signal_broker != nullptr) g_signal_broker->request_stop();
-}
-
-bool parse_scheme(const std::string& name, gc::Scheme& out) {
-  if (name == "halfgates") out = gc::Scheme::kHalfGates;
-  else if (name == "grr3") out = gc::Scheme::kGrr3;
-  else if (name == "classic4") out = gc::Scheme::kClassic4;
-  else return false;
-  return true;
-}
-
-// Mirrors the unified --mode selector: precomputed is always served;
-// the flag gates the optional families.
-struct ModeChoice {
-  bool stream = false;
-  bool v3 = false;
-  bool reusable = false;
-};
-
-bool parse_mode(const char* v, ModeChoice& out) {
-  if (v == nullptr) return false;
-  const std::string name = v;
-  if (name == "precomputed") out = {false, false, false};
-  else if (name == "stream") out = {true, false, false};
-  else if (name == "v3") out = {false, true, false};
-  else if (name == "reusable") out = {false, true, true};
-  else return false;
-  return true;
-}
-
-struct FlagParser {
-  int argc;
-  char** argv;
-  int i = 0;
-  bool ok = true;
-
-  bool next_flag(std::string& flag) {
-    if (i >= argc) return false;
-    flag = argv[i++];
-    return true;
-  }
-  const char* value() {
-    if (i >= argc) {
-      ok = false;
-      return nullptr;
+// Serves until the broker drains by itself (--sessions) or SIGINT /
+// SIGTERM arrives. The signals are blocked in every thread (the mask is
+// inherited from the caller, set before the broker spawns any) and
+// collected here, so the stop request runs on an ordinary thread rather
+// than inside a handler.
+void run_until_signal(EvBroker& broker, const sigset_t& stop_signals) {
+  std::atomic<bool> finished{false};
+  std::exception_ptr failure;
+  std::thread runner([&] {
+    try {
+      broker.run();
+    } catch (...) {
+      failure = std::current_exception();
     }
-    return argv[i++];
+    finished.store(true);
+  });
+  while (!finished.load()) {
+    const timespec poll{0, 100'000'000};
+    if (::sigtimedwait(&stop_signals, nullptr, &poll) > 0)
+      broker.request_stop();
   }
-  std::uint64_t value_u64() {
-    const char* v = value();
-    return v ? std::strtoull(v, nullptr, 10) : 0;
-  }
-};
+  runner.join();
+  if (failure) std::rethrow_exception(failure);
+}
 
 }  // namespace
 
 int evloop_command(int argc, char** argv) {
   EvBrokerConfig cfg;
+  cfg.verbose = true;
+  if (const char* env = std::getenv("MAXEL_FAULT_PLAN")) cfg.fault_plan = env;
   std::string json_path, metrics_path;
-  FlagParser p{argc, argv};
+  net::FlagParser p("maxel_server", argc, argv);
   std::string flag;
-  while (p.next_flag(flag)) {
-    if (flag == "--evloop") continue;  // the routing flag itself
-    else if (flag == "--port") cfg.port = static_cast<std::uint16_t>(p.value_u64());
-    else if (flag == "--bind") { const char* v = p.value(); if (v) cfg.bind_addr = v; }
-    else if (flag == "--bits") cfg.bits = p.value_u64();
-    else if (flag == "--rounds") cfg.rounds_per_session = p.value_u64();
-    else if (flag == "--shards") cfg.shards = p.value_u64();
-    else if (flag == "--backlog") cfg.listen_backlog = static_cast<int>(p.value_u64());
-    else if (flag == "--spool") { const char* v = p.value(); if (v) cfg.spool_dir = v; }
-    else if (flag == "--low") cfg.spool_low_watermark = p.value_u64();
-    else if (flag == "--high") cfg.spool_high_watermark = p.value_u64();
-    else if (flag == "--cache") cfg.ram_cache_sessions = p.value_u64();
-    else if (flag == "--cores") cfg.precompute_cores = p.value_u64();
-    else if (flag == "--seed") cfg.demo_seed = p.value_u64();
-    else if (flag == "--sessions") cfg.max_sessions = p.value_u64();
-    else if (flag == "--metrics") { const char* v = p.value(); if (v) metrics_path = v; }
-    else if (flag == "--json") { const char* v = p.value(); if (v) json_path = v; }
+  while (p.next(flag)) {
+    if (flag == "--port") p.num(cfg.port);
+    else if (flag == "--bind") p.str(cfg.bind_addr);
+    else if (flag == "--bits") p.num(cfg.bits);
+    else if (flag == "--rounds") p.num(cfg.rounds_per_session);
+    else if (flag == "--scheme") p.scheme(cfg.scheme);
+    else if (flag == "--sessions") p.num(cfg.max_sessions);
+    else if (flag == "--cores") p.num(cfg.precompute_cores);
+    else if (flag == "--seed") p.num(cfg.demo_seed);
+    else if (flag == "--shards") p.num(cfg.shards);
+    else if (flag == "--backlog") p.num(cfg.listen_backlog);
+    else if (flag == "--spool") p.str(cfg.spool_dir);
+    else if (flag == "--low") p.num(cfg.spool_low_watermark);
+    else if (flag == "--high") p.num(cfg.spool_high_watermark);
+    else if (flag == "--cache") p.num(cfg.ram_cache_sessions);
+    else if (flag == "--chunk-rounds") p.num(cfg.stream_chunk_rounds);
+    else if (flag == "--idle-timeout") p.num(cfg.idle_timeout_ms);
+    else if (flag == "--fault-plan") p.str(cfg.fault_plan);
+    else if (flag == "--metrics") p.str(metrics_path);
+    else if (flag == "--json") p.str(json_path);
     else if (flag == "--quiet") cfg.verbose = false;
-    else if (flag == "--chunk-rounds") cfg.stream_chunk_rounds = p.value_u64();
     else if (flag == "--mode") {
-      ModeChoice mc;
-      if (!parse_mode(p.value(), mc)) {
-        std::fprintf(stderr, "bad --mode (precomputed|stream|v3|reusable)\n");
-        return 2;
-      }
+      net::ModeChoice mc;
+      p.mode(mc);
       cfg.allow_stream = mc.stream;
       cfg.allow_v3 = mc.v3;
       cfg.allow_reusable = mc.reusable;
     }
-    else if (flag == "--no-stream") cfg.allow_stream = false;
-    else if (flag == "--no-v3") cfg.allow_v3 = false;
-    else if (flag == "--no-reusable") cfg.allow_reusable = false;
-    else if (flag == "--idle-timeout") cfg.idle_timeout_ms = static_cast<int>(p.value_u64());
-    else if (flag == "--scheme") {
-      const char* v = p.value();
-      if (!v || !parse_scheme(v, cfg.scheme)) {
-        std::fprintf(stderr, "bad --scheme (halfgates|grr3|classic4)\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "maxelctl serve (evloop): unknown flag %s\n",
-                   flag.c_str());
-      return 2;
+    else if (flag == "--help" || flag == "-h") {
+      std::printf(
+          "maxelctl serve [flags]  (also: maxel_server [flags])\n"
+          "  --port N --bind ADDR --bits N --rounds N --sessions N\n"
+          "  --scheme {halfgates|grr3|classic4} --cores N --seed N\n"
+          "  --shards N --backlog N --chunk-rounds N --idle-timeout MS\n"
+          "  --spool DIR --low N --high N --cache N  (default: a private\n"
+          "        temporary spool, removed on exit)\n"
+          "  --fault-plan SPEC --metrics PATH --json PATH --quiet\n"
+          "  --mode {precomputed|stream|v3|reusable}  serve only this mode\n"
+          "        family (default: all four):\n%s",
+          net::kModeHelp);
+      return 0;
     }
+    else p.unknown();
   }
-  if (!p.ok || cfg.bits == 0 || cfg.rounds_per_session == 0 ||
-      cfg.shards == 0 || cfg.spool_dir.empty() ||
-      cfg.stream_chunk_rounds == 0) {
-    std::fprintf(stderr,
-                 "maxelctl serve (evloop): bad flags (--spool DIR required, "
-                 "--shards >= 1)\n");
+  if (p.ok() && (cfg.bits == 0 || cfg.rounds_per_session == 0 ||
+                 cfg.shards == 0 || cfg.stream_chunk_rounds == 0))
+    p.fail("--bits, --rounds, --shards and --chunk-rounds must be >= 1");
+  if (!p.ok() || !net::check_fault_plan("maxel_server", cfg.fault_plan))
     return 2;
-  }
+
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  ::pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
   try {
+    std::optional<svc::TempSpoolDir> temp_spool;
+    if (cfg.spool_dir.empty()) {
+      temp_spool.emplace();
+      cfg.spool_dir = temp_spool->path();
+    }
     EvBroker broker(cfg);
-    g_signal_broker = &broker;
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    std::printf("maxel evloop broker listening on %s:%u (b=%zu, %zu "
-                "rounds/session, %zu shards, backlog %d, spool %s [%zu..%zu])\n",
+    std::printf("maxel_server listening on %s:%u (b=%zu, %zu rounds/session, "
+                "%s, %zu shards, spool %s [%zu..%zu])\n",
                 cfg.bind_addr.c_str(), broker.port(), cfg.bits,
-                cfg.rounds_per_session, cfg.shards, cfg.listen_backlog,
-                cfg.spool_dir.c_str(), cfg.spool_low_watermark,
+                cfg.rounds_per_session, gc::scheme_name(cfg.scheme),
+                cfg.shards, cfg.spool_dir.c_str(), cfg.spool_low_watermark,
                 cfg.spool_high_watermark);
     std::fflush(stdout);
-    broker.run();
-    g_signal_broker = nullptr;
+    run_until_signal(broker, stop_signals);
 
     const svc::BrokerStats st = broker.stats();
     std::printf("served %llu sessions (%llu rounds) over %zu shards: "
-                "%llu B out, %llu rejected busy, wall %.3fs\n",
+                "%llu B out, %llu B in, %llu rejected busy, wall %.3fs\n",
                 static_cast<unsigned long long>(st.server.sessions_served),
                 static_cast<unsigned long long>(st.server.rounds_served),
                 cfg.shards,
                 static_cast<unsigned long long>(st.server.bytes_sent),
+                static_cast<unsigned long long>(st.server.bytes_received),
                 static_cast<unsigned long long>(st.admission_rejects),
                 st.server.total_seconds);
-    const std::string json = st.to_json();
-    std::printf("STATS %s\n", json.c_str());
-    std::fflush(stdout);
-    if (!json_path.empty()) {
-      std::ofstream os(json_path);
-      os << json << "\n";
-    }
+    net::dump_stats(st.to_json(), json_path);
     if (!metrics_path.empty()) {
       std::ofstream os(metrics_path);
       os << broker.metrics().to_json() << "\n";
     }
     return 0;
   } catch (const std::exception& e) {
-    g_signal_broker = nullptr;
-    std::fprintf(stderr, "maxelctl serve (evloop): %s\n", e.what());
+    std::fprintf(stderr, "maxel_server: %s\n", e.what());
     return 1;
   }
 }

@@ -1,19 +1,22 @@
-// Command-line entry point for the event-loop broker, wired into
-// maxelctl next to the blocking broker (svc/service.hpp). argv
-// excludes the program/subcommand name.
+// Command-line entry point of the garbler server, shared between the
+// standalone maxel_server binary and `maxelctl serve`. argv excludes the
+// program/subcommand name. Prints a human summary on exit and dumps the
+// broker stats as JSON (stdout line `STATS {...}`, plus --json FILE).
 #pragma once
 
 namespace maxel::evloop {
 
-// maxelctl serve --evloop --spool DIR [--shards N] [--backlog B]
-//   [--low L] [--high H] [--cache C] [--port P] [--bind A] [--bits N]
-//   [--rounds M] [--scheme halfgates|grr3|classic4] [--cores K]
-//   [--seed S] [--sessions K] [--mode precomputed|stream|v3|reusable]
-//   [--idle-timeout MS] [--metrics FILE] [--json FILE] [--quiet]
-// Runs the sharded EvBroker. maxelctl routes `serve` here when
-// --evloop is present; the blocking Broker (and its --workers/--queue
-// knobs) is otherwise unchanged. --mode gates the optional session
-// families exactly like the other servers.
+// maxelctl serve [--port P] [--bind A] [--bits N] [--rounds M]
+//   [--scheme halfgates|grr3|classic4] [--sessions K] [--cores C]
+//   [--seed S] [--shards N] [--backlog B] [--spool DIR] [--low L]
+//   [--high H] [--cache C] [--chunk-rounds R]
+//   [--mode precomputed|stream|v3|reusable] [--idle-timeout MS]
+//   [--fault-plan SPEC] [--metrics FILE] [--json FILE] [--quiet]
+// Runs the sharded EvBroker until SIGINT/SIGTERM or --sessions served.
+// Without --spool it serves from a private temporary spool that is
+// removed on exit. --mode restricts the optional session families
+// (precomputed is always served). MAXEL_FAULT_PLAN (env) is the default
+// --fault-plan: a server-side fault schedule, net/fault.hpp grammar.
 int evloop_command(int argc, char** argv);
 
 }  // namespace maxel::evloop

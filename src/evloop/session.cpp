@@ -21,7 +21,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 EvSession::EvSession(const EvServeContext& ctx)
     : ctx_(&ctx),
-      a_inputs_(ctx.demo_seed, net::kGarblerStream, ctx.bits) {}
+      a_inputs_(ctx.demo_seed, net::kGarblerStream, ctx.bits) {
+  ch_.set_fault_injector(ctx.faults);
+}
 
 EvSession::~EvSession() { teardown(); }
 
@@ -309,10 +311,9 @@ void EvSession::begin_pre_round() {
 
 void EvSession::init_stream() {
   mode_ = Mode::kStream;
-  // Inline garbling on the loop thread: the blocking path's producer
-  // thread exists to overlap garbling with a *blocking* socket, which an
-  // event loop gets for free by interleaving sessions. The wire record
-  // order is identical (chunks, then per-round OT phases).
+  // Inline garbling on the loop thread: an event loop overlaps garbling
+  // with transfer by interleaving sessions. Wire record order: one chunk,
+  // then its per-round OT phases.
   garbler_ =
       std::make_unique<gc::CircuitGarbler>(*ctx_->circ, ctx_->scheme, rng_);
   if (iknp_) {
@@ -385,17 +386,19 @@ void EvSession::pool_gate_step() {
     re_setup_part_a();
 }
 
-void EvSession::v3_setup_part_a() {
-  const proto::V3ClientSetup cs = proto::recv_client_setup(ch_);
+void EvSession::reconcile_pool(std::uint64_t client_extended) {
   {
     // ev_gate serializes the wire phases; io_mu still guards the entry's
-    // pointer fields against concurrent registry snapshots.
+    // pointer fields against concurrent registry snapshots. Resume only
+    // on full agreement — first contact, a missing or stale ticket, or a
+    // materialized-count desync from a death mid-extend all restart from
+    // a fresh pool and base OT, which costs one setup, never correctness.
     const std::lock_guard<std::mutex> io(entry_->io_mu);
     const bool resume = entry_->pool && ext_->has_ticket &&
                         ext_->ticket.pool_id == entry_->pool->pool_id() &&
                         ext_->ticket.cookie == entry_->cookie &&
                         ext_->ticket.client_id == ext_->client_id &&
-                        cs.extended == entry_->pool->extended();
+                        client_extended == entry_->pool->extended();
     if (!resume) {
       entry_->pool = std::make_shared<ot::CorrelatedPoolSender>(
           ctx_->reg->delta(), ctx_->reg->next_pool_id());
@@ -416,8 +419,22 @@ void EvSession::v3_setup_part_a() {
     extend_count_ = std::min<std::uint64_t>(
         extend_count_, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
   }
+  // The gate serializes claims on this pool, so the next claim starts
+  // exactly at the total ever claimed.
   claim_start_expected_ = pst.claimed + pst.consumed + pst.discarded;
+}
 
+void EvSession::begin_pool_phases() {
+  if (fresh_pool_)
+    state_ = St::kPoolBase2;
+  else if (extend_count_ > 0)
+    state_ = St::kPoolExtend;
+  else
+    finish_pool_setup();
+}
+
+void EvSession::v3_setup_part_a() {
+  reconcile_pool(proto::recv_client_setup(ch_).extended);
   proto::V3ServerSetup ss;
   ss.fresh = fresh_pool_;
   ss.pool_id = pool_->pool_id();
@@ -427,47 +444,13 @@ void EvSession::v3_setup_part_a() {
   ss.extend_count = extend_count_;
   proto::send_server_setup(ch_, ss);
   ch_.flush();
-
-  if (fresh_pool_)
-    state_ = St::kPoolBase2;
-  else if (extend_count_ > 0)
-    state_ = St::kPoolExtend;
-  else
-    finish_pool_setup();
+  begin_pool_phases();
 }
 
 void EvSession::re_setup_part_a() {
   const proto::ReusableClientSetup cs =
       proto::recv_reusable_client_setup(ch_);
-  {
-    const std::lock_guard<std::mutex> io(entry_->io_mu);
-    const bool resume = entry_->pool && ext_->has_ticket &&
-                        ext_->ticket.pool_id == entry_->pool->pool_id() &&
-                        ext_->ticket.cookie == entry_->cookie &&
-                        ext_->ticket.client_id == ext_->client_id &&
-                        cs.extended == entry_->pool->extended();
-    if (!resume) {
-      entry_->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          ctx_->reg->delta(), ctx_->reg->next_pool_id());
-      entry_->cookie = ctx_->reg->next_block();
-      fresh_pool_ = true;
-    }
-    pool_ = entry_->pool;
-    cookie_ = entry_->cookie;
-  }
-
-  const ot::PoolStats pst = pool_->stats();
-  extend_count_ = 0;
-  if (pst.available() < need_total_) {
-    const std::uint64_t deficit = need_total_ - pst.available();
-    extend_count_ =
-        ((deficit + ot::kPoolExtendBatch - 1) / ot::kPoolExtendBatch) *
-        ot::kPoolExtendBatch;
-    extend_count_ = std::min<std::uint64_t>(
-        extend_count_, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-  }
-  claim_start_expected_ = pst.claimed + pst.consumed + pst.discarded;
-
+  reconcile_pool(cs.extended);
   artifact_sent_ =
       !(cs.has_artifact && cs.artifact_sha == ctx_->reusable->view_sha);
   proto::ReusableServerSetup ss;
@@ -482,13 +465,7 @@ void EvSession::re_setup_part_a() {
   ss.artifact_sha = ctx_->reusable->view_sha;
   proto::send_reusable_server_setup(ch_, ss);
   ch_.flush();
-
-  if (fresh_pool_)
-    state_ = St::kPoolBase2;
-  else if (extend_count_ > 0)
-    state_ = St::kPoolExtend;
-  else
-    finish_pool_setup();
+  begin_pool_phases();
 }
 
 void EvSession::finish_pool_setup() {

@@ -1,23 +1,23 @@
 // Non-blocking session state machine: one EvSession per accepted
 // connection, advanced by buffered bytes instead of owning a thread.
+// It is the server half of every session mode — the serving front
+// (evloop::EvBroker) drives it, and so can any harness that shuttles
+// bytes: the machine owns no sockets, it takes bytes in (on_bytes) and
+// leaves bytes out on channel().
 //
-// The wire behavior is byte-identical to the blocking serve paths
-// (net::Server / svc::Broker): the same handshake, the same four
-// session modes, the same OT phase cadence. The difference is control
-// flow — every blocking recv in the original code becomes a parked
-// state with a known byte need, and the event loop resumes the machine
-// once the inbound buffer covers it. Sends go through the
-// BufferedChannel and are drained by the owning connection via writev.
+// The protocol is the client's counterpart (net/client.hpp): the same
+// handshake, the same four session modes, the same OT phase cadence.
+// Every recv of the protocol is a parked state with a known byte need,
+// and the machine resumes once the inbound buffer covers it. Sends go
+// through the BufferedChannel and are drained by the owner via writev.
 //
-// Pool-gate discipline (v3/reusable): the blocking paths serialize one
-// client's wire phases with Entry::io_mu held across the whole setup.
-// A single-threaded shard cannot block on a mutex another of its own
-// sessions holds, so evloop sessions serialize on Entry::ev_gate (an
-// atomic test-and-set) instead, re-arming via a short timer on
-// contention; io_mu is still taken for the brief pointer mutations so
-// V3PoolRegistry::outstanding_claims stays race-free. Every claim ends
-// in consume (success) or discard (failure/teardown), exactly like the
-// blocking flows.
+// Pool-gate discipline (v3/reusable): one client's pool wire phases
+// must not interleave. A single-threaded shard cannot block on a mutex
+// another of its own sessions holds, so sessions serialize on
+// Entry::ev_gate (an atomic test-and-set), re-arming via a short timer
+// on contention; io_mu is still taken for the brief pointer mutations
+// so V3PoolRegistry::outstanding_claims stays race-free. Every claim
+// ends in consume (success) or discard (failure/teardown).
 #pragma once
 
 #include <chrono>
@@ -36,7 +36,8 @@
 #include "net/demo_inputs.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
+#include "net/fault.hpp"
+#include "net/server_stats.hpp"
 #include "net/v3_service.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
@@ -59,10 +60,13 @@ struct EvServeContext {
   std::size_t stream_chunk_rounds = 16;
   std::function<proto::PrecomputedSession()> take_session;
   std::function<proto::PrecomputedSessionV3()> take_v3;
+  // Server-side fault schedule applied to every session's channel;
+  // null (the default) costs one branch per channel op.
+  net::FaultInjector* faults = nullptr;
 };
 
-// Failure taxonomy mirroring the blocking brokers' catch ladder, so the
-// owning connection bumps the same metrics.
+// Failure taxonomy: the owning connection maps each kind onto the
+// broker's error metrics.
 enum class EvError : std::uint8_t {
   kNone = 0,
   kHandshake,   // typed reject sent (counts handshakes_rejected)
@@ -95,8 +99,8 @@ class EvSession {
   // pool gate to a concurrent session; re-poke via on_gate_retry().
   [[nodiscard]] bool wants_gate_retry() const { return wants_gate_retry_; }
 
-  // Valid once done(): the per-session stats block (same semantics as
-  // the blocking serve functions) and the serve wall time.
+  // Valid once done(): the per-session stats block and the serve wall
+  // time.
   [[nodiscard]] const net::ServerStats& stats() const { return stats_; }
   [[nodiscard]] double session_seconds() const { return session_seconds_; }
   [[nodiscard]] const char* mode_name() const;
@@ -134,6 +138,10 @@ class EvSession {
   void begin_pre_round();
   void start_stream_chunk();
   void pool_gate_step();   // kV3Gate / kReGate action once the gate is won
+  // Resume-or-fresh decision, extension size and claim start for the
+  // client's pool, from the materialized count its setup record reports.
+  void reconcile_pool(std::uint64_t client_extended);
+  void begin_pool_phases();  // base OT / extend / claim, as needed
   void v3_setup_part_a();
   void re_setup_part_a();
   void finish_pool_setup();  // claim + ticket (+artifact), releases gate

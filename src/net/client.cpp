@@ -440,7 +440,16 @@ ClientStats run_client(const ClientConfig& cfg) {
   // Failure handler shared by the typed and mapped catch arms: rethrow
   // when out of attempts or non-retryable, otherwise sleep the
   // deterministic backoff and let the loop start a fresh session.
+  // Corrupted session bytes may have landed in the pool's base OT or
+  // extension, desyncing the correlation both sides resume from. Forget
+  // the ticket whether or not a retry follows: the next session on this
+  // identity — this call's retry or a later call sharing cfg.v3_state —
+  // then pays a fresh base OT instead of resuming the poisoned pool.
+  const auto forget_pool = [&] {
+    if (v3_state) v3_state->ticket.reset();
+  };
   const auto retry_or_rethrow = [&](const NetError& e, int attempt) {
+    if (dynamic_cast<const CorruptionError*>(&e) != nullptr) forget_pool();
     if (attempt >= max_attempts || !net_error_is_retryable(e)) throw;
     const std::uint64_t wait = retry_backoff_ms(cfg.retry, attempt);
     if (cfg.verbose)
@@ -461,9 +470,12 @@ ClientStats run_client(const ClientConfig& cfg) {
       // bytes lied. While attempts remain, burn this session and retry;
       // on the last attempt keep the historical contract (stats.verified
       // reports it, no throw).
-      if (cfg.check && !stats.verified && attempt < max_attempts)
-        throw CorruptionError(
-            "decoded MAC does not match the plaintext reference");
+      if (cfg.check && !stats.verified) {
+        forget_pool();
+        if (attempt < max_attempts)
+          throw CorruptionError(
+              "decoded MAC does not match the plaintext reference");
+      }
       stats.attempts = static_cast<std::uint32_t>(attempt);
       stats.retry_wait_ms = waited_ms;
       stats.total_seconds = seconds_since(t_run);

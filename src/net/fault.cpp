@@ -174,6 +174,16 @@ std::uint64_t FaultInjector::faults_fired() const {
   return fired_count_;
 }
 
+void fault_flip_bit(std::uint8_t* data, std::size_t n, std::uint64_t rand) {
+  if (n == 0) return;
+  const std::uint64_t bit = rand % (static_cast<std::uint64_t>(n) * 8);
+  data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+}
+
+std::size_t fault_split_point(std::size_t n, std::uint64_t rand) {
+  return n > 1 ? 1 + static_cast<std::size_t>(rand % (n - 1)) : n;
+}
+
 // --- FaultyChannel --------------------------------------------------------
 
 FaultyChannel::FaultyChannel(std::unique_ptr<proto::Channel> inner,
@@ -221,18 +231,14 @@ void FaultyChannel::raw_send(const std::uint8_t* data, std::size_t n) {
     }
     case FaultKind::kFlip: {
       std::vector<std::uint8_t> mangled(data, data + n);
-      if (n > 0) {
-        const std::uint64_t bit = a.rand % (static_cast<std::uint64_t>(n) * 8);
-        mangled[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
+      fault_flip_bit(mangled.data(), n, a.rand);
       inner_->send_bytes(mangled.data(), mangled.size());
       return;
     }
     case FaultKind::kSplit: {
       // Two flushed pieces: the peer must reassemble across a frame
       // boundary that normal operation would never produce here.
-      const std::size_t cut =
-          n > 1 ? 1 + static_cast<std::size_t>(a.rand % (n - 1)) : n;
+      const std::size_t cut = fault_split_point(n, a.rand);
       inner_->send_bytes(data, cut);
       inner_->flush();
       if (cut < n) inner_->send_bytes(data + cut, n - cut);
@@ -256,10 +262,7 @@ void FaultyChannel::raw_recv(std::uint8_t* data, std::size_t n) {
       throw PeerClosedError("fault: injected close at recv op");
     case FaultKind::kFlip: {
       inner_->recv_bytes(data, n);
-      if (n > 0) {
-        const std::uint64_t bit = a.rand % (static_cast<std::uint64_t>(n) * 8);
-        data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
+      fault_flip_bit(data, n, a.rand);
       if (capture_ != nullptr) capture_->insert(capture_->end(), data, data + n);
       return;
     }

@@ -5,18 +5,21 @@
 // splits, connect refusals — parsed from a compact string so the same
 // plan can come from a unit test, a CLI flag, or the MAXEL_FAULT_PLAN
 // environment variable and replay identically every time. FaultyChannel
-// is the decorator that executes the plan around an owned inner channel;
-// FaultInjector holds the plan state and is shared across channels so a
-// schedule spans a whole client run (every retry attempt) or a whole
-// server process (every accepted connection), with each event firing
-// exactly once.
+// is the decorator that executes the plan around an owned inner channel
+// (the client side); on the server, evloop::BufferedChannel executes the
+// same plan itself (EvBrokerConfig::fault_plan). FaultInjector holds the
+// plan state and is shared across channels so a schedule spans a whole
+// client run (every retry attempt) or a whole server process (every
+// accepted connection, every shard), with each event firing exactly
+// once.
 //
 // Plan grammar (events separated by ';' or ','):
 //
 //   seed=S                       RNG seed for flip positions/split points
 //   close@send:N | close@recv:N  drop the transport at the Nth op (0-based)
 //   stall@send:N:MS              sleep MS ms before forwarding the Nth op
-//   stall@recv:N:MS
+//   stall@recv:N:MS              (server side: sleeps the shard thread, so
+//                                every session on that shard stalls)
 //   flip@send:N | flip@recv:N    flip one seeded bit of the Nth payload
 //   trunc@send:N                 forward a strict prefix, then drop
 //   split@send:N                 forward in two flushed pieces (benign)
@@ -91,6 +94,14 @@ struct FaultPlan {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
 }
+
+// The seeded payload edits every fault-executing channel applies:
+// fault_flip_bit flips bit `rand % (8 * n)` of data[0, n) (no-op when
+// n == 0); fault_split_point is where a split cuts an n-byte payload
+// (1..n-1, or n when it cannot be split).
+void fault_flip_bit(std::uint8_t* data, std::size_t n, std::uint64_t rand);
+[[nodiscard]] std::size_t fault_split_point(std::size_t n,
+                                            std::uint64_t rand);
 
 // Shared, thread-safe plan state: op counters span every channel that
 // references this injector, and each event fires exactly once — so a

@@ -1,21 +1,23 @@
-// Protocol-v3 service plumbing shared by net::Server, svc::Broker, the
-// client, and the loopback benches: the per-client OT-pool registry on
-// the garbler side, and the pool-reconciliation + session flows both
-// sides run after a v3 handshake is accepted.
+// Protocol-v3 service plumbing shared by the serving front
+// (evloop::EvSession), the client, and the loopback benches: the
+// per-client OT-pool registry on the garbler side, and the client half
+// of the pool-reconciliation + session flow run after a v3 handshake is
+// accepted.
 //
 // Cross-session amortization contract:
 //   * The registry keys long-lived CorrelatedPoolSender instances by the
 //     client identity from the hello extension. One garbling delta spans
-//     the registry, so any spooled or inline-garbled v3 session can be
-//     served from any pool in it (checked via pool lineage).
+//     the registry, so any spooled v3 session can be served from any
+//     pool in it (checked via pool lineage).
 //   * A connection is served from the existing pool iff the client
 //     presents the ticket issued with it AND its materialized count
 //     matches the server's — anything else (first contact, lost state,
 //     desync from a death mid-extend) falls back to a fresh pool with a
 //     new base OT. Fallback is always safe, never wrong answers.
-//   * Claims are handed out under the per-client io mutex and every
-//     claim ends in consume (success) or discard (any throw), so a
-//     retried or resumed session can never see an OT index twice.
+//   * One session per client entry runs its setup/extend/claim phases
+//     at a time (Entry::ev_gate), and every claim ends in consume
+//     (success) or discard (any failure), so a retried or resumed
+//     session can never see an OT index twice.
 #pragma once
 
 #include <array>
@@ -39,25 +41,24 @@
 
 namespace maxel::net {
 
-struct ServerStats;  // server.hpp
-
 // Garbler-side registry of per-client correlated-OT pools. Thread-safe:
-// the broker's workers serve concurrent sessions of the same client
-// against one entry (wire phases serialized by the entry's io mutex,
-// pad reads lock-free per the pool's own contract).
+// the broker's shards serve concurrent sessions of the same client
+// against one entry (wire phases serialized by the entry's gate, pad
+// reads lock-free per the pool's own contract).
 class V3PoolRegistry {
  public:
   explicit V3PoolRegistry(const crypto::Block& seed);
 
   struct Entry {
-    std::mutex io_mu;  // serializes setup/extend/claim wire phases
+    // Guards the pointer fields below against concurrent registry
+    // snapshots (outstanding_claims); held only for brief mutations.
+    std::mutex io_mu;
     std::shared_ptr<ot::CorrelatedPoolSender> pool;  // null before base OT
     crypto::Block cookie{};
-    // Cooperative gate for single-threaded event-loop serving (evloop):
-    // a shard thread cannot block on io_mu when the holder is another
-    // session on the same thread, so evloop sessions serialize their
-    // setup/extend/claim phases on this test-and-set instead, retrying
-    // off a timer on contention. Blocking serve paths ignore it.
+    // Serializes one client's setup/extend/claim wire phases. A shard
+    // thread cannot block on a mutex another session on the same thread
+    // holds, so sessions take this test-and-set instead and retry off a
+    // timer on contention (see evloop/session.hpp).
     std::atomic<bool> ev_gate{false};
   };
 
@@ -84,23 +85,6 @@ class V3PoolRegistry {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::shared_ptr<Entry>>
       entries_;
 };
-
-struct V3ServeOutcome {
-  bool fresh_pool = false;
-  std::uint64_t extended = 0;    // OT indices added on this connection
-  std::uint64_t setup_bytes = 0; // wire bytes before the first round frame
-};
-
-// Serves one v3 session after an accepted v3 handshake: client-setup
-// recv, fresh-vs-resume decision, base OT + pool extension as needed,
-// ticket issue, then the round flow of proto::serve_v3_rounds. The
-// session must be garbled under the registry delta. Updates the byte /
-// round / v3 counters in `stats` (pass a fresh-per-connection channel).
-V3ServeOutcome serve_v3_session(proto::Channel& ch, V3PoolRegistry& reg,
-                                const HelloExtV3& ext,
-                                const circuit::Circuit& circ,
-                                const proto::PrecomputedSessionV3& session,
-                                ServerStats& stats);
 
 // Client-side identity + pool state. Outlives connections, retries, and
 // run_client calls: share one instance across sessions to amortize the
@@ -131,8 +115,9 @@ struct V3EvalOutcome {
   std::uint64_t setup_bytes = 0; // wire bytes before the first round frame
 };
 
-// Client half of serve_v3_session, run after client_handshake_v3 was
-// accepted. evaluator_bits[r] holds round r's true input bits.
+// Client half of a v3 session (server half: evloop::EvSession), run
+// after client_handshake_v3 was accepted. evaluator_bits[r] holds round
+// r's true input bits.
 V3EvalOutcome eval_v3_session(
     proto::Channel& ch, const circuit::Circuit& circ,
     const gc::V3Analysis& an,

@@ -1,5 +1,7 @@
 #include "svc/session_spool.hpp"
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -580,6 +582,20 @@ std::size_t SessionSpool::ready_v3() const {
 SpoolStats SessionSpool::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+TempSpoolDir::TempSpoolDir() {
+  std::string path =
+      (fs::temp_directory_path() / "maxel_spool_XXXXXX").string();
+  if (::mkdtemp(path.data()) == nullptr)
+    throw std::runtime_error("cannot create a temporary spool under " +
+                             fs::temp_directory_path().string());
+  path_ = std::move(path);
+}
+
+TempSpoolDir::~TempSpoolDir() {
+  std::error_code ec;
+  fs::remove_all(path_, ec);
 }
 
 }  // namespace maxel::svc

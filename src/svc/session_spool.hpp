@@ -185,4 +185,20 @@ class SessionSpool {
   SpoolStats stats_;
 };
 
+// A private spool directory under the system temp dir, removed with
+// its contents on destruction: what `maxelctl serve` runs on without
+// --spool, and what tests and benches give a throwaway server.
+class TempSpoolDir {
+ public:
+  TempSpoolDir();  // throws std::runtime_error if no directory was made
+  ~TempSpoolDir();
+  TempSpoolDir(const TempSpoolDir&) = delete;
+  TempSpoolDir& operator=(const TempSpoolDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace maxel::svc

@@ -14,18 +14,17 @@
 //     sessions, and stalled peers — always by re-running a *fresh*
 //     session, never by resuming one (wire labels are single-use; the
 //     no-reuse test compares captured wire bytes across attempts);
-//   * matrix: >= 30 seeded scenarios across all three serving paths
-//     (precomputed net::Server, stream net::Server, svc::Broker), each
-//     of which must terminate within a watchdog in either a bit-correct
-//     verified MAC or a typed NetError — never a hang, never a silent
-//     mismatch — with the service still serving afterwards.
+//   * recovery runs against the serving front (evloop::EvBroker),
+//     including server-side faults injected through its fault_plan.
+//
+// The seeded scenario matrix (every plan x every session mode, injected
+// on the client and on the server) lives in evloop_chaos_test.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,17 +38,16 @@
 #include "net/fault.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
-#include "svc/broker.hpp"
+#include "evloop/session.hpp"
+#include "live_broker.hpp"
 
 namespace maxel {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
@@ -307,18 +305,9 @@ TEST(RetryBackoff, JitterIsBoundedAndSeedDeterministic) {
 constexpr std::size_t kBits = 8;
 constexpr std::size_t kRounds = 12;
 
-net::ServerConfig chaos_server_config() {
-  net::ServerConfig cfg;
-  cfg.bind_addr = "127.0.0.1";
-  cfg.port = 0;
-  cfg.bits = kBits;
-  cfg.rounds_per_session = kRounds;
-  cfg.bank_low_watermark = 1;
-  cfg.bank_batch = 1;
-  cfg.precompute_cores = 2;
-  cfg.max_sessions = 0;  // run until request_stop()
-  cfg.accept_poll_ms = 50;
-  cfg.verbose = false;
+// Runs until stop(); one shard, so scenarios replay in a fixed order.
+evloop::EvBrokerConfig chaos_server_config(const svc::TempSpoolDir& spool) {
+  evloop::EvBrokerConfig cfg = test::broker_config(spool, kBits, kRounds);
   cfg.idle_timeout_ms = 5'000;  // generous; scenario overrides tighten it
   return cfg;
 }
@@ -370,32 +359,30 @@ ChaosOutcome run_chaos_client(const net::ClientConfig& cfg) {
 }
 
 TEST(ChaosRecovery, MidHandshakeCloseRetriesToSuccess) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  svc::TempSpoolDir spool;
+  test::LiveBroker server(chaos_server_config(spool));
 
   // Send op 0 is the client hello: the very first bytes of the session
   // die on the floor, and the retry must start over from connect.
   const ChaosOutcome out =
       run_chaos_client(chaos_client_config(server.port(), "close@send:0"));
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   EXPECT_EQ(out.output, net::demo_mac_reference(7, kBits, kRounds));
-  EXPECT_EQ(server.stats().sessions_served, 1u);
+  EXPECT_EQ(server->stats().server.sessions_served, 1u);
 }
 
 TEST(ChaosRecovery, MidTransferCloseRetriesToSuccess) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  svc::TempSpoolDir spool;
+  test::LiveBroker server(chaos_server_config(spool));
 
   // Recv op 8 lands mid-session, after OT setup has produced garbled
   // material — the attempt that dies has real tables in flight.
   const ChaosOutcome out =
       run_chaos_client(chaos_client_config(server.port(), "close@recv:8"));
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
@@ -403,45 +390,43 @@ TEST(ChaosRecovery, MidTransferCloseRetriesToSuccess) {
 }
 
 TEST(ChaosRecovery, ConnectRefusalRetriesToSuccess) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  svc::TempSpoolDir spool;
+  test::LiveBroker server(chaos_server_config(spool));
 
   const ChaosOutcome out =
       run_chaos_client(chaos_client_config(server.port(), "refuse@connect:0"));
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   // The refused attempt never reached the server at all.
-  EXPECT_EQ(server.stats().sessions_served, 1u);
-  EXPECT_EQ(server.stats().connection_errors, 0u);
+  EXPECT_EQ(server->stats().server.sessions_served, 1u);
+  EXPECT_EQ(server->stats().server.connection_errors, 0u);
 }
 
 TEST(ChaosRecovery, ServerSideCloseIsSurvivedByBothSides) {
-  net::ServerConfig scfg = chaos_server_config();
+  svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg = chaos_server_config(spool);
   scfg.fault_plan = "close@send:3";  // the server's own link dies once
-  net::Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::LiveBroker server(scfg);
 
   net::ClientConfig ccfg = chaos_client_config(server.port(), "");
   const ChaosOutcome out = run_chaos_client(ccfg);
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   // The aborted connection is accounted as a connection error, not a
   // served session; the retry is the one served session.
-  EXPECT_EQ(server.stats().sessions_served, 1u);
-  EXPECT_GE(server.stats().connection_errors, 1u);
+  EXPECT_EQ(server->stats().server.sessions_served, 1u);
+  EXPECT_GE(server->stats().server.connection_errors, 1u);
 }
 
 TEST(ChaosRecovery, StalledClientIsEvictedAndRecovers) {
-  net::ServerConfig scfg = chaos_server_config();
+  svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg = chaos_server_config(spool);
   scfg.idle_timeout_ms = 250;  // evict a silent peer fast
-  net::Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::LiveBroker server(scfg);
 
   // The client goes quiet for 1.5 s mid-session — far past the server's
   // idle deadline. The server must evict it (freeing the accept loop),
@@ -449,15 +434,14 @@ TEST(ChaosRecovery, StalledClientIsEvictedAndRecovers) {
   net::ClientConfig ccfg =
       chaos_client_config(server.port(), "stall@send:2:1500");
   const ChaosOutcome out = run_chaos_client(ccfg);
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_GE(out.attempts, 2u);
-  EXPECT_GE(server.stats().idle_timeouts, 1u);
-  EXPECT_GE(server.stats().connection_errors,
-            server.stats().idle_timeouts);  // idle is a subset
-  EXPECT_EQ(server.stats().sessions_served, 1u);
+  EXPECT_GE(server->stats().server.idle_timeouts, 1u);
+  EXPECT_GE(server->stats().server.connection_errors,
+            server->stats().server.idle_timeouts);  // idle is a subset
+  EXPECT_EQ(server->stats().server.sessions_served, 1u);
 }
 
 // The heart of the retry contract: a retried session shares *nothing*
@@ -465,8 +449,8 @@ TEST(ChaosRecovery, StalledClientIsEvictedAndRecovers) {
 // garbled material of attempt 2 must be freshly generated — byte-for-
 // byte different from what attempt 1 received before its link died.
 TEST(ChaosRecovery, RetryNeverReusesGarbledMaterial) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  svc::TempSpoolDir spool;
+  test::LiveBroker server(chaos_server_config(spool));
 
   auto injector = std::make_shared<net::FaultInjector>(
       net::FaultPlan::parse("close@recv:8"));
@@ -485,8 +469,7 @@ TEST(ChaosRecovery, RetryNeverReusesGarbledMaterial) {
   };
 
   const ChaosOutcome out = run_chaos_client(cfg);
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
@@ -514,8 +497,8 @@ TEST(ChaosRecovery, RetryNeverReusesGarbledMaterial) {
 // base OT. The dead attempt's claim is burned (discarded), and the wire
 // bytes of the two attempts differ over their overlap.
 TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  svc::TempSpoolDir spool;
+  test::LiveBroker server(chaos_server_config(spool));
 
   crypto::SystemRandom id_rng(crypto::Block{91, 3});
   auto state = net::make_v3_client_state(id_rng);
@@ -550,14 +533,13 @@ TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
   };
 
   const ChaosOutcome out = run_chaos_client(cfg);
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   ASSERT_EQ(captures.size(), 2u);
 
-  const net::ServerStats ss = server.stats();
+  const net::ServerStats ss = server->stats().server;
   EXPECT_EQ(ss.v3_sessions_served, 2u);
   // Every attempt after session 1 resumed its pool: exactly one base OT
   // and one extension batch ever ran, dead attempt included.
@@ -568,7 +550,7 @@ TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
             static_cast<std::uint64_t>(ot::kPoolExtendBatch));
   // The dead attempt's claim was discarded, not left outstanding, and
   // the client's watermark is past two disjoint per-session ranges.
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(server->v3_outstanding_claims(), 0u);
   EXPECT_GE(state->pool.watermark(), 2u * kRounds * kBits);
   EXPECT_GE(ss.connection_errors, 1u);
 
@@ -588,8 +570,8 @@ TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
 // resumes it, any half-made claim is discarded cleanly, and no second
 // base OT or extension is paid.
 TEST(ChaosRecovery, KilledResumptionRollsThePoolForward) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  svc::TempSpoolDir spool;
+  test::LiveBroker server(chaos_server_config(spool));
 
   crypto::SystemRandom id_rng(crypto::Block{17, 29});
   auto state = net::make_v3_client_state(id_rng);
@@ -607,27 +589,55 @@ TEST(ChaosRecovery, KilledResumptionRollsThePoolForward) {
   faulty.v3_state = state;
   const ChaosOutcome s2 = run_chaos_client(faulty);
 
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(s1.verified) << s1.error;
   EXPECT_EQ(s1.attempts, 1u);
   EXPECT_TRUE(s2.verified) << s2.error;
   EXPECT_EQ(s2.attempts, 2u);
 
-  const net::ServerStats ss = server.stats();
+  const net::ServerStats ss = server->stats().server;
   EXPECT_EQ(ss.v3_sessions_served, 2u);
   EXPECT_EQ(ss.v3_fresh_pools, 1u);  // only session 1 paid a base OT
   EXPECT_EQ(state->pool.extended(),
             static_cast<std::uint64_t>(ot::kPoolExtendBatch));
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);  // nothing stuck claimed
+  EXPECT_EQ(server->v3_outstanding_claims(), 0u);  // nothing stuck claimed
   // Two sessions consumed; the dead attempt may have burned a range.
   EXPECT_GE(state->pool.watermark(), 2u * kRounds * kBits);
 }
 
+// A bit the server flips inside the pool's base OT desyncs the
+// correlation both sides would resume from. With retries off the
+// corrupted call has no retry to clean up after it, so the client must
+// still forget its ticket: the next call sharing the identity pays a
+// fresh base OT and verifies instead of resuming the poisoned pool.
+TEST(ChaosRecovery, CorruptedPoolIsNotResumedByTheNextCall) {
+  svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg = chaos_server_config(spool);
+  scfg.fault_plan = "seed=3;flip@send:2";  // fires once per broker
+  test::LiveBroker server(scfg);
+
+  crypto::SystemRandom id_rng(crypto::Block{0xBA, 0xD});
+  auto state = net::make_v3_client_state(id_rng);
+  net::ClientConfig cfg = chaos_client_config(server.port(), "");
+  cfg.protocol = net::kProtocolVersionV3;
+  cfg.v3_state = state;
+  cfg.retry.max_attempts = 1;
+
+  const ChaosOutcome first = run_chaos_client(cfg);
+  const ChaosOutcome second = run_chaos_client(cfg);
+  server.stop();
+
+  EXPECT_FALSE(first.verified);  // the flip reached the client
+  EXPECT_TRUE(second.verified) << second.error;
+  EXPECT_EQ(second.attempts, 1u);
+  EXPECT_EQ(server->stats().server.v3_fresh_pools, 2u);
+  EXPECT_EQ(server->v3_outstanding_claims(), 0u);
+}
+
 TEST(ChaosRecovery, NonRetryableHandshakeRejectFailsFastDespiteRetries) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  svc::TempSpoolDir spool;
+  test::LiveBroker server(chaos_server_config(spool));
 
   net::ClientConfig cfg = chaos_client_config(server.port(), "");
   cfg.bits = kBits * 2;  // bit-width mismatch: a config error, not luck
@@ -642,9 +652,8 @@ TEST(ChaosRecovery, NonRetryableHandshakeRejectFailsFastDespiteRetries) {
   // No backoff was burned on a failure retry cannot fix.
   EXPECT_LT(seconds_since(t0), 5.0);
 
-  server.request_stop();
-  serve.join();
-  EXPECT_EQ(server.stats().sessions_served, 0u);
+  server.stop();
+  EXPECT_EQ(server->stats().server.sessions_served, 0u);
 }
 
 TEST(ChaosRecovery, ExhaustedRetriesSurfaceTheTypedError) {
@@ -657,160 +666,6 @@ TEST(ChaosRecovery, ExhaustedRetriesSurfaceTheTypedError) {
   cfg.tcp.connect_timeout_ms = 200;
   cfg.tcp.connect_backoff_ms = 5;
   EXPECT_THROW(net::run_client(cfg), net::ConnectError);
-}
-
-// ---------------------------------------------------------------------------
-// The scenario matrix: seeded plans x all three serving paths.
-
-// Ten pinned plans. Indices are raw-op counts (stable across runs), so
-// the schedule reproduces bit-for-bit from the string alone; together
-// with the three serving modes below this is 30 chaos scenarios.
-const char* const kMatrixPlans[] = {
-    "close@send:0",            // hello dies
-    "close@send:2",            // OT setup dies on our side
-    "close@recv:1",            // handshake reply dies
-    "close@recv:6",            // session material dies
-    "trunc@send:1",            // peer sees a mid-message EOF
-    "trunc@send:3",
-    "seed=4;split@send:2",     // benign short write: must verify first try
-    "refuse@connect:0",        // first connect refused outright
-    "seed=3;flip@send:2",      // corrupted payload toward the server
-    "seed=11;stall@recv:1:300" // a short stall inside the recv timeout
-};
-
-void check_outcome(const ChaosOutcome& out, std::uint64_t expected_mac) {
-  // The chaos contract: bounded time, then either a bit-correct MAC or
-  // a typed NetError. Anything else — hang, crash, silent mismatch —
-  // fails the suite.
-  EXPECT_LT(out.elapsed, kWatchdogSeconds);
-  if (out.threw) {
-    EXPECT_FALSE(out.error.empty());
-  } else {
-    EXPECT_TRUE(out.verified) << "completed without verifying";
-    EXPECT_EQ(out.output, expected_mac);
-  }
-}
-
-TEST(ChaosMatrix, PrecomputedServerSurvivesEveryPlan) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=precomputed");
-    net::Server server(chaos_server_config());
-    std::thread serve([&] { server.serve(); });
-
-    const ChaosOutcome out =
-        run_chaos_client(chaos_client_config(server.port(), plan));
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    // Whatever the plan did, the server must still serve a clean client.
-    if (out.threw) {
-      const ChaosOutcome clean =
-          run_chaos_client(chaos_client_config(server.port(), ""));
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    server.request_stop();
-    serve.join();
-  }
-  // Most plans are transient faults: retry must actually be recovering,
-  // not every scenario dying with a typed error.
-  EXPECT_GE(recovered, 5);
-}
-
-TEST(ChaosMatrix, StreamServerSurvivesEveryPlan) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=stream");
-    net::ServerConfig scfg = chaos_server_config();
-    scfg.stream_chunk_rounds = 4;  // several chunks even at kRounds = 12
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
-
-    net::ClientConfig ccfg = chaos_client_config(server.port(), plan);
-    ccfg.mode = net::SessionMode::kStream;
-    const ChaosOutcome out = run_chaos_client(ccfg);
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    if (out.threw) {
-      net::ClientConfig clean_cfg = chaos_client_config(server.port(), "");
-      clean_cfg.mode = net::SessionMode::kStream;
-      const ChaosOutcome clean = run_chaos_client(clean_cfg);
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    server.request_stop();
-    serve.join();
-  }
-  EXPECT_GE(recovered, 5);
-}
-
-// Fourth serving path: protocol v3 with the cross-session OT pool. On
-// top of the usual chaos contract, every scenario must leave the pool
-// registry with zero outstanding claims — a death anywhere in the
-// resumption setup or the rounds either rolls the pool forward or
-// discards the claim, never wedges it.
-TEST(ChaosMatrix, V3ServerSurvivesEveryPlanWithNoStuckClaims) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=v3");
-    net::Server server(chaos_server_config());
-    std::thread serve([&] { server.serve(); });
-
-    net::ClientConfig ccfg = chaos_client_config(server.port(), plan);
-    ccfg.protocol = net::kProtocolVersionV3;
-    const ChaosOutcome out = run_chaos_client(ccfg);
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    if (out.threw) {
-      net::ClientConfig clean_cfg = chaos_client_config(server.port(), "");
-      clean_cfg.protocol = net::kProtocolVersionV3;
-      const ChaosOutcome clean = run_chaos_client(clean_cfg);
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    server.request_stop();
-    serve.join();
-    // Checked only after the serve loop is fully down: consume runs
-    // after the last flush, so polling mid-serve would race it.
-    EXPECT_EQ(server.v3_outstanding_claims(), 0u);
-  }
-  EXPECT_GE(recovered, 5);
-}
-
-// Fifth serving path: the reusable garble-once lane. Same contract as
-// v3 (bounded time, bit-correct or typed error, zero stuck claims after
-// every scenario), and a fault anywhere — artifact delivery included —
-// must never burn the one shared artifact: a clean client still
-// verifies afterwards off the same garbling.
-TEST(ChaosMatrix, ReusableServerSurvivesEveryPlanWithNoStuckClaims) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=reusable");
-    net::Server server(chaos_server_config());
-    std::thread serve([&] { server.serve(); });
-
-    net::ClientConfig ccfg = chaos_client_config(server.port(), plan);
-    ccfg.mode = net::SessionMode::kReusable;
-    const ChaosOutcome out = run_chaos_client(ccfg);
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    if (out.threw) {
-      net::ClientConfig clean_cfg = chaos_client_config(server.port(), "");
-      clean_cfg.mode = net::SessionMode::kReusable;
-      const ChaosOutcome clean = run_chaos_client(clean_cfg);
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    server.request_stop();
-    serve.join();
-    EXPECT_EQ(server.v3_outstanding_claims(), 0u);
-    EXPECT_EQ(server.stats().reusable_garbles, 1u);  // chaos never re-garbles
-  }
-  EXPECT_GE(recovered, 5);
 }
 
 // The corrupt-artifact verdict, deterministically: serve off a context
@@ -834,25 +689,23 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
   ex.allow_v3 = true;
   ex.allow_reusable = true;
 
+  // A lone EvSession serves the connection off the poisoned context.
+  net::V3PoolRegistry reg(crypto::SystemRandom().next_block());
+  evloop::EvServeContext sctx;
+  sctx.circ = &circ;
+  sctx.expect = ex;
+  sctx.reg = &reg;
+  sctx.reusable = &ctx;
+  sctx.bits = kBits;
+  sctx.rounds = kRounds;
+  sctx.demo_seed = 7;
+  net::TcpListener lis(0, "127.0.0.1");
+  test::ShuttleResult served;
+  std::thread server(
+      [&] { served = test::shuttle_serve_one(lis, sctx, /*feed=*/4096); });
   net::TcpOptions topt;
   topt.recv_timeout_ms = 5'000;
-  net::TcpListener lis(0, "127.0.0.1");
-  net::V3PoolRegistry reg(crypto::SystemRandom().next_block());
-  std::unique_ptr<net::TcpChannel> server_ch;
-  std::thread accept([&] { server_ch = lis.accept(5'000, topt); });
   auto client_ch = net::TcpChannel::connect("127.0.0.1", lis.port(), topt);
-  accept.join();
-
-  std::thread server([&] {
-    try {
-      const net::V23Handshake hs = net::server_handshake_v23(*server_ch, ex);
-      net::ServerStats local;
-      net::serve_reusable_session(*server_ch, reg, *hs.ext, ctx, local);
-    } catch (const net::NetError&) {
-      // The client hangs up at the checksum; any typed death is fine —
-      // the claim-discard assertion below is what matters.
-    }
-  });
 
   net::ClientHello hello;
   hello.scheme = static_cast<std::uint8_t>(ex.scheme);
@@ -873,126 +726,13 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
   EXPECT_THROW(
       net::eval_reusable_session(*client_ch, circ, e_bits, *state, rng),
       net::CorruptionError);
-  client_ch.reset();  // hang up; the server thread dies typed
+  client_ch.reset();  // hang up; the server session dies typed
   server.join();
+  EXPECT_TRUE(served.failed);
+  EXPECT_EQ(served.error, evloop::EvError::kPeerClosed);
   EXPECT_EQ(reg.outstanding_claims(), 0u);
   // The poisoned view never entered the client's cache.
   EXPECT_FALSE(state->reusable_view.has_value());
-}
-
-class BrokerChaosTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_chaos_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
-  svc::BrokerConfig chaos_broker_config() {
-    svc::BrokerConfig cfg;
-    cfg.bind_addr = "127.0.0.1";
-    cfg.port = 0;
-    cfg.bits = kBits;
-    cfg.rounds_per_session = kRounds;
-    cfg.spool_dir = spool_dir_.string();
-    cfg.spool_low_watermark = 1;
-    cfg.spool_high_watermark = 3;
-    cfg.workers = 2;
-    cfg.admission_queue = 4;
-    cfg.accept_poll_ms = 50;
-    cfg.verbose = false;
-    cfg.idle_timeout_ms = 5'000;
-    return cfg;
-  }
-
-  fs::path spool_dir_;
-};
-
-TEST_F(BrokerChaosTest, BrokerSurvivesEveryPlan) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=broker");
-    svc::Broker broker(chaos_broker_config());
-    std::thread run([&] { broker.run(); });
-
-    const ChaosOutcome out =
-        run_chaos_client(chaos_client_config(broker.port(), plan));
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    if (out.threw) {
-      const ChaosOutcome clean =
-          run_chaos_client(chaos_client_config(broker.port(), ""));
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    broker.request_stop();
-    run.join();
-  }
-  EXPECT_GE(recovered, 5);
-}
-
-// Broker-side injection: the fault fires inside a worker, the error is
-// accounted in the metrics registry, and the worker pool keeps serving.
-TEST_F(BrokerChaosTest, BrokerSideFaultIsMeteredAndSurvived) {
-  svc::BrokerConfig cfg = chaos_broker_config();
-  cfg.fault_plan = "close@send:5";
-  svc::Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
-
-  const ChaosOutcome out =
-      run_chaos_client(chaos_client_config(broker.port(), ""));
-  broker.request_stop();
-  run.join();
-
-  EXPECT_TRUE(out.verified) << out.error;
-  EXPECT_EQ(out.attempts, 2u);
-  EXPECT_EQ(broker.metrics().gauge("faults_injected").value(), 1);
-  EXPECT_GE(broker.metrics().counter("peer_disconnects").value() +
-                broker.metrics().counter("connection_errors").value(),
-            1u);
-  EXPECT_EQ(broker.stats().server.sessions_served, 1u);
-}
-
-// Reusable sessions through the chaos matrix against the broker: a kill
-// anywhere — artifact delivery, the d/z exchange, mid-evaluation — must
-// end typed-or-verified, leave zero stuck claims, and never cost the
-// spool its artifact: one garbling per broker, no matter what the link
-// does.
-TEST_F(BrokerChaosTest, ReusableBrokerSurvivesEveryPlanOffOneGarbling) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=broker-reusable");
-    svc::Broker broker(chaos_broker_config());
-    std::thread run([&] { broker.run(); });
-
-    net::ClientConfig ccfg = chaos_client_config(broker.port(), plan);
-    ccfg.mode = net::SessionMode::kReusable;
-    const ChaosOutcome out = run_chaos_client(ccfg);
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    if (out.threw) {
-      net::ClientConfig clean_cfg = chaos_client_config(broker.port(), "");
-      clean_cfg.mode = net::SessionMode::kReusable;
-      const ChaosOutcome clean = run_chaos_client(clean_cfg);
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    broker.request_stop();
-    run.join();
-    EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
-    const svc::BrokerStats st = broker.stats();
-    EXPECT_LE(st.server.reusable_garbles, 1u);
-    EXPECT_EQ(st.spool.reusable_ready, 1u);  // artifact survived the chaos
-  }
-  EXPECT_GE(recovered, 5);
 }
 
 }  // namespace

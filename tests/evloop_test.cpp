@@ -8,22 +8,17 @@
 //   * pool gate: a second v3 session through the shuttle resumes the
 //     first one's OT pool and leaves zero outstanding claims;
 //   * EvBroker: all four modes over loopback TCP against the sharded
-//     front, with the blocking broker's stats/metrics semantics;
+//     front, with stats and metrics cross-checked;
 //   * idle eviction: a silent peer is evicted by the timer wheel and
-//     counted exactly like the blocking broker's TimeoutError path;
+//     counted as idle_timeouts + connection_errors;
 //   * SpareFd: the EMFILE reserve releases and reacquires;
 //   * loadgen smoke: 2000 canned reusable sessions through a windowed
 //     single-threaded client sweep, zero failures, zero stuck claims.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,77 +39,19 @@
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/precompute.hpp"
+#include "live_broker.hpp"
 
 namespace maxel::evloop {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
+using test::shuttle_serve_one;
+using test::ShuttleResult;
+
 // ---------------------------------------------------------------------------
-// Shuttle: a minimal single-connection server that owns an EvSession and
-// feeds it one byte at a time, draining its output after every byte.
-
-struct ShuttleResult {
-  bool done = false;
-  bool failed = false;
-  std::string mode;
-  std::string err;
-  net::ServerStats stats;
-};
-
-bool shuttle_drain(int fd, BufferedChannel& ch) {
-  while (ch.has_output()) {
-    struct iovec iov[16];
-    const std::size_t n = ch.gather(iov, 16);
-    if (n == 0) break;
-    const ssize_t w = ::writev(fd, iov, static_cast<int>(n));
-    if (w <= 0) return false;
-    ch.mark_written(static_cast<std::size_t>(w));
-  }
-  return true;
-}
-
-ShuttleResult shuttle_serve_one(net::TcpListener& lst,
-                                const EvServeContext& ctx) {
-  ShuttleResult res;
-  const int cfd = ::accept(lst.fd(), nullptr, nullptr);
-  if (cfd < 0) {
-    res.err = "accept failed";
-    return res;
-  }
-  EvSession s(ctx);
-  std::uint8_t buf[4096];
-  while (!s.done() && !s.failed()) {
-    const ssize_t n = ::recv(cfd, buf, sizeof buf, 0);
-    if (n < 0) break;
-    if (n == 0) {
-      s.on_peer_eof();
-      break;
-    }
-    for (ssize_t i = 0; i < n && !s.done() && !s.failed(); ++i) {
-      s.on_bytes(buf + i, 1);
-      if (!shuttle_drain(cfd, s.channel())) break;
-      // A lost pool gate would park here; a lone session wins at once.
-      while (s.wants_gate_retry()) {
-        s.on_gate_retry();
-        if (!shuttle_drain(cfd, s.channel())) break;
-      }
-    }
-  }
-  shuttle_drain(cfd, s.channel());
-  ::shutdown(cfd, SHUT_WR);
-  // Linger for the client's EOF so the final frames aren't reset away.
-  char tmp[256];
-  while (::recv(cfd, tmp, sizeof tmp, 0) > 0) {}
-  ::close(cfd);
-  res.done = s.done();
-  res.failed = s.failed();
-  res.mode = s.mode_name();
-  res.err = s.error_text();
-  if (s.done()) res.stats = s.stats();
-  return res;
-}
+// Shuttle: a lone EvSession fed one byte at a time over one connection
+// (test::shuttle_serve_one in live_broker.hpp).
 
 // Standalone EvServeContext (no broker, no spool): sessions are garbled
 // on demand by the take callbacks, exactly what the machine consumes.
@@ -308,47 +245,28 @@ TEST(SpareFd, ReleasesAndReacquires) {
 
 class EvBrokerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_evloop_test_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
   EvBrokerConfig quiet_config(std::size_t bits, std::size_t rounds) {
     EvBrokerConfig cfg;
     cfg.bind_addr = "127.0.0.1";
     cfg.port = 0;
     cfg.bits = bits;
     cfg.rounds_per_session = rounds;
-    cfg.spool_dir = spool_dir_.string();
+    cfg.spool_dir = spool_.path();
     cfg.verbose = false;
     cfg.tcp.recv_timeout_ms = 10'000;
     return cfg;
   }
 
   net::ClientConfig quiet_client(std::uint16_t port, std::size_t bits) {
-    net::ClientConfig ccfg;
-    ccfg.port = port;
-    ccfg.bits = bits;
-    ccfg.verbose = false;
-    ccfg.tcp.recv_timeout_ms = 10'000;
-    ccfg.tcp.connect_attempts = 5;
-    ccfg.tcp.connect_backoff_ms = 20;
-    return ccfg;
+    return test::quiet_client(port, bits);
   }
 
-  fs::path spool_dir_;
+  svc::TempSpoolDir spool_;
 };
 
 // All four modes through the sharded front, every MAC bit-identical to
-// the plaintext reference, stats/metrics matching the blocking broker's
-// semantics, and no OT-pool claim left outstanding.
+// the plaintext reference, stats and metrics agreeing, and no OT-pool
+// claim left outstanding.
 TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   const std::size_t bits = 8, rounds = 6;
   EvBrokerConfig cfg = quiet_config(bits, rounds);
@@ -392,8 +310,8 @@ TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   EXPECT_EQ(st.server.v3_sessions_served, 1u);
   EXPECT_EQ(st.server.reusable_sessions_served, 1u);
   EXPECT_EQ(st.server.connection_errors, 0u);
-  EXPECT_EQ(st.spool.sessions_claimed, 1u);  // precomputed only
-  EXPECT_EQ(st.spool.v3_claimed, 1u);
+  EXPECT_EQ(test::sessions_taken(broker), 1u);  // precomputed only
+  EXPECT_EQ(test::v3_sessions_taken(broker), 1u);
   EXPECT_EQ(st.admission_rejects, 0u);
   EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
 
@@ -410,8 +328,8 @@ TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   EXPECT_NE(m.to_json().find("ev_open_fds"), std::string::npos);
 }
 
-// A silent peer is evicted by the timer wheel with the blocking
-// broker's idle_timeouts + connection_errors accounting.
+// A silent peer is evicted by the timer wheel with idle_timeouts +
+// connection_errors accounting.
 TEST_F(EvBrokerTest, IdlePeerEvictedByTimerWheel) {
   EvBrokerConfig cfg = quiet_config(8, 4);
   cfg.shards = 1;

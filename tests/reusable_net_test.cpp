@@ -1,8 +1,8 @@
 // Reusable-mode end-to-end: one garbling serves many TCP sessions with
 // bit-identical outputs across the reusable, precomputed, and plaintext
 // reference paths; the handshake rejects the mode with typed verdicts
-// wherever it cannot be served; broker tests below drive the spool lane
-// and artifact-survival-across-restart contract.
+// wherever it cannot be served; the broker tests below drive the spool
+// lane and the artifact-survival-across-restart contract.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -19,11 +19,10 @@
 #include "net/error.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
-#include "svc/broker.hpp"
 #include "svc/session_spool.hpp"
+#include "live_broker.hpp"
 
 namespace maxel::net {
 namespace {
@@ -38,17 +37,11 @@ TcpOptions fast_opts() {
   return o;
 }
 
-ServerConfig quiet_server_config(std::size_t bits, std::size_t rounds) {
-  ServerConfig cfg;
-  cfg.bind_addr = "127.0.0.1";
-  cfg.port = 0;
-  cfg.bits = bits;
-  cfg.rounds_per_session = rounds;
-  cfg.bank_low_watermark = 1;
-  cfg.bank_batch = 1;
-  cfg.precompute_cores = 2;
+evloop::EvBrokerConfig quiet_server_config(const svc::TempSpoolDir& spool,
+                                           std::size_t bits,
+                                           std::size_t rounds) {
+  evloop::EvBrokerConfig cfg = test::broker_config(spool, bits, rounds);
   cfg.max_sessions = 1;
-  cfg.verbose = false;
   return cfg;
 }
 
@@ -65,10 +58,10 @@ ClientConfig quiet_client_config(std::uint16_t port, std::size_t bits) {
 // the server must garble exactly once for all reusable sessions.
 TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
   const std::size_t bits = 16, rounds = 16;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg = quiet_server_config(spool, bits, rounds);
   scfg.max_sessions = 4;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::LiveBroker server(scfg);
 
   ClientConfig pre = quiet_client_config(server.port(), bits);
   const ClientStats sp = run_client(pre);
@@ -83,7 +76,7 @@ TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
   const ClientStats r1 = run_client(reu);
   const ClientStats r2 = run_client(reu);
   const ClientStats r3 = run_client(reu);
-  serve.join();
+  server.join();
 
   EXPECT_TRUE(sp.verified);
   EXPECT_TRUE(r1.verified);
@@ -103,13 +96,13 @@ TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
   EXPECT_LE(r2.setup_bytes * 10, r1.setup_bytes);
   EXPECT_TRUE(state->reusable_view.has_value());
 
-  const ServerStats ss = server.stats();
+  const ServerStats ss = server->stats().server;
   EXPECT_EQ(ss.sessions_served, 4u);
   EXPECT_EQ(ss.reusable_sessions_served, 3u);
   EXPECT_EQ(ss.reusable_artifacts_sent, 1u);
   EXPECT_EQ(ss.reusable_garbles, 1u);  // garbled once, at construction
   EXPECT_EQ(ss.v3_fresh_pools, 1u);
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(server->v3_outstanding_claims(), 0u);
 }
 
 // Once the artifact and pool are warm, a reusable session moves far
@@ -117,10 +110,10 @@ TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
 // whole session is d/z bit vectors plus masked garbler bits.
 TEST(ReusableNet, WarmSessionsSlimTheWireUnderV3) {
   const std::size_t bits = 16, rounds = 32;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg = quiet_server_config(spool, bits, rounds);
   scfg.max_sessions = 4;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::LiveBroker server(scfg);
 
   crypto::SystemRandom id_rng(Block{0xBEEF, 2});
   ClientConfig v3 = quiet_client_config(server.port(), bits);
@@ -134,7 +127,7 @@ TEST(ReusableNet, WarmSessionsSlimTheWireUnderV3) {
   reu.v3_state = make_v3_client_state(id_rng);
   (void)run_client(reu);                    // warm pool + artifact
   const ClientStats reu_warm = run_client(reu);
-  serve.join();
+  server.join();
 
   EXPECT_TRUE(v3_warm.verified);
   EXPECT_TRUE(reu_warm.verified);
@@ -286,11 +279,11 @@ TEST(ReusableHandshake, UnknownModeByteStillRejected) {
 
 TEST(ReusableNet, DisabledModeServerRejectsRunClient) {
   const std::size_t bits = 8, rounds = 8;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig scfg = quiet_server_config(spool, bits, rounds);
   scfg.allow_reusable = false;
   scfg.max_sessions = 1;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::LiveBroker server(scfg);
 
   ClientConfig reu = quiet_client_config(server.port(), bits);
   reu.mode = SessionMode::kReusable;
@@ -301,8 +294,7 @@ TEST(ReusableNet, DisabledModeServerRejectsRunClient) {
     code = e.code();
   }
   EXPECT_EQ(code, RejectCode::kBadMode);
-  server.request_stop();
-  serve.join();
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -313,33 +305,12 @@ namespace fs = std::filesystem;
 
 class ReusableBrokerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_reusable_broker_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
-  svc::BrokerConfig broker_config(std::size_t bits, std::size_t rounds,
-                                  std::uint64_t max_sessions) {
-    svc::BrokerConfig cfg;
-    cfg.bind_addr = "127.0.0.1";
-    cfg.port = 0;
-    cfg.bits = bits;
-    cfg.rounds_per_session = rounds;
-    cfg.workers = 2;
-    cfg.spool_dir = spool_dir_.string();
-    cfg.spool_low_watermark = 1;
+  evloop::EvBrokerConfig broker_config(std::size_t bits, std::size_t rounds,
+                                       std::uint64_t max_sessions) {
+    evloop::EvBrokerConfig cfg = test::broker_config(spool_, bits, rounds);
+    cfg.shards = 2;
     cfg.spool_high_watermark = 1;
     cfg.max_sessions = max_sessions;
-    cfg.accept_poll_ms = 50;
-    cfg.verbose = false;
-    cfg.tcp.recv_timeout_ms = 10'000;
     return cfg;
   }
 
@@ -359,13 +330,14 @@ class ReusableBrokerTest : public ::testing::Test {
 
   // The one reus-*.mxr artifact file in ready/, or an empty path.
   fs::path artifact_file() const {
-    for (const auto& e : fs::directory_iterator(spool_dir_ / "ready"))
+    const fs::path ready = fs::path(spool_.path()) / "ready";
+    for (const auto& e : fs::directory_iterator(ready))
       if (e.path().filename().string().rfind("reus-", 0) == 0)
         return e.path();
     return {};
   }
 
-  fs::path spool_dir_;
+  svc::TempSpoolDir spool_;
 };
 
 // The subsystem's acceptance bar: >=1000 MAC evaluations over TCP
@@ -373,9 +345,7 @@ class ReusableBrokerTest : public ::testing::Test {
 // bit-identical to the plaintext reference, zero stuck pool claims.
 TEST_F(ReusableBrokerTest, ThousandEvaluationsOffOneGarbling) {
   const std::size_t bits = 16, rounds = 128, sessions = 8;
-  svc::BrokerConfig bcfg = broker_config(bits, rounds, sessions);
-  svc::Broker broker(bcfg);
-  std::thread run([&] { broker.run(); });
+  test::LiveBroker broker(broker_config(bits, rounds, sessions));
 
   crypto::SystemRandom id_rng(Block{0x1000, 1});
   auto state = make_v3_client_state(id_rng);
@@ -386,16 +356,16 @@ TEST_F(ReusableBrokerTest, ThousandEvaluationsOffOneGarbling) {
     ASSERT_TRUE(st.verified) << "session " << s;
     ASSERT_EQ(st.output_value, expect) << "session " << s;
   }
-  run.join();
+  broker.join();
 
-  const svc::BrokerStats st = broker.stats();
+  const svc::BrokerStats st = broker->stats();
   EXPECT_EQ(st.server.reusable_sessions_served, sessions);
   EXPECT_EQ(st.server.reusable_garbles, 1u);
   EXPECT_EQ(st.server.reusable_artifacts_sent, 1u);
   EXPECT_EQ(st.spool.reusable_ready, 1u);
   EXPECT_GE(st.spool.reusable_evaluations, 1000u);
   EXPECT_EQ(st.spool.reusable_evaluations, sessions * rounds);
-  EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(broker->v3_outstanding_claims(), 0u);
 }
 
 // A broker restarting on the same spool directory reloads the persisted
@@ -408,33 +378,31 @@ TEST_F(ReusableBrokerTest, ArtifactSurvivesBrokerRestart) {
   auto state = make_v3_client_state(id_rng);
 
   {
-    svc::Broker broker(broker_config(bits, rounds, 1));
-    std::thread run([&] { broker.run(); });
+    test::LiveBroker broker(broker_config(bits, rounds, 1));
     const ClientStats st =
         run_client(broker_client(broker.port(), bits, state));
-    run.join();
+    broker.join();
     ASSERT_TRUE(st.verified);
-    EXPECT_EQ(broker.stats().server.reusable_garbles, 1u);
+    EXPECT_EQ(broker->stats().server.reusable_garbles, 1u);
   }
   ASSERT_TRUE(state->reusable_view.has_value());
   const auto cached_sha = state->reusable_sha;
 
-  svc::Broker broker2(broker_config(bits, rounds, 1));
-  std::thread run2([&] { broker2.run(); });
+  test::LiveBroker broker2(broker_config(bits, rounds, 1));
   const ClientStats st2 =
       run_client(broker_client(broker2.port(), bits, state));
-  run2.join();
+  broker2.join();
   EXPECT_TRUE(st2.verified);
   EXPECT_EQ(st2.output_value, demo_mac_reference(7, bits, rounds));
 
-  const svc::BrokerStats bs2 = broker2.stats();
+  const svc::BrokerStats bs2 = broker2->stats();
   EXPECT_EQ(bs2.server.reusable_garbles, 0u);      // reloaded, not re-garbled
   EXPECT_EQ(bs2.server.reusable_artifacts_sent, 0u);  // cache confirmed
   EXPECT_EQ(state->reusable_sha, cached_sha);
   // Both processes' sessions accumulate on the persisted counter.
   EXPECT_EQ(bs2.spool.reusable_evaluations, 2 * rounds);
 
-  svc::SessionSpool spool(svc::SpoolConfig{spool_dir_.string(), 0, true});
+  svc::SessionSpool spool(svc::SpoolConfig{spool_.path(), 0, true});
   const auto entries = spool.reusable_entries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].evaluations, 2 * rounds);
@@ -449,11 +417,10 @@ TEST_F(ReusableBrokerTest, CorruptArtifactOnDiskForcesRegarble) {
   auto state = make_v3_client_state(id_rng);
 
   {
-    svc::Broker broker(broker_config(bits, rounds, 1));
-    std::thread run([&] { broker.run(); });
+    test::LiveBroker broker(broker_config(bits, rounds, 1));
     const ClientStats st =
         run_client(broker_client(broker.port(), bits, state));
-    run.join();
+    broker.join();
     ASSERT_TRUE(st.verified);
   }
   const auto old_sha = state->reusable_sha;
@@ -471,15 +438,14 @@ TEST_F(ReusableBrokerTest, CorruptArtifactOnDiskForcesRegarble) {
     out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
   }
 
-  svc::Broker broker2(broker_config(bits, rounds, 1));
-  std::thread run2([&] { broker2.run(); });
+  test::LiveBroker broker2(broker_config(bits, rounds, 1));
   const ClientStats st2 =
       run_client(broker_client(broker2.port(), bits, state));
-  run2.join();
+  broker2.join();
   EXPECT_TRUE(st2.verified);
   EXPECT_EQ(st2.output_value, demo_mac_reference(7, bits, rounds));
 
-  const svc::BrokerStats bs2 = broker2.stats();
+  const svc::BrokerStats bs2 = broker2->stats();
   EXPECT_EQ(bs2.spool.reusable_corrupt_discarded, 1u);
   EXPECT_EQ(bs2.server.reusable_garbles, 1u);        // fresh flips
   EXPECT_EQ(bs2.server.reusable_artifacts_sent, 1u); // old cache invalid

@@ -1,17 +1,12 @@
-// Broker integration tests: N parallel clients against one broker
-// served from a disk spool, with every decoded MAC checked against the
-// plaintext reference and the sequential net::Server path; typed
-// overload/drain rejections; and a shutdown-latency bound (the accept
-// poll must observe request_stop() promptly).
+// Broker integration tests: N parallel clients against one serving
+// front (evloop::EvBroker) served from a disk spool, with every decoded
+// MAC checked against the plaintext reference and a single-shard
+// (sequential) run; spool restarts without reuse; the v2/v3 lanes kept
+// apart under mixed traffic.
 #include <gtest/gtest.h>
-
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,98 +15,56 @@
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
-#include "net/server.hpp"
-#include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
-#include "svc/broker.hpp"
+#include "live_broker.hpp"
 
 namespace maxel::svc {
 namespace {
 
-namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 class BrokerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_broker_test_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
-  BrokerConfig quiet_config(std::size_t bits, std::size_t rounds) {
-    BrokerConfig cfg;
-    cfg.bind_addr = "127.0.0.1";
-    cfg.port = 0;
-    cfg.bits = bits;
-    cfg.rounds_per_session = rounds;
-    cfg.spool_dir = spool_dir_.string();
-    cfg.accept_poll_ms = 50;
-    cfg.verbose = false;
+  evloop::EvBrokerConfig quiet_config(std::size_t bits, std::size_t rounds) {
+    evloop::EvBrokerConfig cfg = test::broker_config(spool_, bits, rounds);
     cfg.tcp.recv_timeout_ms = 5'000;
     return cfg;
   }
 
   net::ClientConfig quiet_client(std::uint16_t port, std::size_t bits) {
-    net::ClientConfig ccfg;
-    ccfg.port = port;
-    ccfg.bits = bits;
-    ccfg.verbose = false;
-    ccfg.tcp.recv_timeout_ms = 10'000;
-    ccfg.tcp.connect_attempts = 5;
-    ccfg.tcp.connect_backoff_ms = 20;
-    return ccfg;
+    return test::quiet_client(port, bits);
   }
 
-  fs::path spool_dir_;
+  svc::TempSpoolDir spool_;
 };
 
 // The acceptance bar of this subsystem: >=4 concurrent loopback clients
-// served from the disk spool, every decoded MAC bit-identical to the
-// sequential single-connection server on the same demo inputs, and no
-// session double-served (claims == sessions == clients).
+// served from the disk spool by a two-shard front, every decoded MAC
+// bit-identical to a single-shard (sequential) run on the same demo
+// inputs, and no session double-served (claims == sessions == clients).
 TEST_F(BrokerTest, ConcurrentClientsMatchSequentialPathNoDoubleServe) {
   const std::size_t bits = 8, rounds = 6, clients = 6;
 
-  // Sequential reference first: one session through net::Server.
+  // Sequential reference first: one session through a single-shard
+  // front on its own spool.
   std::uint64_t sequential_mac = 0;
   {
-    net::ServerConfig scfg;
-    scfg.bind_addr = "127.0.0.1";
-    scfg.port = 0;
-    scfg.bits = bits;
-    scfg.rounds_per_session = rounds;
+    svc::TempSpoolDir seq_spool;
+    evloop::EvBrokerConfig scfg = test::broker_config(seq_spool, bits, rounds);
     scfg.max_sessions = 1;
-    scfg.accept_poll_ms = 50;
-    scfg.verbose = false;
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    test::LiveBroker server(scfg);
     const net::ClientStats cs =
         net::run_client(quiet_client(server.port(), bits));
-    serve.join();
+    server.join();
     ASSERT_TRUE(cs.verified);
     sequential_mac = cs.output_value;
   }
 
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 4;
-  cfg.admission_queue = clients;
+  evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.spool_low_watermark = 2;
   cfg.spool_high_watermark = clients;
   cfg.max_sessions = clients;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
+  test::LiveBroker broker(cfg);
 
   std::vector<net::ClientStats> results(clients);
   std::vector<std::thread> threads;
@@ -120,7 +73,7 @@ TEST_F(BrokerTest, ConcurrentClientsMatchSequentialPathNoDoubleServe) {
       results[i] = net::run_client(quiet_client(broker.port(), bits));
     });
   for (auto& t : threads) t.join();
-  run.join();  // max_sessions reached -> graceful drain
+  broker.join();  // max_sessions reached -> graceful drain
 
   const std::uint64_t want =
       net::demo_mac_reference(cfg.demo_seed, bits, rounds);
@@ -131,12 +84,14 @@ TEST_F(BrokerTest, ConcurrentClientsMatchSequentialPathNoDoubleServe) {
     EXPECT_EQ(results[i].rounds, rounds) << "client " << i;
   }
 
-  const BrokerStats st = broker.stats();
+  const BrokerStats st = broker->stats();
   EXPECT_EQ(st.server.sessions_served, clients);
   EXPECT_EQ(st.server.rounds_served, clients * rounds);
-  // Exactly one spool claim per served session: no double-serve.
-  EXPECT_EQ(st.spool.sessions_claimed, clients);
-  EXPECT_EQ(st.spool.cache_hits + st.spool.cache_misses, clients);
+  // Exactly one spool claim or producer hand-off per served session:
+  // no double-serve.
+  EXPECT_EQ(test::sessions_taken(*broker), clients);
+  EXPECT_EQ(st.spool.cache_hits + st.spool.cache_misses,
+            st.spool.sessions_claimed);
   EXPECT_EQ(st.server.connection_errors, 0u);
   EXPECT_EQ(st.admission_rejects, 0u);
   // Client-side byte counters must mirror the broker's, summed.
@@ -149,87 +104,6 @@ TEST_F(BrokerTest, ConcurrentClientsMatchSequentialPathNoDoubleServe) {
   EXPECT_EQ(client_tx, st.server.bytes_received);
 }
 
-// A full admission queue gets the typed kServerBusy verdict (retryable),
-// and connections still queued at stop time get kShuttingDown.
-TEST_F(BrokerTest, OverloadAndDrainSendTypedRejects) {
-  const std::size_t bits = 8, rounds = 4;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 1;
-  cfg.admission_queue = 1;
-  cfg.tcp.recv_timeout_ms = 3'000;  // bounds the blocked worker below
-  // This test's short settles race the producer's startup burst; keep
-  // the burst to the v2 lane only (v3 plays no part in admission/drain
-  // verdicts) so sanitizer builds don't blow the timing margin.
-  cfg.allow_v3 = false;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
-
-  const auto idle_connect = [&] {
-    // Connects but never sends a hello: parks wherever the broker
-    // puts it (worker handshake or admission queue).
-    return net::TcpChannel::connect("127.0.0.1", broker.port(), cfg.tcp);
-  };
-  const auto settle = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  };
-
-  auto blocker = idle_connect();  // occupies the single worker
-  settle();
-  auto queued = idle_connect();  // fills the admission queue
-  settle();
-
-  // Third connection: queue full, must be rejected before the hello
-  // with a typed verdict — reject_connection lingers for the client's
-  // EOF so the verdict can't be reset away despite the unread hello.
-  try {
-    (void)net::run_client(quiet_client(broker.port(), bits));
-    ADD_FAILURE() << "expected kServerBusy rejection";
-  } catch (const net::HandshakeError& e) {
-    EXPECT_EQ(e.code(), net::RejectCode::kServerBusy);
-    EXPECT_TRUE(net::reject_is_retryable(e.code()));
-  } catch (const net::NetError& e) {
-    // A bare transport error here means the typed verdict was lost
-    // (the close-with-unread-hello reset race). Fail non-fatally: a
-    // fatal assert would unwind past the joinable broker thread below
-    // and turn the diagnostic into std::terminate.
-    ADD_FAILURE() << "expected a typed busy reject, got: " << e.what();
-  }
-
-  // Drain: stop first so the queued connection is popped as a drain
-  // reject, then release the worker by hanging up the blocker.
-  broker.request_stop();
-  blocker.reset();
-  const net::ServerAccept verdict = net::recv_accept(*queued);
-  EXPECT_EQ(verdict.status, net::RejectCode::kShuttingDown);
-  EXPECT_TRUE(net::reject_is_retryable(verdict.status));
-  queued.reset();
-  run.join();
-
-  const BrokerStats st = broker.stats();
-  EXPECT_EQ(st.admission_rejects, 1u);
-  EXPECT_EQ(st.drain_rejects, 1u);
-  EXPECT_EQ(st.server.sessions_served, 0u);
-}
-
-// request_stop() must be observed within the accept poll period, not a
-// blocking accept(2): an idle broker drains in well under a second.
-TEST_F(BrokerTest, ShutdownLatencyBoundedByAcceptPoll) {
-  BrokerConfig cfg = quiet_config(8, 4);
-  cfg.workers = 2;
-  cfg.accept_poll_ms = 50;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  const auto t0 = Clock::now();
-  broker.request_stop();
-  run.join();
-  // Budget: one accept poll + one producer wait + worker joins, with
-  // generous slack for slow CI machines; a blocking accept would hang
-  // here until an external connection arrived.
-  EXPECT_LT(seconds_since(t0), 2.0);
-}
-
 // Sessions survive a broker restart in the same spool directory: what
 // the first broker spooled but never served is served by the second,
 // and nothing is served twice across the lives.
@@ -237,18 +111,17 @@ TEST_F(BrokerTest, RestartServesLeftoverSpoolWithoutReuse) {
   const std::size_t bits = 8, rounds = 4;
   std::uint64_t first_spooled = 0, first_claimed = 0;
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
+    evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
     cfg.spool_low_watermark = 2;
     cfg.spool_high_watermark = 4;
     cfg.max_sessions = 1;
-    Broker broker(cfg);
-    std::thread run([&] { broker.run(); });
+    test::LiveBroker broker(cfg);
     const net::ClientStats cs =
         net::run_client(quiet_client(broker.port(), bits));
-    run.join();
+    broker.join();
     EXPECT_TRUE(cs.verified);
-    const BrokerStats st = broker.stats();
+    const BrokerStats st = broker->stats();
     first_spooled = st.spool.sessions_spooled;
     first_claimed = st.spool.sessions_claimed;
     ASSERT_GT(first_spooled, first_claimed) << "need leftovers to restart on";
@@ -256,22 +129,49 @@ TEST_F(BrokerTest, RestartServesLeftoverSpoolWithoutReuse) {
   // Second life, same directory: the leftover ready/ files are the
   // inventory; claimed/ leftovers (none here) would have been purged.
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
+    evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
     cfg.spool_low_watermark = 0;  // no refill: serve inherited stock only
     cfg.spool_high_watermark = 0;
     cfg.max_sessions = 1;
-    Broker broker(cfg);
-    EXPECT_EQ(broker.stats().spool.sessions_ready,
+    test::LiveBroker broker(cfg);
+    EXPECT_EQ(broker->stats().spool.sessions_ready,
               first_spooled - first_claimed);
-    std::thread run([&] { broker.run(); });
     const net::ClientStats cs =
         net::run_client(quiet_client(broker.port(), bits));
-    run.join();
+    broker.join();
     EXPECT_TRUE(cs.verified);
-    EXPECT_EQ(broker.stats().spool.sessions_spooled, 0u);  // inherited only
-    EXPECT_EQ(broker.stats().spool.sessions_claimed, 1u);
+    EXPECT_EQ(broker->stats().spool.sessions_spooled, 0u);  // inherited only
+    EXPECT_EQ(broker->stats().spool.sessions_claimed, 1u);
   }
+}
+
+// Cold start: the client is already waiting when the producer's first
+// session is garbled, so that session goes straight to it — never
+// written to the spool, never claimed from it.
+TEST_F(BrokerTest, ColdStartHandsFreshSessionToTheWaitingClient) {
+  const std::size_t bits = 16, rounds = 128;
+  evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.allow_v3 = false;
+  cfg.spool_low_watermark = 1;
+  cfg.spool_high_watermark = 1;
+  cfg.max_sessions = 1;
+  evloop::EvBroker broker(cfg);
+
+  // The hello lands in the listener's backlog before the shard and the
+  // producer start, so the shard blocks on the empty lane within a
+  // millisecond while the garble takes several.
+  net::ClientStats cs;
+  std::thread client(
+      [&] { cs = net::run_client(quiet_client(broker.port(), bits)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  broker.run();  // max_sessions reached -> graceful drain
+  client.join();
+
+  EXPECT_TRUE(cs.verified);
+  EXPECT_EQ(broker.metrics().counter("spool_handoffs").value(), 1);
+  EXPECT_EQ(broker.stats().spool.sessions_claimed, 0u);
+  EXPECT_EQ(test::sessions_taken(broker), 1u);
 }
 
 // Stream-mode clients bypass the spool entirely (garble-while-transfer
@@ -279,13 +179,12 @@ TEST_F(BrokerTest, RestartServesLeftoverSpoolWithoutReuse) {
 // mixed traffic against one broker, every MAC bit-identical.
 TEST_F(BrokerTest, StreamSessionsBypassSpoolAndMatchPrecomputed) {
   const std::size_t bits = 8, rounds = 6;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 2;
+  evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = 2;
   cfg.spool_low_watermark = 1;
   cfg.spool_high_watermark = 2;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
+  test::LiveBroker broker(cfg);
 
   net::ClientConfig pre = quiet_client(broker.port(), bits);
   const net::ClientStats ps = net::run_client(pre);
@@ -293,7 +192,7 @@ TEST_F(BrokerTest, StreamSessionsBypassSpoolAndMatchPrecomputed) {
   net::ClientConfig str = quiet_client(broker.port(), bits);
   str.mode = net::SessionMode::kStream;
   const net::ClientStats ss = net::run_client(str);
-  run.join();
+  broker.join();
 
   EXPECT_TRUE(ps.verified);
   EXPECT_TRUE(ss.verified);
@@ -302,13 +201,13 @@ TEST_F(BrokerTest, StreamSessionsBypassSpoolAndMatchPrecomputed) {
             net::demo_mac_reference(cfg.demo_seed, bits, rounds));
   EXPECT_GT(ss.chunks_received, 0u);
 
-  const BrokerStats st = broker.stats();
+  const BrokerStats st = broker->stats();
   EXPECT_EQ(st.server.sessions_served, 2u);
   EXPECT_EQ(st.server.stream_sessions_served, 1u);
-  // Only the precomputed session claimed spool inventory.
-  EXPECT_EQ(st.spool.sessions_claimed, 1u);
+  // Only the precomputed session took spool inventory.
+  EXPECT_EQ(test::sessions_taken(*broker), 1u);
 
-  MetricsRegistry& m = broker.metrics();
+  MetricsRegistry& m = broker->metrics();
   EXPECT_EQ(m.counter("stream_sessions_served").value(), 1u);
   EXPECT_EQ(m.histogram("first_table_seconds").snapshot().count, 1u);
   EXPECT_GT(m.gauge("peak_resident_tables").value(), 0);
@@ -318,45 +217,42 @@ TEST_F(BrokerTest, StreamSessionsBypassSpoolAndMatchPrecomputed) {
 // typed reject and keeps serving precomputed traffic.
 TEST_F(BrokerTest, NoStreamBrokerRefusesStreamClients) {
   const std::size_t bits = 8, rounds = 4;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 1;
+  evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
   cfg.max_sessions = 1;
   cfg.allow_stream = false;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
+  test::LiveBroker broker(cfg);
 
   net::ClientConfig str = quiet_client(broker.port(), bits);
   str.mode = net::SessionMode::kStream;
   try {
     (void)net::run_client(str);
-    FAIL() << "stream client accepted by a --no-stream broker";
+    FAIL() << "stream client accepted by a --mode precomputed broker";
   } catch (const net::HandshakeError& e) {
     EXPECT_EQ(e.code(), net::RejectCode::kBadMode);
   }
 
   const net::ClientStats cs =
       net::run_client(quiet_client(broker.port(), bits));
-  run.join();
+  broker.join();
   EXPECT_TRUE(cs.verified);
-  EXPECT_EQ(broker.stats().server.stream_sessions_served, 0u);
+  EXPECT_EQ(broker->stats().server.stream_sessions_served, 0u);
 }
 
 // Broker metrics reflect the traffic that actually flowed.
 TEST_F(BrokerTest, MetricsTrackServedSessions) {
   const std::size_t bits = 8, rounds = 4, clients = 2;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 2;
+  evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = clients;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
+  test::LiveBroker broker(cfg);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < clients; ++i)
     threads.emplace_back(
         [&] { (void)net::run_client(quiet_client(broker.port(), bits)); });
   for (auto& t : threads) t.join();
-  run.join();
+  broker.join();
 
-  MetricsRegistry& m = broker.metrics();
+  MetricsRegistry& m = broker->metrics();
   EXPECT_EQ(m.counter("sessions_served").value(), clients);
   EXPECT_EQ(m.counter("rounds_served").value(), clients * rounds);
   EXPECT_EQ(m.histogram("session_seconds").snapshot().count, clients);
@@ -375,13 +271,12 @@ TEST_F(BrokerTest, MetricsTrackServedSessions) {
 // touched).
 TEST_F(BrokerTest, V3ClientsAmortizeBaseOtAcrossBrokerSessions) {
   const std::size_t bits = 8, rounds = 6, sessions = 3;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 2;
+  evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = sessions;
   cfg.spool_low_watermark = 1;
   cfg.spool_high_watermark = 4;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
+  test::LiveBroker broker(cfg);
 
   crypto::SystemRandom id_rng;
   auto state = net::make_v3_client_state(id_rng);
@@ -392,7 +287,7 @@ TEST_F(BrokerTest, V3ClientsAmortizeBaseOtAcrossBrokerSessions) {
     ccfg.v3_state = state;
     rs.push_back(net::run_client(ccfg));
   }
-  run.join();
+  broker.join();
 
   const std::uint64_t want =
       net::demo_mac_reference(cfg.demo_seed, bits, rounds);
@@ -407,17 +302,17 @@ TEST_F(BrokerTest, V3ClientsAmortizeBaseOtAcrossBrokerSessions) {
   EXPECT_LE(rs[1].setup_bytes * 10, rs[0].setup_bytes);
   EXPECT_LE(rs[2].setup_bytes * 10, rs[0].setup_bytes);
 
-  const BrokerStats st = broker.stats();
+  const BrokerStats st = broker->stats();
   EXPECT_EQ(st.server.sessions_served, sessions);
   EXPECT_EQ(st.server.v3_sessions_served, sessions);
   EXPECT_EQ(st.server.v3_fresh_pools, 1u);
   EXPECT_EQ(st.server.v3_ot_extended, ot::kPoolExtendBatch);
-  EXPECT_EQ(st.spool.v3_claimed, sessions);
-  EXPECT_EQ(st.spool.sessions_claimed, 0u);
+  EXPECT_EQ(test::v3_sessions_taken(*broker), sessions);
+  EXPECT_EQ(test::sessions_taken(*broker), 0u);
   EXPECT_EQ(st.spool.v3_lineage_discarded, 0u);
-  EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(broker->v3_outstanding_claims(), 0u);
 
-  MetricsRegistry& m = broker.metrics();
+  MetricsRegistry& m = broker->metrics();
   EXPECT_EQ(m.counter("v3_sessions_served").value(),
             static_cast<std::int64_t>(sessions));
   EXPECT_GT(m.counter("net_tx_bytes_v3").value(), 0);
@@ -426,20 +321,18 @@ TEST_F(BrokerTest, V3ClientsAmortizeBaseOtAcrossBrokerSessions) {
 }
 
 // Mixed concurrent traffic: v3 clients (each with its own identity and
-// pool) interleaved with v2 clients on a multi-worker broker. Every MAC
+// pool) interleaved with v2 clients on a multi-shard broker. Every MAC
 // matches, each lane's claims match its session count, and no OT-pool
 // claim is left outstanding.
 TEST_F(BrokerTest, MixedV2V3ConcurrentClientsKeepLanesSeparate) {
   const std::size_t bits = 8, rounds = 4, v3_clients = 3, v2_clients = 2;
   const std::size_t clients = v3_clients + v2_clients;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 4;
-  cfg.admission_queue = clients;
+  evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = clients;
   cfg.spool_low_watermark = 1;
   cfg.spool_high_watermark = clients;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
+  test::LiveBroker broker(cfg);
 
   std::vector<net::ClientStats> results(clients);
   std::vector<std::thread> threads;
@@ -454,7 +347,7 @@ TEST_F(BrokerTest, MixedV2V3ConcurrentClientsKeepLanesSeparate) {
       results[i] = net::run_client(ccfg);
     });
   for (auto& t : threads) t.join();
-  run.join();
+  broker.join();
 
   const std::uint64_t want =
       net::demo_mac_reference(cfg.demo_seed, bits, rounds);
@@ -466,16 +359,16 @@ TEST_F(BrokerTest, MixedV2V3ConcurrentClientsKeepLanesSeparate) {
         << "client " << i;
   }
 
-  const BrokerStats st = broker.stats();
+  const BrokerStats st = broker->stats();
   EXPECT_EQ(st.server.sessions_served, clients);
   EXPECT_EQ(st.server.v3_sessions_served, v3_clients);
   EXPECT_EQ(st.server.v3_fresh_pools, v3_clients);  // distinct identities
-  EXPECT_EQ(st.spool.v3_claimed, v3_clients);
-  EXPECT_EQ(st.spool.sessions_claimed, v2_clients);
+  EXPECT_EQ(test::v3_sessions_taken(*broker), v3_clients);
+  EXPECT_EQ(test::sessions_taken(*broker), v2_clients);
   EXPECT_EQ(st.server.connection_errors, 0u);
-  EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(broker->v3_outstanding_claims(), 0u);
 
-  MetricsRegistry& m = broker.metrics();
+  MetricsRegistry& m = broker->metrics();
   EXPECT_GT(m.counter("net_tx_bytes_v3").value(), 0);
   EXPECT_GT(m.counter("net_tx_bytes_precomputed").value(), 0);
 }
@@ -489,44 +382,43 @@ TEST_F(BrokerTest, RestartBurnsForeignLineageV3SessionsInsteadOfServing) {
   const std::size_t bits = 8, rounds = 4;
   std::uint64_t first_v3_leftover = 0;
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
+    evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 4;
     cfg.max_sessions = 1;
-    Broker broker(cfg);
-    std::thread run([&] { broker.run(); });
+    test::LiveBroker broker(cfg);
     net::ClientConfig ccfg = quiet_client(broker.port(), bits);
     ccfg.protocol = net::kProtocolVersionV3;
     const net::ClientStats cs = net::run_client(ccfg);
-    run.join();
+    broker.join();
     EXPECT_TRUE(cs.verified);
-    const BrokerStats st = broker.stats();
-    EXPECT_EQ(st.spool.v3_claimed, 1u);
+    const BrokerStats st = broker->stats();
+    EXPECT_EQ(test::v3_sessions_taken(*broker), 1u);
     first_v3_leftover = st.spool.v3_spooled - st.spool.v3_claimed;
     ASSERT_GT(first_v3_leftover, 0u) << "need stale v3 stock to restart on";
   }
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
+    evloop::EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 2;
     cfg.max_sessions = 1;
-    Broker broker(cfg);  // fresh delta: inherited v3 lineage is foreign
-    EXPECT_EQ(broker.stats().spool.sessions_ready_v3, first_v3_leftover);
-    std::thread run([&] { broker.run(); });
+    // Fresh delta: the inherited v3 lineage is foreign.
+    test::LiveBroker broker(cfg);
+    EXPECT_EQ(broker->stats().spool.sessions_ready_v3, first_v3_leftover);
     net::ClientConfig ccfg = quiet_client(broker.port(), bits);
     ccfg.protocol = net::kProtocolVersionV3;
     const net::ClientStats cs = net::run_client(ccfg);
-    run.join();
+    broker.join();
     EXPECT_TRUE(cs.verified);
-    const BrokerStats st = broker.stats();
+    const BrokerStats st = broker->stats();
     // Every inherited session was burned, none served; the session that
     // did flow came from freshly garbled same-lineage stock.
     EXPECT_EQ(st.spool.v3_lineage_discarded, first_v3_leftover);
-    EXPECT_EQ(st.spool.v3_claimed, 1u);
+    EXPECT_EQ(test::v3_sessions_taken(*broker), 1u);
     EXPECT_EQ(st.server.v3_sessions_served, 1u);
-    EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
+    EXPECT_EQ(broker->v3_outstanding_claims(), 0u);
   }
 }
 

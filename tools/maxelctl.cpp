@@ -17,18 +17,15 @@
 //   maxelctl serve / maxelctl connect
 //       The network service (garbler server / evaluator client); same
 //       flags as the standalone maxel_server / maxel_client binaries —
-//       see src/net/service.hpp and docs/PROTOCOL.md. `serve` is either
-//       the sequential server (default), the concurrent session
-//       broker (--spool DIR or --workers N — see src/svc/service.hpp
-//       and docs/OPERATIONS.md), or the sharded event-loop broker
-//       (--evloop [--shards N] — see src/evloop/ev_service.hpp); all
-//       take the unified session-mode
-//       selector --mode {precomputed|stream|v3|reusable} (the client
-//       side of `connect` takes the same flag to pick what it asks
-//       for; --stream/--v3/--no-stream/--no-v3/--no-reusable survive
-//       as deprecated aliases). `reusable` trades garbler privacy for
-//       garble-once throughput — see docs/SECURITY_MODELS.md. `connect`
-//       retries failed sessions from scratch with
+//       see src/evloop/ev_service.hpp, src/net/service.hpp and
+//       docs/OPERATIONS.md. `serve` runs the sharded event-loop broker
+//       (--shards N; 1 is a sequential server) over a disk session
+//       spool (--spool DIR, or a private temporary one). Both take the
+//       session-mode selector --mode {precomputed|stream|v3|reusable}:
+//       on `serve` it restricts what is accepted, on `connect` it picks
+//       what is asked for. `reusable` trades garbler privacy for
+//       garble-once throughput — see docs/SECURITY_MODELS.md.
+//       `connect` retries failed sessions from scratch with
 //       --retries/--retry-backoff; both sides take --fault-plan SPEC
 //       (or the MAXEL_FAULT_PLAN env var) to inject a deterministic
 //       schedule of link faults for chaos testing, and `serve` bounds
@@ -56,6 +53,7 @@
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
 #include "evloop/ev_service.hpp"
+#include "net/cli.hpp"
 #include "net/service.hpp"
 #include "proto/precompute.hpp"
 #include "proto/session_io.hpp"
@@ -83,9 +81,8 @@ int usage() {
                "usage: maxelctl "
                "<circuit|stats|simulate|bank|bench-mac|serve|connect|spool> "
                "[options]\n"
-               "  serve: sequential server (default), concurrent broker "
-               "(--spool DIR / --workers N),\n"
-               "  or sharded event-loop broker (--evloop [--shards N]);\n"
+               "  serve: sharded event-loop broker (--shards N, --spool DIR);"
+               "\n"
                "  session modes via --mode "
                "{precomputed|stream|v3|reusable} on serve and connect\n"
                "  spool purge --lane reusable --dir DIR retires cached "
@@ -97,51 +94,26 @@ int usage() {
 bool parse(int argc, char** argv, Args& a) {
   if (argc < 2) return false;
   a.command = argv[1];
-  int i = 2;
+  int first = 2;
   if (a.command == "circuit") {
     if (argc < 3) return false;
     a.kind = argv[2];
-    i = 3;
+    first = 3;
   }
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (flag == "--bits") {
-      const char* v = next();
-      if (!v) return false;
-      a.bits = static_cast<std::size_t>(std::stoul(v));
-    } else if (flag == "--length") {
-      const char* v = next();
-      if (!v) return false;
-      a.length = static_cast<std::size_t>(std::stoul(v));
-    } else if (flag == "--rounds") {
-      const char* v = next();
-      if (!v) return false;
-      a.rounds = static_cast<std::size_t>(std::stoul(v));
-    } else if (flag == "--sessions") {
-      const char* v = next();
-      if (!v) return false;
-      a.sessions = static_cast<std::size_t>(std::stoul(v));
-    } else if (flag == "--serial") {
-      a.serial = true;
-    } else if (flag == "--optimize") {
-      a.optimize = true;
-    } else if (flag == "--in") {
-      const char* v = next();
-      if (!v) return false;
-      a.in = v;
-    } else if (flag == "--out") {
-      const char* v = next();
-      if (!v) return false;
-      a.out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return false;
-    }
+  net::FlagParser p("maxelctl", argc - first, argv + first);
+  std::string flag;
+  while (p.next(flag)) {
+    if (flag == "--bits") p.num(a.bits);
+    else if (flag == "--length") p.num(a.length);
+    else if (flag == "--rounds") p.num(a.rounds);
+    else if (flag == "--sessions") p.num(a.sessions);
+    else if (flag == "--serial") a.serial = true;
+    else if (flag == "--optimize") a.optimize = true;
+    else if (flag == "--in") p.str(a.in);
+    else if (flag == "--out") p.str(a.out);
+    else p.unknown();
   }
-  return true;
+  return p.ok();
 }
 
 void print_stats(const circuit::Circuit& c) {
@@ -303,16 +275,9 @@ bool has_flag(int argc, char** argv, const char* flag) {
 
 int main(int argc, char** argv) {
   // The network/service subcommands own their flag parsing (shared with
-  // the standalone maxel_server / maxel_client binaries). `serve` routes
-  // to the concurrent broker when spool/worker flags appear.
-  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-    if (has_flag(argc - 2, argv + 2, "--evloop"))
-      return maxel::evloop::evloop_command(argc - 2, argv + 2);
-    if (has_flag(argc - 2, argv + 2, "--spool") ||
-        has_flag(argc - 2, argv + 2, "--workers"))
-      return maxel::svc::broker_command(argc - 2, argv + 2);
-    return maxel::net::serve_command(argc - 2, argv + 2);
-  }
+  // the standalone maxel_server / maxel_client binaries).
+  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0)
+    return maxel::evloop::evloop_command(argc - 2, argv + 2);
   if (argc >= 2 && std::strcmp(argv[1], "connect") == 0)
     return maxel::net::connect_command(argc - 2, argv + 2);
   if (argc >= 2 && std::strcmp(argv[1], "spool") == 0)
