@@ -81,15 +81,61 @@ struct EvBroker::Shard {
   SpareFd spare;
   std::thread thread;
   std::unordered_map<int, std::unique_ptr<EvConn>> conns;
-  svc::Gauge* sessions_gauge = nullptr;
   bool draining = false;
   bool listener_on = false;
 };
 
 // --- construction ----------------------------------------------------------
 
+EvBroker::Ledger::Ledger(svc::MetricsRegistry& m, std::size_t shards)
+    : sessions_served(m.counter("sessions_served")),
+      rounds_served(m.counter("rounds_served")),
+      stream_sessions_served(m.counter("stream_sessions_served")),
+      v3_sessions_served(m.counter("v3_sessions_served")),
+      reusable_sessions_served(m.counter("reusable_sessions_served")),
+      reusable_artifacts_sent(m.counter("reusable_artifacts_sent")),
+      v3_fresh_pools(m.counter("v3_fresh_pools")),
+      v3_ot_extended(m.counter("v3_ot_extended")),
+      bytes_sent(m.counter("bytes_sent")),
+      bytes_received(m.counter("bytes_received")),
+      tx_bytes{&m.counter("net_tx_bytes_precomputed"),
+               &m.counter("net_tx_bytes_stream"),
+               &m.counter("net_tx_bytes_v3"),
+               &m.counter("net_tx_bytes_reusable")},
+      rx_bytes{&m.counter("net_rx_bytes_precomputed"),
+               &m.counter("net_rx_bytes_stream"),
+               &m.counter("net_rx_bytes_v3"),
+               &m.counter("net_rx_bytes_reusable")},
+      handshakes_rejected(m.counter("handshakes_rejected")),
+      connection_errors(m.counter("connection_errors")),
+      idle_timeouts(m.counter("idle_timeouts")),
+      peer_disconnects(m.counter("peer_disconnects")),
+      admission_rejects(m.counter("admission_rejects")),
+      sessions_precomputed(m.counter("sessions_precomputed")),
+      spool_handoffs(m.counter("spool_handoffs")),
+      spool_handoffs_v3(m.counter("spool_handoffs_v3")),
+      spool_empty_waits(m.counter("spool_empty_waits")),
+      reusable_garbles(m.counter("reusable_garbles")),
+      reusable_artifact_loaded(m.counter("reusable_artifact_loaded")),
+      peak_resident_tables(m.gauge("peak_resident_tables")),
+      open_fds(m.gauge("ev_open_fds")),
+      ready_queue_depth(m.gauge("ev_ready_queue_depth")),
+      faults_injected(m.gauge("faults_injected")),
+      handshake_seconds(m.histogram("handshake_seconds")),
+      transfer_seconds(m.histogram("transfer_seconds")),
+      ot_seconds(m.histogram("ot_seconds")),
+      session_seconds(m.histogram("session_seconds")),
+      first_table_seconds(m.histogram("first_table_seconds")),
+      total_seconds(m.histogram("total_seconds")) {
+  static_assert(EvSession::kModes == 4, "one tx/rx counter pair per mode");
+  for (std::size_t i = 0; i < shards; ++i)
+    shard_sessions.push_back(
+        &m.gauge("ev_shard" + std::to_string(i) + "_sessions"));
+}
+
 EvBroker::EvBroker(const EvBrokerConfig& cfg)
     : cfg_(cfg),
+      m_(metrics_, std::max<std::size_t>(cfg.shards, 1)),
       circ_(circuit::make_mac_circuit(
           circuit::MacOptions{cfg.bits, cfg.bits, true})),
       v3_an_(gc::analyze_v3(circ_)),
@@ -150,16 +196,12 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
     }
   }
 
-  g_open_fds_ = &metrics_.gauge("ev_open_fds");
-  g_ready_depth_ = &metrics_.gauge("ev_ready_queue_depth");
-
   // Listeners up front so port() is valid before run(). Shard 0 may bind
   // an ephemeral port; the rest join it via SO_REUSEPORT, giving the
   // kernel a per-shard accept queue to spread connections over.
   net::ListenOptions lo;
   lo.backlog = cfg_.listen_backlog;
   lo.reuseport = cfg_.shards > 1;
-  shard_stats_.resize(cfg_.shards);
   for (std::size_t i = 0; i < cfg_.shards; ++i) {
     auto sh = std::make_unique<Shard>();
     sh->index = i;
@@ -173,8 +215,6 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
     const int lfl = ::fcntl(sh->listener->fd(), F_GETFL, 0);
     if (lfl >= 0)
       ::fcntl(sh->listener->fd(), F_SETFL, lfl | O_NONBLOCK);
-    sh->sessions_gauge = &metrics_.gauge(
-        "ev_shard" + std::to_string(i) + "_sessions");
     shards_.push_back(std::move(sh));
   }
 }
@@ -194,7 +234,7 @@ void EvBroker::ensure_reusable() {
             circ_, std::move(rc),
             static_cast<std::uint32_t>(cfg_.rounds_per_session),
             cfg_.demo_seed);
-        metrics_.counter("reusable_artifact_loaded").inc();
+        m_.reusable_artifact_loaded.inc();
         return;
       }
     } catch (const std::exception&) {
@@ -208,24 +248,24 @@ void EvBroker::ensure_reusable() {
   reusable_ctx_ = net::make_reusable_context(
       circ_, std::move(rc),
       static_cast<std::uint32_t>(cfg_.rounds_per_session), cfg_.demo_seed);
-  ++reusable_garbles_;
-  metrics_.counter("reusable_garbles").inc();
+  m_.reusable_garbles.inc();
 }
 
 // --- spool plumbing --------------------------------------------------------
 
 template <class S, class TakeSpooled>
-S EvBroker::take_blocking(Handoff<S>& lane, const char* handoff_counter,
+S EvBroker::take_blocking(Handoff<S>& lane, svc::Counter& handoffs,
                           TakeSpooled take_spooled) {
   std::unique_lock<std::mutex> lock(spool_mu_, std::defer_lock);
   bool waiting = false;  // counted in lane.waiting while blocked
   for (;;) {
     std::optional<S> s = take_spooled();
+    if (s) spool_cv_.notify_all();  // the producer may refill now
     lock.lock();
     if (!s && !lane.fresh.empty()) {
       s = std::move(lane.fresh.front());
       lane.fresh.pop_front();
-      metrics_.counter(handoff_counter).inc();
+      handoffs.inc();
     }
     if (s || producer_stop_.load(std::memory_order_relaxed)) {
       if (waiting) --lane.waiting;
@@ -234,34 +274,20 @@ S EvBroker::take_blocking(Handoff<S>& lane, const char* handoff_counter,
     }
     if (!waiting) ++lane.waiting;
     waiting = true;
-    metrics_.counter("spool_empty_waits").inc();
+    m_.spool_empty_waits.inc();
     spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
     lock.unlock();
   }
 }
 
 proto::PrecomputedSession EvBroker::take_session_blocking() {
-  return take_blocking(handoff_, "spool_handoffs", [this] {
-    auto s = spool_.take();
-    if (s) {
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
-      spool_cv_.notify_all();
-    }
-    return s;
-  });
+  return take_blocking(handoff_, m_.spool_handoffs,
+                       [this] { return spool_.take(); });
 }
 
 proto::PrecomputedSessionV3 EvBroker::take_v3_blocking() {
-  return take_blocking(handoff_v3_, "spool_handoffs_v3", [this] {
-    auto s = spool_.take_v3(v3_reg_.lineage());
-    if (s) {
-      metrics_.gauge("spool_ready_v3").set(
-          static_cast<std::int64_t>(spool_.ready_v3()));
-      spool_cv_.notify_all();
-    }
-    return s;
-  });
+  return take_blocking(handoff_v3_, m_.spool_handoffs_v3,
+                       [this] { return spool_.take_v3(v3_reg_.lineage()); });
 }
 
 template <class S, class Put>
@@ -288,6 +314,7 @@ void EvBroker::producer_loop() {
       spool_cv_.wait_for(lock, std::chrono::milliseconds(50));
       continue;
     }
+    std::size_t garbled = 0;
     if (ready < cfg_.spool_low_watermark) {
       const std::size_t batch = cfg_.spool_high_watermark - ready;
       std::vector<proto::PrecomputedSession> fresh(batch);
@@ -296,11 +323,9 @@ void EvBroker::producer_loop() {
                                             cfg_.rounds_per_session,
                                             pool_.core_rng(core));
       });
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
+      garbled += batch;
       hand_off_then_spool(handoff_, fresh,
                           [&](auto& s) { spool_.put(std::move(s)); });
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
     }
     if (ready_v3 < cfg_.spool_low_watermark) {
       const std::size_t batch = cfg_.spool_high_watermark - ready_v3;
@@ -311,12 +336,11 @@ void EvBroker::producer_loop() {
                                                v3_reg_.delta(),
                                                rng.next_block(), rng);
       });
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
+      garbled += batch;
       hand_off_then_spool(handoff_v3_, fresh,
                           [&](auto& s) { spool_.put_v3(s); });
-      metrics_.gauge("spool_ready_v3").set(
-          static_cast<std::int64_t>(spool_.ready_v3()));
     }
+    m_.sessions_precomputed.inc(garbled);
     spool_cv_.notify_all();
   }
 }
@@ -349,7 +373,7 @@ void EvBroker::shard_loop(Shard& sh) {
 }
 
 void EvBroker::accept_drain(Shard& sh) {
-  g_ready_depth_->set(
+  m_.ready_queue_depth.set(
       static_cast<std::int64_t>(sh.loop.last_batch_size()));
   // Edge-triggered listener: one readiness event may stand for many
   // queued connections, so drain until EAGAIN or we'd lose events.
@@ -383,9 +407,7 @@ bool EvBroker::busy_reject(Shard& sh) {
            MSG_DONTWAIT | MSG_NOSIGNAL);
     ::shutdown(cfd, SHUT_WR);
     ::close(cfd);
-    metrics_.counter("admission_rejects").inc();
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++admission_rejects_;
+    m_.admission_rejects.inc();
     admitted = true;
   }
   sh.spare.reacquire();
@@ -400,8 +422,9 @@ void EvBroker::add_conn(Shard& sh, int cfd) {
   c->fd = cfd;
   c->last_activity = EvLoop::now_ms();
   sh.conns.emplace(cfd, std::move(conn));
-  g_open_fds_->set(open_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
-  sh.sessions_gauge->set(static_cast<std::int64_t>(sh.conns.size()));
+  m_.open_fds.set(open_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
+  m_.shard_sessions[sh.index]->set(
+      static_cast<std::int64_t>(sh.conns.size()));
   sh.loop.add_fd(cfd, true, false, [this, &sh, c](bool r, bool w, bool err) {
     on_io(sh, c, r, w, err);
   });
@@ -409,7 +432,7 @@ void EvBroker::add_conn(Shard& sh, int cfd) {
 }
 
 void EvBroker::on_io(Shard& sh, EvConn* c, bool r, bool w, bool err) {
-  g_ready_depth_->set(
+  m_.ready_queue_depth.set(
       static_cast<std::int64_t>(sh.loop.last_batch_size()));
   (void)w;  // service_conn drains output regardless of which edge woke us
   if (r || err) {
@@ -516,81 +539,65 @@ void EvBroker::finish_conn(Shard& sh, EvConn* c, bool evicted_idle) {
   sh.loop.remove_fd(fd);
   sh.loop.defer_close(fd);
   sh.conns.erase(fd);
-  g_open_fds_->set(open_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
-  sh.sessions_gauge->set(static_cast<std::int64_t>(sh.conns.size()));
+  m_.open_fds.set(open_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
+  m_.shard_sessions[sh.index]->set(
+      static_cast<std::int64_t>(sh.conns.size()));
   if (sh.draining && sh.conns.empty()) sh.loop.stop();
 }
 
 void EvBroker::record_result(Shard& sh, EvConn& c, bool evicted_idle) {
   EvSession& s = c.session;
-  net::ServerStats local = s.stats();
   if (s.done()) {
-    metrics_.histogram("handshake_seconds").observe(local.handshake_seconds);
-    metrics_.histogram("transfer_seconds").observe(local.transfer_seconds);
-    metrics_.histogram("ot_seconds").observe(local.ot_seconds);
-    metrics_.histogram("session_seconds").observe(s.session_seconds());
-    metrics_.counter("sessions_served").inc();
-    metrics_.counter("rounds_served").inc(local.rounds_served);
-    if (local.stream_sessions_served != 0) {
-      metrics_.counter("stream_sessions_served").inc();
-      metrics_.histogram("first_table_seconds")
-          .observe(local.first_table_seconds);
-    }
-    if (local.v3_sessions_served != 0)
-      metrics_.counter("v3_sessions_served").inc();
-    if (local.reusable_sessions_served != 0) {
-      metrics_.counter("reusable_sessions_served").inc();
+    const net::ServerStats& st = s.stats();
+    m_.handshake_seconds.observe(st.handshake_seconds);
+    m_.transfer_seconds.observe(st.transfer_seconds);
+    m_.ot_seconds.observe(st.ot_seconds);
+    m_.session_seconds.observe(s.session_seconds());
+    m_.rounds_served.inc(st.rounds_served);
+    m_.stream_sessions_served.inc(st.stream_sessions_served);
+    m_.v3_sessions_served.inc(st.v3_sessions_served);
+    m_.reusable_sessions_served.inc(st.reusable_sessions_served);
+    m_.reusable_artifacts_sent.inc(st.reusable_artifacts_sent);
+    m_.v3_fresh_pools.inc(st.v3_fresh_pools);
+    m_.v3_ot_extended.inc(st.v3_ot_extended);
+    m_.bytes_sent.inc(st.bytes_sent);
+    m_.bytes_received.inc(st.bytes_received);
+    const auto mode = static_cast<std::size_t>(s.mode());
+    m_.tx_bytes[mode]->inc(st.bytes_sent);
+    m_.rx_bytes[mode]->inc(st.bytes_received);
+    m_.peak_resident_tables.raise_to(
+        static_cast<std::int64_t>(st.peak_resident_tables));
+    if (s.mode() == EvSession::Mode::kStream)
+      m_.first_table_seconds.observe(st.first_table_seconds);
+    if (s.mode() == EvSession::Mode::kReusable)
       spool_.add_reusable_evaluations(reusable_key_,
                                       cfg_.rounds_per_session);
-    }
-    auto& peak = metrics_.gauge("peak_resident_tables");
-    if (static_cast<std::int64_t>(local.peak_resident_tables) > peak.value())
-      peak.set(static_cast<std::int64_t>(local.peak_resident_tables));
-    const char* mode = s.mode_name();
-    metrics_.counter(std::string("net_tx_bytes_") + mode)
-        .inc(s.channel().bytes_sent());
-    metrics_.counter(std::string("net_rx_bytes_") + mode)
-        .inc(s.channel().bytes_received());
-    const std::uint64_t total =
-        sessions_served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::uint64_t total = m_.sessions_served.inc();
     if (cfg_.verbose)
       std::fprintf(stderr,
                    "[evbroker] shard %zu served session %llu (%s)\n",
-                   sh.index, static_cast<unsigned long long>(total), mode);
+                   sh.index, static_cast<unsigned long long>(total),
+                   s.mode_name());
     if (cfg_.max_sessions != 0 && total >= cfg_.max_sessions) request_stop();
-  } else if (evicted_idle) {
-    ++local.idle_timeouts;
-    ++local.connection_errors;
-    metrics_.counter("idle_timeouts").inc();
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
+  } else if (!evicted_idle && s.error() == EvError::kHandshake) {
+    m_.handshakes_rejected.inc();
+  } else {
+    m_.connection_errors.inc();
+    if (evicted_idle)
+      m_.idle_timeouts.inc();
+    else if (s.error() == EvError::kPeerClosed)
+      m_.peer_disconnects.inc();
+  }
+  if (cfg_.verbose && !s.done()) {
+    if (evicted_idle)
       std::fprintf(stderr, "[evbroker] shard %zu evicted idle peer\n",
                    sh.index);
-  } else {
-    switch (s.error()) {
-      case EvError::kHandshake:
-        ++local.handshakes_rejected;
-        metrics_.counter("handshakes_rejected").inc();
-        break;
-      case EvError::kPeerClosed:
-        ++local.connection_errors;
-        metrics_.counter("peer_disconnects").inc();
-        metrics_.counter("connection_errors").inc();
-        break;
-      default:
-        ++local.connection_errors;
-        metrics_.counter("connection_errors").inc();
-        break;
-    }
-    if (cfg_.verbose)
+    else
       std::fprintf(stderr, "[evbroker] shard %zu session error: %s\n",
                    sh.index, s.error_text().c_str());
   }
   if (faults_)
-    metrics_.gauge("faults_injected")
-        .set(static_cast<std::int64_t>(faults_->faults_fired()));
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  shard_stats_[sh.index].merge(local);
+    m_.faults_injected.set(static_cast<std::int64_t>(faults_->faults_fired()));
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -630,23 +637,46 @@ void EvBroker::run() {
   for (auto& s : handoff_v3_.fresh) spool_.put_v3(s);
   handoff_.fresh.clear();
   handoff_v3_.fresh.clear();
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  accept_wall_seconds_ += seconds_since(t0);
+  m_.total_seconds.observe(seconds_since(t0));
 }
 
 svc::BrokerStats EvBroker::stats() const {
+  const auto sum = [](const svc::Histogram& h) {
+    return h.snapshot().sum_seconds;
+  };
   svc::BrokerStats st;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const auto& ss : shard_stats_) st.server.merge(ss);
-    st.admission_rejects = admission_rejects_;
-    st.server.total_seconds = accept_wall_seconds_;
-  }
-  st.server.reusable_garbles += reusable_garbles_;
-  st.server.sessions_precomputed =
-      precomputed_.load(std::memory_order_relaxed);
+  net::ServerStats& s = st.server;
+  s.sessions_served = m_.sessions_served.value();
+  s.rounds_served = m_.rounds_served.value();
+  s.handshakes_rejected = m_.handshakes_rejected.value();
+  s.connection_errors = m_.connection_errors.value();
+  s.idle_timeouts = m_.idle_timeouts.value();
+  s.bytes_sent = m_.bytes_sent.value();
+  s.bytes_received = m_.bytes_received.value();
+  s.sessions_precomputed = m_.sessions_precomputed.value();
+  s.stream_sessions_served = m_.stream_sessions_served.value();
+  s.v3_sessions_served = m_.v3_sessions_served.value();
+  s.reusable_sessions_served = m_.reusable_sessions_served.value();
+  s.reusable_artifacts_sent = m_.reusable_artifacts_sent.value();
+  s.reusable_garbles = m_.reusable_garbles.value();
+  s.v3_fresh_pools = m_.v3_fresh_pools.value();
+  s.v3_ot_extended = m_.v3_ot_extended.value();
+  s.peak_resident_tables =
+      static_cast<std::uint64_t>(m_.peak_resident_tables.value());
+  s.handshake_seconds = sum(m_.handshake_seconds);
+  s.transfer_seconds = sum(m_.transfer_seconds);
+  s.ot_seconds = sum(m_.ot_seconds);
+  s.first_table_seconds = sum(m_.first_table_seconds);
+  s.total_seconds = sum(m_.total_seconds);
+  st.admission_rejects = m_.admission_rejects.value();
   st.spool = spool_.stats();
   return st;
+}
+
+std::string EvBroker::to_json() const {
+  std::string json = metrics_.to_json();
+  json.pop_back();  // reopen the object; the schema is never empty
+  return json + ",\"spool\":" + spool_.stats().to_json() + "}";
 }
 
 }  // namespace maxel::evloop

@@ -6,13 +6,14 @@
 // server.
 //
 // Shared state across shards: one SessionSpool, one V3PoolRegistry (one
-// garbling delta), one read-only reusable artifact, one MetricsRegistry,
-// one producer thread keeping the spool between its watermarks (the
-// software stand-in for the accelerator streaming fresh sessions up
-// over PCIe). A freshly garbled batch is offered to sessions waiting on
-// an empty lane before it is spooled, so a cold start's first table
-// waits behind the garble, not behind the spool put too (counted in
-// spool_handoffs / spool_handoffs_v3). Per-client pool phases are
+// garbling delta), one read-only reusable artifact, one MetricsRegistry
+// (the only ledger of serving facts), one producer thread keeping the
+// spool between its watermarks (the software stand-in for the
+// accelerator streaming fresh sessions up over PCIe). A freshly garbled
+// batch is offered to sessions waiting on an empty lane before it is
+// spooled, so a cold start's first table waits behind the garble, not
+// behind the spool put too (counted in spool_handoffs /
+// spool_handoffs_v3). Per-client pool phases are
 // serialized by Entry::ev_gate (see evloop/session.hpp), so two shards
 // serving the same client never interleave wire phases.
 //
@@ -33,6 +34,7 @@
 // lifetime, so each event fires once across all connections and shards.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -50,7 +52,6 @@
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
 #include "net/fault.hpp"
-#include "net/server_stats.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "svc/broker_stats.hpp"
@@ -129,8 +130,12 @@ class EvBroker {
   void run();
   void request_stop();
 
+  // Read back from the metrics registry, plus the spool's own ledger.
   [[nodiscard]] svc::BrokerStats stats() const;
   [[nodiscard]] svc::MetricsRegistry& metrics() { return metrics_; }
+  // The one export — the `STATS` line and `--json FILE`: the registry
+  // snapshot with the spool ledger nested under "spool".
+  [[nodiscard]] std::string to_json() const;
   [[nodiscard]] const circuit::Circuit& circuit() const { return circ_; }
   [[nodiscard]] std::uint64_t v3_outstanding_claims() const {
     return v3_reg_.outstanding_claims();
@@ -178,7 +183,7 @@ class EvBroker {
   // Claims from the spool lane, else from the lane's hand-offs, else
   // blocks as one of the lane's waiters.
   template <class S, class TakeSpooled>
-  S take_blocking(Handoff<S>& lane, const char* handoff_counter,
+  S take_blocking(Handoff<S>& lane, svc::Counter& handoffs,
                   TakeSpooled take_spooled);
   // Hands up to one fresh session per blocked taker over, spools the rest.
   template <class S, class Put>
@@ -186,7 +191,35 @@ class EvBroker {
   void ensure_reusable();
   [[nodiscard]] std::uint64_t idle_deadline_ms() const;
 
+  // The serving schema: every fact the front reports is one metric,
+  // resolved here once (a registry lookup takes its mutex and scans the
+  // names) and updated through these handles only. Registration order
+  // is the export's field order.
+  struct Ledger {
+    Ledger(svc::MetricsRegistry& m, std::size_t shards);
+    // Completed sessions and what they moved.
+    svc::Counter &sessions_served, &rounds_served, &stream_sessions_served,
+        &v3_sessions_served, &reusable_sessions_served,
+        &reusable_artifacts_sent, &v3_fresh_pools, &v3_ot_extended,
+        &bytes_sent, &bytes_received;
+    // Per-direction wire bytes, indexed by EvSession::Mode.
+    std::array<svc::Counter*, EvSession::kModes> tx_bytes, rx_bytes;
+    // Failed connections.
+    svc::Counter &handshakes_rejected, &connection_errors, &idle_timeouts,
+        &peer_disconnects, &admission_rejects;
+    // Offline side: the producer, the spool takers, the reusable artifact.
+    svc::Counter &sessions_precomputed, &spool_handoffs, &spool_handoffs_v3,
+        &spool_empty_waits, &reusable_garbles, &reusable_artifact_loaded;
+    svc::Gauge &peak_resident_tables, &open_fds, &ready_queue_depth,
+        &faults_injected;
+    std::vector<svc::Gauge*> shard_sessions;  // ev_shard<i>_sessions
+    svc::Histogram &handshake_seconds, &transfer_seconds, &ot_seconds,
+        &session_seconds, &first_table_seconds, &total_seconds;
+  };
+
   EvBrokerConfig cfg_;
+  svc::MetricsRegistry metrics_;
+  Ledger m_;
   std::unique_ptr<net::FaultInjector> faults_;  // null when fault_plan empty
   circuit::Circuit circ_;
   gc::V3Analysis v3_an_;
@@ -200,31 +233,18 @@ class EvBroker {
 
   std::optional<net::ReusableServeContext> reusable_ctx_;
   std::string reusable_key_;
-  std::uint64_t reusable_garbles_ = 0;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint16_t port_ = 0;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> producer_stop_{false};
-  std::atomic<std::uint64_t> sessions_served_total_{0};
-  std::atomic<std::uint64_t> precomputed_{0};
   std::atomic<std::int64_t> open_conns_{0};
 
   std::mutex spool_mu_;
   std::condition_variable spool_cv_;
   Handoff<proto::PrecomputedSession> handoff_;
   Handoff<proto::PrecomputedSessionV3> handoff_v3_;
-
-  mutable std::mutex stats_mu_;
-  std::vector<net::ServerStats> shard_stats_;
-  std::uint64_t admission_rejects_ = 0;
-  double accept_wall_seconds_ = 0;
-
-  svc::MetricsRegistry metrics_;
-  // Hot-path gauges, resolved once (registry lookup takes a mutex).
-  svc::Gauge* g_open_fds_ = nullptr;
-  svc::Gauge* g_ready_depth_ = nullptr;
 };
 
 }  // namespace maxel::evloop

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <exception>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -51,7 +50,7 @@ int evloop_command(int argc, char** argv) {
   EvBrokerConfig cfg;
   cfg.verbose = true;
   if (const char* env = std::getenv("MAXEL_FAULT_PLAN")) cfg.fault_plan = env;
-  std::string json_path, metrics_path;
+  std::string json_path;
   net::FlagParser p("maxel_server", argc, argv);
   std::string flag;
   while (p.next(flag)) {
@@ -72,7 +71,6 @@ int evloop_command(int argc, char** argv) {
     else if (flag == "--chunk-rounds") p.num(cfg.stream_chunk_rounds);
     else if (flag == "--idle-timeout") p.num(cfg.idle_timeout_ms);
     else if (flag == "--fault-plan") p.str(cfg.fault_plan);
-    else if (flag == "--metrics") p.str(metrics_path);
     else if (flag == "--json") p.str(json_path);
     else if (flag == "--quiet") cfg.verbose = false;
     else if (flag == "--mode") {
@@ -90,7 +88,7 @@ int evloop_command(int argc, char** argv) {
           "  --shards N --backlog N --chunk-rounds N --idle-timeout MS\n"
           "  --spool DIR --low N --high N --cache N  (default: a private\n"
           "        temporary spool, removed on exit)\n"
-          "  --fault-plan SPEC --metrics PATH --json PATH --quiet\n"
+          "  --fault-plan SPEC --json PATH --quiet\n"
           "  --mode {precomputed|stream|v3|reusable}  serve only this mode\n"
           "        family (default: all four):\n%s",
           net::kModeHelp);
@@ -136,11 +134,7 @@ int evloop_command(int argc, char** argv) {
                 static_cast<unsigned long long>(st.server.bytes_received),
                 static_cast<unsigned long long>(st.admission_rejects),
                 st.server.total_seconds);
-    net::dump_stats(st.to_json(), json_path);
-    if (!metrics_path.empty()) {
-      std::ofstream os(metrics_path);
-      os << broker.metrics().to_json() << "\n";
-    }
+    net::dump_stats(broker.to_json(), json_path);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "maxel_server: %s\n", e.what());

@@ -1,7 +1,9 @@
 // Command-line entry point of the garbler server, shared between the
 // standalone maxel_server binary and `maxelctl serve`. argv excludes the
-// program/subcommand name. Prints a human summary on exit and dumps the
-// broker stats as JSON (stdout line `STATS {...}`, plus --json FILE).
+// program/subcommand name. Prints a human summary on exit and exports the
+// metrics registry, spool ledger nested under "spool", as one JSON object
+// (stdout line `STATS {...}`, plus --json FILE; `maxelctl stats
+// --metrics FILE` pretty-prints that file).
 #pragma once
 
 namespace maxel::evloop {
@@ -11,7 +13,7 @@ namespace maxel::evloop {
 //   [--seed S] [--shards N] [--backlog B] [--spool DIR] [--low L]
 //   [--high H] [--cache C] [--chunk-rounds R]
 //   [--mode precomputed|stream|v3|reusable] [--idle-timeout MS]
-//   [--fault-plan SPEC] [--metrics FILE] [--json FILE] [--quiet]
+//   [--fault-plan SPEC] [--json FILE] [--quiet]
 // Runs the sharded EvBroker until SIGINT/SIGTERM or --sessions served.
 // Without --spool it serves from a private temporary spool that is
 // removed on exit. --mode restricts the optional session families

@@ -17,6 +17,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Runs f, adding its wall time to acc (a session phase's running sum).
+template <class F>
+void timed(double& acc, F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  acc += seconds_since(t0);
+}
+
 }  // namespace
 
 EvSession::EvSession(const EvServeContext& ctx)
@@ -173,23 +181,25 @@ void EvSession::step() {
       finish_handshake();
       return;
     case St::kOtSetup2:
-      if (mode_ == Mode::kPre)
-        party_->setup_step2();
-      else
-        iknp_ot_->setup_step2();
+      timed(stats_.ot_seconds, [this] {
+        if (mode_ == Mode::kPre)
+          party_->setup_step2();
+        else
+          iknp_ot_->setup_step2();
+      });
       state_ = St::kOtSetup4;
       return;
     case St::kOtSetup4:
       if (mode_ == Mode::kPre) {
-        party_->setup_step4();
+        timed(stats_.ot_seconds, [this] { party_->setup_step4(); });
         begin_pre_round();
       } else {
-        iknp_ot_->setup_step4();
+        timed(stats_.ot_seconds, [this] { iknp_ot_->setup_step4(); });
         start_stream_chunk();
       }
       return;
     case St::kPreOt:
-      party_->finish_ot();
+      timed(stats_.ot_seconds, [this] { party_->finish_ot(); });
       ++r_;
       if (r_ < ctx_->rounds)
         begin_pre_round();
@@ -197,11 +207,14 @@ void EvSession::step() {
         finalize(Mode::kPre);
       return;
     case St::kStrOt:
-      ot_->send_phase2(chunk_pairs_[round_in_chunk_]);
+      timed(stats_.ot_seconds,
+            [this] { ot_->send_phase2(chunk_pairs_[round_in_chunk_]); });
       ++round_in_chunk_;
       ++r_;
       if (round_in_chunk_ < chunk_pairs_.size())
-        ot_->send_phase1(chunk_pairs_[round_in_chunk_].size());
+        timed(stats_.ot_seconds, [this] {
+          ot_->send_phase1(chunk_pairs_[round_in_chunk_].size());
+        });
       else if (next_round_ < ctx_->rounds)
         start_stream_chunk();
       else
@@ -211,21 +224,24 @@ void EvSession::step() {
     case St::kReGate:
       pool_gate_step();
       return;
-    case St::kPoolBase2: {
-      crypto::SystemRandom setup_rng(ctx_->reg->next_block());
-      pool_->base_setup_step2(ch_, setup_rng);
+    case St::kPoolBase2:
+      timed(stats_.ot_seconds, [this] {
+        crypto::SystemRandom setup_rng(ctx_->reg->next_block());
+        pool_->base_setup_step2(ch_, setup_rng);
+      });
       state_ = St::kPoolBase4;
       return;
-    }
     case St::kPoolBase4:
-      pool_->base_setup_step4();
+      timed(stats_.ot_seconds, [this] { pool_->base_setup_step4(); });
       if (extend_count_ > 0)
         state_ = St::kPoolExtend;
       else
         finish_pool_setup();
       return;
     case St::kPoolExtend:
-      pool_->extend(ch_, static_cast<std::size_t>(extend_count_));
+      timed(stats_.ot_seconds, [this] {
+        pool_->extend(ch_, static_cast<std::size_t>(extend_count_));
+      });
       finish_pool_setup();
       return;
     case St::kV3Round:
@@ -304,7 +320,8 @@ void EvSession::init_precomputed() {
 }
 
 void EvSession::begin_pre_round() {
-  party_->garble_and_send(a_inputs_.next_bits());
+  timed(stats_.transfer_seconds,
+        [this] { party_->garble_and_send(a_inputs_.next_bits()); });
   if (r_ == 0) stats_.first_table_seconds += seconds_since(t_session_);
   state_ = St::kPreOt;
 }
@@ -359,7 +376,7 @@ void EvSession::start_stream_chunk() {
   // Round-0 state labels exist only after the first round is garbled.
   if (wc.first_round == 0)
     wc.initial_state_labels = garbler_->initial_state_labels();
-  proto::send_chunk(ch_, wc);
+  timed(stats_.transfer_seconds, [&] { proto::send_chunk(ch_, wc); });
   if (!first_chunk_sent_) {
     stats_.first_table_seconds += seconds_since(t_session_);
     first_chunk_sent_ = true;
@@ -367,7 +384,8 @@ void EvSession::start_stream_chunk() {
   stats_.peak_resident_tables =
       std::max(stats_.peak_resident_tables, chunk_tables);
   round_in_chunk_ = 0;
-  ot_->send_phase1(chunk_pairs_[0].size());
+  timed(stats_.ot_seconds,
+        [this] { ot_->send_phase1(chunk_pairs_[0].size()); });
   state_ = St::kStrOt;
 }
 
@@ -476,8 +494,10 @@ void EvSession::finish_pool_setup() {
   proto::send_ticket(ch_, proto::ResumptionTicket{pool_->pool_id(),
                                                   ext_->client_id, cookie_});
   if (mode_ == Mode::kReusable && artifact_sent_)
-    ch_.send_bytes(ctx_->reusable->view_bytes.data(),
-                   ctx_->reusable->view_bytes.size());
+    timed(stats_.transfer_seconds, [this] {
+      ch_.send_bytes(ctx_->reusable->view_bytes.data(),
+                     ctx_->reusable->view_bytes.size());
+    });
   ch_.flush();
   release_gate();
 
@@ -495,23 +515,29 @@ void EvSession::finish_pool_setup() {
 }
 
 void EvSession::v3_send_round_frame() {
-  proto::V3RoundFrame frame;
-  frame.rows = v3_session_.rounds[r_].rows;
-  frame.output_map = v3_session_.rounds[r_].output_map;
-  proto::send_round_frame(ch_, frame);
-  ch_.flush();
+  timed(stats_.transfer_seconds, [this] {
+    proto::V3RoundFrame frame;
+    frame.rows = v3_session_.rounds[r_].rows;
+    frame.output_map = v3_session_.rounds[r_].output_map;
+    proto::send_round_frame(ch_, frame);
+    ch_.flush();
+  });
 }
 
 void EvSession::v3_round_step() {
-  std::vector<std::uint8_t> d((n_eval_ + 7) / 8);
-  ch_.recv_bytes(d.data(), d.size());
-  const gc::V3RoundMaterial& m = v3_session_.rounds[r_];
-  for (std::size_t j = 0; j < n_eval_; ++j, ++round_idx_) {
-    crypto::Block z = pool_->pad(round_idx_) ^ m.evaluator_pairs[j].first;
-    if ((d[j / 8] >> (j % 8)) & 1u) z ^= v3_session_.delta;
-    ch_.send_block(z);
-  }
-  ch_.flush();
+  // The round's label OT: derandomize the pool pads by the client's
+  // choice-adjust bits.
+  timed(stats_.ot_seconds, [this] {
+    std::vector<std::uint8_t> d((n_eval_ + 7) / 8);
+    ch_.recv_bytes(d.data(), d.size());
+    const gc::V3RoundMaterial& m = v3_session_.rounds[r_];
+    for (std::size_t j = 0; j < n_eval_; ++j, ++round_idx_) {
+      crypto::Block z = pool_->pad(round_idx_) ^ m.evaluator_pairs[j].first;
+      if ((d[j / 8] >> (j % 8)) & 1u) z ^= v3_session_.delta;
+      ch_.send_block(z);
+    }
+    ch_.flush();
+  });
   ++r_;
   if (r_ < v3_session_.round_count()) {
     v3_send_round_frame();
@@ -532,19 +558,26 @@ void EvSession::re_dbits_step() {
       (static_cast<std::size_t>(need_total_) + 7) / 8);
   if (!packed.empty()) ch_.recv_bytes(packed.data(), packed.size());
 
-  const std::uint64_t n_in = ctx_->reusable->artifact.view.n_evaluator_inputs;
-  std::vector<bool> z(static_cast<std::size_t>(need_total_));
-  for (std::uint64_t k = 0; k < need_total_; ++k) {
-    const bool d = (packed[static_cast<std::size_t>(k / 8)] >> (k % 8)) & 1u;
-    z[static_cast<std::size_t>(k)] =
-        ((pool_->pad(claim_.start + k).lsb() != 0) != d) !=
-        static_cast<bool>(ctx_->reusable->artifact
-                              .evaluator_flips[static_cast<std::size_t>(
-                                  k % n_in)]);
-  }
-  ch_.send_bits(z);
-  ch_.send_bits(ctx_->reusable->masked_garbler_bits);
-  ch_.flush();
+  // The session's label OT: derandomize the pool pads by the client's
+  // choice-adjust bits, then push the garbler's masked input bits.
+  timed(stats_.ot_seconds, [&] {
+    const std::uint64_t n_in =
+        ctx_->reusable->artifact.view.n_evaluator_inputs;
+    std::vector<bool> z(static_cast<std::size_t>(need_total_));
+    for (std::uint64_t k = 0; k < need_total_; ++k) {
+      const bool d = (packed[static_cast<std::size_t>(k / 8)] >> (k % 8)) & 1u;
+      z[static_cast<std::size_t>(k)] =
+          ((pool_->pad(claim_.start + k).lsb() != 0) != d) !=
+          static_cast<bool>(ctx_->reusable->artifact
+                                .evaluator_flips[static_cast<std::size_t>(
+                                    k % n_in)]);
+    }
+    ch_.send_bits(z);
+  });
+  timed(stats_.transfer_seconds, [this] {
+    ch_.send_bits(ctx_->reusable->masked_garbler_bits);
+    ch_.flush();
+  });
   pool_->consume(claim_);
   claim_open_ = false;
   finalize(Mode::kReusable);

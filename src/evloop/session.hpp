@@ -77,6 +77,9 @@ enum class EvError : std::uint8_t {
 
 class EvSession {
  public:
+  enum class Mode : std::uint8_t { kPre, kStream, kV3, kReusable };
+  static constexpr std::size_t kModes = 4;
+
   explicit EvSession(const EvServeContext& ctx);
   ~EvSession();
   EvSession(const EvSession&) = delete;
@@ -100,9 +103,12 @@ class EvSession {
   [[nodiscard]] bool wants_gate_retry() const { return wants_gate_retry_; }
 
   // Valid once done(): the per-session stats block and the serve wall
-  // time.
+  // time. Its ot_seconds / transfer_seconds sum the session's own OT
+  // steps and material sends (precomputed: a round's tables, labels and
+  // OT phase-1 message), not the waits between them.
   [[nodiscard]] const net::ServerStats& stats() const { return stats_; }
   [[nodiscard]] double session_seconds() const { return session_seconds_; }
+  [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] const char* mode_name() const;
 
  private:
@@ -122,8 +128,6 @@ class EvSession {
     kDone,
     kFailed,
   };
-  enum class Mode : std::uint8_t { kPre, kStream, kV3, kReusable };
-
   using Clock = std::chrono::steady_clock;
 
   void advance();

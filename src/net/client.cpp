@@ -93,7 +93,7 @@ std::unique_ptr<proto::Channel> make_channel(
 // base OT.
 ClientStats run_v3_attempt(const ClientConfig& cfg,
                            const std::shared_ptr<FaultInjector>& injector,
-                           V3ClientState& st, bool final_attempt) {
+                           V3ClientState& st) {
   const auto t_total = Clock::now();
   const circuit::Circuit circ =
       circuit::make_mac_circuit(circuit::MacOptions{cfg.bits, cfg.bits, true});
@@ -116,31 +116,7 @@ ClientStats run_v3_attempt(const ClientConfig& cfg,
       ext.has_ticket = true;
       ext.ticket = *st.ticket;
     }
-    try {
-      stats.rounds = client_handshake_v3(*ch, hello, ext);
-      st.handshake_close_streak = 0;
-    } catch (const HandshakeError&) {
-      st.handshake_close_streak = 0;  // a typed reject is a verdict too
-      throw;
-    } catch (const PeerClosedError& e) {
-      // A v2-only server rejects after the 56-byte hello and closes with
-      // the v3 extension frame still unread; the resulting TCP reset can
-      // destroy the in-flight version-mismatch reject before we read it.
-      // A single bare close is ambiguous with a transient fault, so the
-      // first one follows the normal retry path (staying on v3); a
-      // second consecutive one reads as a deterministic pre-v3 server
-      // and becomes the version-mismatch fallback. With no retry budget
-      // left to disambiguate, fall back right away — a v2 session beats
-      // an error. A genuinely dead peer still surfaces either way: the
-      // v2 redial re-probes it.
-      if (++st.handshake_close_streak >= 2 || final_attempt)
-        throw HandshakeError(RejectCode::kVersionMismatch,
-                             std::string("connection closed during v3 "
-                                         "handshake twice (pre-v3 "
-                                         "server?): ") +
-                                 e.what());
-      throw;
-    }
+    stats.rounds = client_handshake_v3(*ch, hello, ext);
     stats.handshake_seconds = seconds_since(t0);
   }
 
@@ -261,7 +237,7 @@ ClientStats run_reusable_attempt(const ClientConfig& cfg,
 // bytes) to the typed, retryable CorruptionError.
 ClientStats run_session_attempt(const ClientConfig& cfg,
                                 const std::shared_ptr<FaultInjector>& injector,
-                                V3ClientState* v3_state, bool final_attempt) {
+                                V3ClientState* v3_state) {
   if (cfg.mode == SessionMode::kReusable) {
     if (!v3_state)
       throw std::logic_error("reusable mode requires v3 client state");
@@ -274,7 +250,7 @@ ClientStats run_session_attempt(const ClientConfig& cfg,
   if (v3_state && cfg.protocol >= kProtocolVersionV3 &&
       cfg.mode == SessionMode::kPrecomputed) {
     try {
-      return run_v3_attempt(cfg, injector, *v3_state, final_attempt);
+      return run_v3_attempt(cfg, injector, *v3_state);
     } catch (const HandshakeError& e) {
       if (e.code() != RejectCode::kVersionMismatch) throw;
       if (cfg.verbose)
@@ -464,8 +440,7 @@ ClientStats run_client(const ClientConfig& cfg) {
 
   for (int attempt = 1;; ++attempt) {
     try {
-      ClientStats stats = run_session_attempt(cfg, injector, v3_state.get(),
-                                              attempt >= max_attempts);
+      ClientStats stats = run_session_attempt(cfg, injector, v3_state.get());
       // A checked mismatch is corruption: the session completed but the
       // bytes lied. While attempts remain, burn this session and retry;
       // on the last attempt keep the historical contract (stats.verified

@@ -175,8 +175,7 @@ V23Handshake server_handshake_v23(proto::Channel& ch,
     // before rejecting: closing with it unread would reset the
     // connection, and the reset can destroy the in-flight reject before
     // the client reads it — the client would see a bare peer close
-    // instead of the typed version verdict. (Genuinely pre-v3 servers
-    // cannot do this; the client's close-streak fallback covers those.)
+    // instead of the typed version verdict it redials v2 on.
     if (h.version == kProtocolVersionV3) {
       try {
         (void)recv_hello_ext_v3(ch);

@@ -41,11 +41,8 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 // always interoperate. This server drains the extension frame before
 // rejecting so the verdict survives the close (closing with it unread
 // would reset the connection and could destroy the in-flight reject).
-// A genuinely pre-v3 binary can't drain what it doesn't know, so the
-// client also treats two consecutive bare peer closes during v3
-// handshakes as a version mismatch (src/net/client.cpp — one close is
-// ambiguous with a transient fault and just retries on v3, except on
-// the final attempt, where falling back beats failing).
+// A bare peer close during a v3 handshake is an ordinary retryable
+// failure, never a fallback.
 inline constexpr std::uint32_t kProtocolVersionV3 = 3;
 
 enum class OtChoice : std::uint8_t { kBase = 0, kIknp = 1 };

@@ -1,11 +1,10 @@
-// Garbler-side session counters: one block per served session (filled
-// by evloop::EvSession), merged per shard and across shards into the
-// broker's snapshot, and dumped as the `STATS {...}` JSON line that
-// tests/net_e2e.sh cross-checks against the client's byte counters.
+// Garbler-side session facts: the block one served session fills in
+// (evloop::EvSession::stats()), and the shape of the serving front's
+// service-wide snapshot (svc::BrokerStats::server), which EvBroker reads
+// back from its metrics registry — one metric per field, same name.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace maxel::net {
 
@@ -29,21 +28,16 @@ struct ServerStats {
   std::uint64_t v3_fresh_pools = 0;   // v3/reusable sessions that paid a base OT
   std::uint64_t v3_ot_extended = 0;   // correlated-OT indices materialized
   // Most tables resident server-side for any single session: the whole
-  // session for precomputed mode, one chunk for stream mode. Merged with
-  // max, not sum — it is a high-water mark.
+  // session for precomputed mode, one chunk for stream mode. A
+  // high-water mark, not a sum.
   std::uint64_t peak_resident_tables = 0;
   double handshake_seconds = 0;
-  double transfer_seconds = 0;  // garbled tables + labels push
+  double transfer_seconds = 0;  // garbled material push (tables, labels)
   double ot_seconds = 0;        // OT setup + per-round label OT
-  double first_table_seconds = 0;  // session start -> first tables on the wire
-  double total_seconds = 0;     // serving wall time
-
-  // Accumulates another stats block into this one (counters and timers
-  // are additive, high-water marks take the max) — how the broker folds
-  // per-session and per-shard stats into one service-wide snapshot.
-  void merge(const ServerStats& other);
-
-  [[nodiscard]] std::string to_json() const;
+  // Session start -> first tables on the wire; the service-wide sum
+  // covers stream sessions only.
+  double first_table_seconds = 0;
+  double total_seconds = 0;     // serving wall time (service-wide only)
 };
 
 }  // namespace maxel::net

@@ -93,13 +93,6 @@ struct V3ClientState {
   crypto::Block client_id{};
   ot::CorrelatedPoolReceiver pool;
   std::optional<proto::ResumptionTicket> ticket;
-  // Consecutive v3 handshakes that died to a bare peer close (no typed
-  // verdict). One is ambiguous — a transient fault, or a v2-only server
-  // whose version-mismatch reject was destroyed by its own TCP reset
-  // (it closes with the v3 extension frame unread). Two in a row reads
-  // as deterministic, and the client falls back to a v2 hello. Reset by
-  // any handshake that reaches a verdict.
-  int handshake_close_streak = 0;
   // Reusable-mode artifact cache: the view received (and SHA-verified)
   // on a previous reusable session. Offered back by hash in the setup
   // record so repeat sessions skip the artifact transfer entirely.

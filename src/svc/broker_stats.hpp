@@ -1,11 +1,9 @@
-// Service-wide snapshot of the serving front (evloop::EvBroker): the
-// merged per-session counters, the spool's inventory, and the typed
-// admission rejects. Dumped as the `STATS {...}` JSON line by
-// `maxelctl serve` / maxel_server.
+// Service-wide snapshot of the serving front (evloop::EvBroker::stats()):
+// the serving counters read back from its metrics registry, the spool's
+// own ledger, and the typed admission rejects.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "net/server_stats.hpp"
 #include "svc/session_spool.hpp"
@@ -13,11 +11,9 @@
 namespace maxel::svc {
 
 struct BrokerStats {
-  net::ServerStats server;  // merged over shards (+ serving wall time)
+  net::ServerStats server;  // service-wide totals (+ serving wall time)
   SpoolStats spool;
   std::uint64_t admission_rejects = 0;  // kServerBusy sent
-
-  [[nodiscard]] std::string to_json() const;
 };
 
 }  // namespace maxel::svc

@@ -1,6 +1,7 @@
 // Service-tier metrics: named counters, gauges, and latency histograms
-// behind one registry, dumped as JSON for `maxelctl stats` and the
-// broker's --metrics file.
+// behind one registry — the serving front's one ledger, exported as the
+// JSON object of its `STATS` line and `--json` file (pretty-printed by
+// `maxelctl stats`).
 //
 // Design point: registration (name lookup) takes a mutex, but the hot
 // path — bumping a Counter/Gauge or observing a Histogram sample — is
@@ -24,7 +25,10 @@ namespace maxel::svc {
 // Monotonic event count (admission rejects, sessions served, ...).
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  // Returns the count after this increment.
+  std::uint64_t inc(std::uint64_t n = 1) {
+    return v_.fetch_add(n, std::memory_order_relaxed) + n;
+  }
   [[nodiscard]] std::uint64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }
@@ -38,6 +42,14 @@ class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  // High-water mark: lifts the level to v unless it is already higher,
+  // so concurrent raisers can never lower it.
+  void raise_to(std::int64_t v) {
+    std::int64_t cur = v_.load(std::memory_order_relaxed);
+    while (cur < v &&
+           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   [[nodiscard]] std::int64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }

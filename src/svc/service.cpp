@@ -132,15 +132,7 @@ int spool_command(int argc, char** argv) {
                   static_cast<double>(e.bytes) / 1024.0,
                   static_cast<unsigned long long>(e.evaluations),
                   e.sha256_hex.c_str());
-    std::printf("STATS {\"role\":\"spool\",\"ready\":%zu,\"bytes_on_disk\":%llu,"
-                "\"spooled\":%llu,\"purged_on_open\":%llu,"
-                "\"reusable_ready\":%zu,\"reusable_evaluations\":%llu}\n",
-                st.sessions_ready,
-                static_cast<unsigned long long>(st.bytes_on_disk),
-                static_cast<unsigned long long>(st.sessions_spooled),
-                static_cast<unsigned long long>(st.purged_on_open),
-                st.reusable_ready,
-                static_cast<unsigned long long>(st.reusable_evaluations));
+    net::dump_stats(st.to_json(), "");
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "maxelctl spool: %s\n", e.what());
@@ -156,7 +148,8 @@ int stats_command(int argc, char** argv) {
     if (flag == "--metrics") p.str(metrics_path);
     else p.unknown();
   }
-  if (p.ok() && metrics_path.empty()) p.fail("--metrics FILE required");
+  if (p.ok() && metrics_path.empty())
+    p.fail("--metrics FILE required (the export `serve --json FILE` writes)");
   if (!p.ok()) return 2;
   std::ifstream is(metrics_path);
   if (!is) {

@@ -17,7 +17,7 @@ namespace maxel::svc {
 int spool_command(int argc, char** argv);
 
 // maxelctl stats --metrics FILE
-// Pretty-prints a metrics JSON dump written by `serve --metrics`.
+// Pretty-prints the JSON export written by `serve --json FILE`.
 int stats_command(int argc, char** argv);
 
 }  // namespace maxel::svc

@@ -584,6 +584,33 @@ SpoolStats SessionSpool::stats() const {
   return stats_;
 }
 
+std::string SpoolStats::to_json() const {
+  char buf[768];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"ready\":%zu,\"spooled\":%llu,\"claimed\":%llu,"
+      "\"cache_hits\":%llu,\"cache_misses\":%llu,\"purged_on_open\":%llu,"
+      "\"bytes_on_disk\":%llu,\"ready_v3\":%zu,\"v3_spooled\":%llu,"
+      "\"v3_claimed\":%llu,\"v3_lineage_discarded\":%llu,"
+      "\"reusable_ready\":%zu,\"reusable_spooled\":%llu,"
+      "\"reusable_purged\":%llu,\"reusable_corrupt_discarded\":%llu,"
+      "\"reusable_evaluations\":%llu}",
+      sessions_ready, static_cast<unsigned long long>(sessions_spooled),
+      static_cast<unsigned long long>(sessions_claimed),
+      static_cast<unsigned long long>(cache_hits),
+      static_cast<unsigned long long>(cache_misses),
+      static_cast<unsigned long long>(purged_on_open),
+      static_cast<unsigned long long>(bytes_on_disk), sessions_ready_v3,
+      static_cast<unsigned long long>(v3_spooled),
+      static_cast<unsigned long long>(v3_claimed),
+      static_cast<unsigned long long>(v3_lineage_discarded), reusable_ready,
+      static_cast<unsigned long long>(reusable_spooled),
+      static_cast<unsigned long long>(reusable_purged),
+      static_cast<unsigned long long>(reusable_corrupt_discarded),
+      static_cast<unsigned long long>(reusable_evaluations));
+  return buf;
+}
+
 TempSpoolDir::TempSpoolDir() {
   std::string path =
       (fs::temp_directory_path() / "maxel_spool_XXXXXX").string();

@@ -91,6 +91,10 @@ struct SpoolStats {
   // MAC evaluations served across all resident artifacts — persisted in
   // the index, so the count survives broker restarts with the artifact.
   std::uint64_t reusable_evaluations = 0;
+
+  // One JSON object — the `maxelctl spool` STATS line, and the "spool"
+  // member of the serving front's export.
+  [[nodiscard]] std::string to_json() const;
 };
 
 // One resident reusable artifact, as listed by `maxelctl spool`.

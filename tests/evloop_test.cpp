@@ -8,7 +8,8 @@
 //   * pool gate: a second v3 session through the shuttle resumes the
 //     first one's OT pool and leaves zero outstanding claims;
 //   * EvBroker: all four modes over loopback TCP against the sharded
-//     front, with stats and metrics cross-checked;
+//     front, with stats and metrics cross-checked, and every stats()
+//     field found under its name in the one JSON export;
 //   * idle eviction: a silent peer is evicted by the timer wheel and
 //     counted as idle_timeouts + connection_errors;
 //   * SpareFd: the EMFILE reserve releases and reacquires;
@@ -18,11 +19,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuits.hpp"
@@ -203,6 +207,43 @@ TEST_F(EvSessionShuttleTest, ReusableByteAtATime) {
   EXPECT_EQ(reg_->outstanding_claims(), 0u);
 }
 
+// Every mode's first session pays a fresh OT setup (IKNP base OTs, or a
+// fresh pool's base OT) and pushes garbled material, and the session
+// block times both: at least 1 us of OT, the resolution of the broker's
+// ot_seconds histogram, and a nonzero transfer time.
+TEST_F(EvSessionShuttleTest, EveryModeTimesItsOtAndTransferSteps) {
+  struct Case {
+    const char* mode;
+    net::SessionMode session_mode;
+    std::uint32_t protocol;
+  };
+  const Case cases[] = {
+      {"precomputed", net::SessionMode::kPrecomputed, net::kProtocolVersion},
+      {"stream", net::SessionMode::kStream, net::kProtocolVersion},
+      {"v3", net::SessionMode::kPrecomputed, net::kProtocolVersionV3},
+      {"reusable", net::SessionMode::kReusable, net::kProtocolVersionV3},
+  };
+  crypto::SystemRandom id_rng;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.mode);
+    net::TcpListener lst(0, "127.0.0.1", net::ListenOptions{});
+    ShuttleResult res;
+    std::thread serve([&] { res = shuttle_serve_one(lst, ctx_, 1 << 16); });
+    net::ClientConfig ccfg = shuttle_client(lst.port());
+    ccfg.mode = c.session_mode;
+    ccfg.protocol = c.protocol;
+    ccfg.v3_state = net::make_v3_client_state(id_rng);  // a fresh pool
+    const net::ClientStats cs = net::run_client(ccfg);
+    serve.join();
+
+    EXPECT_TRUE(cs.verified);
+    ASSERT_TRUE(res.done) << res.err;
+    EXPECT_EQ(res.mode, c.mode);
+    EXPECT_GE(res.stats.ot_seconds, 1e-6);
+    EXPECT_GT(res.stats.transfer_seconds, 0.0);
+  }
+}
+
 // A peer that hangs up mid-handshake must park the machine in the
 // failed state with the peer-closed taxonomy, not crash or complete.
 TEST_F(EvSessionShuttleTest, EofMidHelloFailsAsPeerClosed) {
@@ -326,6 +367,97 @@ TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   EXPECT_EQ(m.gauge("ev_shard0_sessions").value(), 0);
   EXPECT_EQ(m.gauge("ev_shard1_sessions").value(), 0);
   EXPECT_NE(m.to_json().find("ev_open_fds"), std::string::npos);
+}
+
+// The value of top-level member `name` in the broker's JSON export: a
+// number, or a histogram's sum_seconds. NaN when absent or not unique.
+double exported(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos || json.rfind(key) != at)
+    return std::numeric_limits<double>::quiet_NaN();
+  std::size_t v = at + key.size();
+  if (json[v] == '{') {
+    const std::string sum = "\"sum_seconds\":";
+    v = json.find(sum, v);
+    if (v == std::string::npos)
+      return std::numeric_limits<double>::quiet_NaN();
+    v += sum.size();
+  }
+  return std::strtod(json.c_str() + v, nullptr);
+}
+
+// One schema: every stats() field is the exported metric of the same
+// name (timers as histogram sums, at us resolution), and every server
+// field tests/net_e2e.sh reads is present, next to the nested spool
+// ledger.
+TEST_F(EvBrokerTest, ExportCarriesEveryServerStatsField) {
+  const std::size_t bits = 8, rounds = 6;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
+  cfg.spool_low_watermark = 1;
+  cfg.spool_high_watermark = 4;
+  cfg.max_sessions = 4;
+  EvBroker broker(cfg);
+  std::thread run([&] { broker.run(); });
+
+  crypto::SystemRandom id_rng;
+  net::ClientConfig pre = quiet_client(broker.port(), bits);
+  net::ClientConfig str = pre;
+  str.mode = net::SessionMode::kStream;
+  net::ClientConfig v3 = pre;
+  v3.protocol = net::kProtocolVersionV3;
+  v3.v3_state = net::make_v3_client_state(id_rng);
+  net::ClientConfig reu = pre;
+  reu.mode = net::SessionMode::kReusable;
+  reu.v3_state = net::make_v3_client_state(id_rng);
+  for (const auto* ccfg : {&pre, &str, &v3, &reu})
+    EXPECT_TRUE(net::run_client(*ccfg).verified);
+  run.join();
+
+  const svc::BrokerStats st = broker.stats();
+  const net::ServerStats& s = st.server;
+  const std::string json = broker.to_json();
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"sessions_served", s.sessions_served},
+      {"rounds_served", s.rounds_served},
+      {"handshakes_rejected", s.handshakes_rejected},
+      {"connection_errors", s.connection_errors},
+      {"idle_timeouts", s.idle_timeouts},
+      {"bytes_sent", s.bytes_sent},
+      {"bytes_received", s.bytes_received},
+      {"sessions_precomputed", s.sessions_precomputed},
+      {"stream_sessions_served", s.stream_sessions_served},
+      {"v3_sessions_served", s.v3_sessions_served},
+      {"reusable_sessions_served", s.reusable_sessions_served},
+      {"reusable_artifacts_sent", s.reusable_artifacts_sent},
+      {"reusable_garbles", s.reusable_garbles},
+      {"v3_fresh_pools", s.v3_fresh_pools},
+      {"v3_ot_extended", s.v3_ot_extended},
+      {"peak_resident_tables", s.peak_resident_tables},
+      {"admission_rejects", st.admission_rejects},
+  };
+  for (const auto& [name, value] : counts)
+    EXPECT_EQ(exported(json, name), static_cast<double>(value)) << name;
+  const std::pair<const char*, double> sums[] = {
+      {"handshake_seconds", s.handshake_seconds},
+      {"transfer_seconds", s.transfer_seconds},
+      {"ot_seconds", s.ot_seconds},
+      {"first_table_seconds", s.first_table_seconds},
+      {"total_seconds", s.total_seconds},
+  };
+  for (const auto& [name, value] : sums)
+    EXPECT_NEAR(exported(json, name), value, 1e-6) << name;
+
+  EXPECT_EQ(s.sessions_served, 4u);
+  EXPECT_EQ(s.v3_fresh_pools, 2u);  // the v3 and the reusable client
+  EXPECT_GT(s.bytes_sent, 0u);
+  EXPECT_GT(s.sessions_precomputed, 0u);
+  EXPECT_GT(s.ot_seconds, 0.0);
+  EXPECT_GT(s.transfer_seconds, 0.0);
+  EXPECT_GT(s.total_seconds, 0.0);
+  EXPECT_NE(json.find("\"spool\":{\"ready\":"), std::string::npos);
+  EXPECT_EQ(json.find("spool_ready"), std::string::npos);  // no mirrors
 }
 
 // A silent peer is evicted by the timer wheel with idle_timeouts +

@@ -871,93 +871,5 @@ TEST(NetV3, FallsBackToV2AgainstV2OnlyServer) {
   EXPECT_EQ(ss.v3_sessions_served, 0u);
 }
 
-// A v2-only server rejects the v3 hello before reading the extension
-// frame, then closes — and closing with unread bytes sends a TCP reset
-// that can destroy the in-flight reject. One bare close is ambiguous
-// with a transient fault (normal retry, staying on v3); a second
-// consecutive one must read as a pre-v3 server and turn into the v2
-// fallback (regression: the fallback used to require the typed reject
-// to survive the reset race).
-TEST(NetV3, FallsBackToV2WhenCloseEatsTheVersionReject) {
-  const std::size_t bits = 8;
-  TcpListener listener(0, "127.0.0.1");
-  std::vector<std::uint32_t> hello_versions;
-  std::thread serve([&] {
-    // Connections 1 and 2: read the hello, send no verdict, close. The
-    // deterministic equivalent of the reject being reset away, twice.
-    for (int i = 0; i < 2; ++i) {
-      auto ch = listener.accept(5'000);
-      if (!ch) return;
-      hello_versions.push_back(recv_hello(*ch).version);
-    }
-    // Connection 3: the v2 fallback redial. Answer with a non-retryable
-    // reject so the client surfaces it instead of retrying forever.
-    {
-      auto ch = listener.accept(5'000);
-      if (!ch) return;
-      hello_versions.push_back(recv_hello(*ch).version);
-      send_accept(*ch, ServerAccept{RejectCode::kBitWidthMismatch, 0,
-                                    "test reject"});
-    }
-  });
-
-  ClientConfig cfg = quiet_client_config(listener.port(), bits);
-  cfg.protocol = kProtocolVersionV3;
-  cfg.retry.max_attempts = 2;  // close #1 burns the retry; #2 falls back
-  cfg.retry.backoff_ms = 1;
-  cfg.retry.backoff_max_ms = 5;
-  try {
-    run_client(cfg);
-    FAIL() << "expected the v2 redial's HandshakeError to surface";
-  } catch (const HandshakeError& e) {
-    EXPECT_EQ(e.code(), RejectCode::kBitWidthMismatch);
-  }
-  serve.join();
-
-  ASSERT_EQ(hello_versions.size(), 3u);
-  EXPECT_EQ(hello_versions[0], kProtocolVersionV3);
-  EXPECT_EQ(hello_versions[1], kProtocolVersionV3);  // retry stays on v3
-  EXPECT_EQ(hello_versions[2], kProtocolVersion);    // then falls back
-}
-
-// With no retry budget (the maxel_client default), there is no second
-// strike to wait for: the first bare close during the v3 handshake must
-// fall back to v2 within the same attempt instead of surfacing an
-// error.
-TEST(NetV3, FallsBackToV2OnFirstCloseWhenOutOfRetries) {
-  const std::size_t bits = 8;
-  TcpListener listener(0, "127.0.0.1");
-  std::vector<std::uint32_t> hello_versions;
-  std::thread serve([&] {
-    {
-      auto ch = listener.accept(5'000);
-      if (!ch) return;
-      hello_versions.push_back(recv_hello(*ch).version);  // close, no verdict
-    }
-    {
-      auto ch = listener.accept(5'000);
-      if (!ch) return;
-      hello_versions.push_back(recv_hello(*ch).version);
-      send_accept(*ch, ServerAccept{RejectCode::kBitWidthMismatch, 0,
-                                    "test reject"});
-    }
-  });
-
-  ClientConfig cfg = quiet_client_config(listener.port(), bits);
-  cfg.protocol = kProtocolVersionV3;
-  cfg.retry.max_attempts = 1;
-  try {
-    run_client(cfg);
-    FAIL() << "expected the v2 redial's HandshakeError to surface";
-  } catch (const HandshakeError& e) {
-    EXPECT_EQ(e.code(), RejectCode::kBitWidthMismatch);
-  }
-  serve.join();
-
-  ASSERT_EQ(hello_versions.size(), 2u);
-  EXPECT_EQ(hello_versions[0], kProtocolVersionV3);
-  EXPECT_EQ(hello_versions[1], kProtocolVersion);
-}
-
 }  // namespace
 }  // namespace maxel::net

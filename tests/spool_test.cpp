@@ -4,12 +4,15 @@
 // fronting the disk. Plus MetricsRegistry unit coverage.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
@@ -387,6 +390,57 @@ TEST(Metrics, HistogramIgnoresGarbageSamples) {
   h.observe(std::numeric_limits<double>::quiet_NaN());
   h.observe(std::numeric_limits<double>::infinity());
   EXPECT_EQ(h.snapshot().count, 0u);
+}
+
+// The high-water mark is a CAS loop. N threads raise the gauge through
+// an ever-climbing range while one more offers the maximum once: the
+// gauge must end at that maximum. A read-then-set loses it whenever a
+// climber reads the level just before the maximum lands and writes its
+// own, lower value just after — with climbers in flight, most trials.
+TEST(Metrics, GaugeRaiseToKeepsTheMaxUnderContention) {
+  constexpr int kTrials = 200;
+  constexpr int kClimbers = 3;
+  constexpr std::int64_t kMax = std::int64_t{1} << 62;
+  int lost = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Gauge peak;
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> climbers;
+    for (int t = 0; t < kClimbers; ++t)
+      climbers.emplace_back([&, t] {
+        for (std::int64_t v = t; !stop.load(std::memory_order_relaxed);
+             v += kClimbers)
+          peak.raise_to(v);
+      });
+    while (peak.value() < 1000) {
+    }
+    peak.raise_to(kMax);
+    stop.store(true);
+    for (auto& th : climbers) th.join();
+    if (peak.value() != kMax) ++lost;
+  }
+  EXPECT_EQ(lost, 0) << "of " << kTrials << " trials";
+}
+
+// One writer for the spool ledger: every SpoolStats field, by name.
+TEST(SpoolStatsJson, CarriesEveryField) {
+  SpoolStats st;
+  st.sessions_ready = 3;
+  st.sessions_spooled = 4;
+  st.reusable_evaluations = 128;
+  const std::string json = st.to_json();
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_NE(json.find("\"ready\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"spooled\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"reusable_evaluations\":128"), std::string::npos);
+  for (const char* key :
+       {"claimed", "cache_hits", "cache_misses", "purged_on_open",
+        "bytes_on_disk", "ready_v3", "v3_spooled", "v3_claimed",
+        "v3_lineage_discarded", "reusable_ready", "reusable_spooled",
+        "reusable_purged", "reusable_corrupt_discarded"})
+    EXPECT_NE(json.find(std::string("\"") + key + "\":0"), std::string::npos)
+        << key;
 }
 
 }  // namespace

@@ -37,7 +37,7 @@
 //   maxelctl spool purge --lane reusable --dir DIR
 //       Retire the spool's reusable artifacts (forces a re-garble).
 //   maxelctl stats --metrics FILE
-//       Pretty-print a broker metrics dump (`serve --metrics FILE`).
+//       Pretty-print the metrics export `serve --json FILE` writes.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -87,6 +87,8 @@ int usage() {
                "{precomputed|stream|v3|reusable} on serve and connect\n"
                "  spool purge --lane reusable --dir DIR retires cached "
                "reusable artifacts\n"
+               "  stats --metrics FILE pretty-prints the JSON export "
+               "`serve --json FILE` writes\n"
                "  see the header of tools/maxelctl.cpp\n");
   return 2;
 }
