@@ -17,12 +17,20 @@
 // All three modes decode the same demo inputs, so every session's MAC
 // is checked bit-for-bit against the plaintext reference
 // (verified=false poisons the CI gate whatever the speed).
+//
+// Two more rows time one kPoolExtendBatch-OT pool extension (client and
+// server halves, in process): on a fresh pool, and on a pool already
+// holding 2^20 pads. Long-lived identities are the point of the pool,
+// so bench_compare.py gates extension cost as independent of pool size
+// (the 2^20-pad row at <= 1.1x the fresh row, same run).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -30,6 +38,8 @@
 #include "evloop/ev_broker.hpp"
 #include "net/client.hpp"
 #include "net/v3_service.hpp"
+#include "ot/pool.hpp"
+#include "proto/channel.hpp"
 #include "svc/session_spool.hpp"
 
 namespace {
@@ -118,6 +128,74 @@ std::vector<Checkpoint> run_mode(const ModeSpec& spec) {
   return out;
 }
 
+// A client/server pool pair joined by an in-process channel.
+struct PoolPair {
+  std::unique_ptr<proto::MemoryChannel> s_ch, c_ch;
+  crypto::Block delta;
+  std::unique_ptr<ot::CorrelatedPoolSender> server;
+  ot::CorrelatedPoolReceiver client;
+
+  explicit PoolPair(crypto::RandomSource& rng) {
+    std::tie(s_ch, c_ch) = proto::MemoryChannel::create_pair();
+    delta = crypto::random_delta(rng);
+    server = std::make_unique<ot::CorrelatedPoolSender>(delta, 1);
+    ot::pool_base_setup(*server, client, *s_ch, *c_ch, rng, rng);
+  }
+
+  // One extension; returns its wall seconds.
+  double extend() {
+    const auto t0 = Clock::now();
+    client.extend(*c_ch, ot::kPoolExtendBatch);
+    server->extend(*s_ch, ot::kPoolExtendBatch);
+    return seconds_since(t0);
+  }
+
+  // Spot-checks the correlation t = q ^ r*delta across the pool.
+  [[nodiscard]] bool correlated() const {
+    const std::uint64_t n = server->extended();
+    for (std::uint64_t j = 0; j < n; j += 997) {
+      const crypto::Block q = server->pad(j);
+      if (!(client.pad(j) == (client.choice(j) ? q ^ delta : q))) return false;
+    }
+    return true;
+  }
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+struct ExtendRow {
+  const char* point;
+  double ms;
+  std::uint64_t pool_pads;  // pool size before the first timed extension
+  bool verified;
+};
+
+// Median extension time on fresh pools vs on one pool grown to 2^20
+// pads, the two timed alternately so drift hits both rows alike. The
+// fresh pools stay alive to the end, so both rows extend into newly
+// touched memory rather than the fresh row reusing freed pages.
+std::vector<ExtendRow> extension_rows() {
+  constexpr int kReps = 15;
+  constexpr std::uint64_t kBigPool = std::uint64_t{1} << 20;
+  crypto::SystemRandom rng(crypto::Block{0xE7, 0x1D});
+  PoolPair big(rng);
+  while (big.server->extended() < kBigPool) big.extend();
+  std::vector<std::unique_ptr<PoolPair>> fresh;
+  std::vector<double> fresh_s, big_s;
+  bool fresh_ok = true;
+  for (int i = 0; i < kReps; ++i) {
+    fresh.push_back(std::make_unique<PoolPair>(rng));
+    fresh_s.push_back(fresh.back()->extend());
+    fresh_ok = fresh_ok && fresh.back()->correlated();
+    big_s.push_back(big.extend());
+  }
+  return {{"extend-fresh", median(fresh_s) * 1e3, 0, fresh_ok},
+          {"extend-at-1m", median(big_s) * 1e3, kBigPool, big.correlated()}};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,7 +246,21 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\namortized = cumulative rounds / cumulative wall seconds "
-              "(artifact + pool setup included)\n");
+              "(artifact + pool setup included)\n\n");
+
+  std::printf("%-18s %10s %14s %12s\n", "pool extension", "pool pads",
+              "ms/extension", "verified");
+  bench::rule(72);
+  for (const ExtendRow& r : extension_rows()) {
+    std::printf("%-18s %10llu %14.3f %12s\n", r.point,
+                static_cast<unsigned long long>(r.pool_pads), r.ms,
+                r.verified ? "yes" : "NO");
+    rep.row()
+        .str("point", r.point)
+        .num("pool_pads", r.pool_pads)
+        .num("extend_ms", r.ms)
+        .boolean("verified", r.verified);
+  }
   std::printf("wrote %s\n", rep.write().c_str());
   return 0;
 }

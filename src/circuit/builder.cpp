@@ -60,7 +60,9 @@ void Builder::connect_dff(Wire q, Wire d) {
 
 Bus Builder::make_dff_bus(std::size_t width, std::uint64_t init) {
   Bus b(width);
-  for (std::size_t i = 0; i < width; ++i) b[i] = make_dff(((init >> i) & 1u) != 0);
+  // Bits of a bus wider than 64 past init's width start at 0.
+  for (std::size_t i = 0; i < width; ++i)
+    b[i] = make_dff(i < 64 && ((init >> i) & 1u) != 0);
   return b;
 }
 

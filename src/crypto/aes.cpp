@@ -119,11 +119,18 @@ bool aesni_supported() { return detail::aesni_compiled_and_supported(); }
 void set_aes_backend(AesBackend b) { g_requested.store(b); }
 
 AesBackend aes_active_backend() {
-  AesBackend b = g_requested.load();
-  if (b == AesBackend::kAuto) b = resolve_from_env();
-  if (b == AesBackend::kAuto)
-    b = aesni_supported() ? AesBackend::kAesni : AesBackend::kTable;
-  if (b == AesBackend::kAesni && !aesni_supported()) b = AesBackend::kTable;
+  // The environment and CPUID cannot change under a running process, so
+  // kAuto resolves once; an explicit set_aes_backend() still wins at any
+  // time because the requested value is re-read on every call.
+  static const AesBackend auto_backend = [] {
+    const AesBackend env = resolve_from_env();
+    if (env == AesBackend::kTable || !aesni_supported())
+      return AesBackend::kTable;
+    return AesBackend::kAesni;
+  }();
+  const AesBackend b = g_requested.load(std::memory_order_relaxed);
+  if (b == AesBackend::kAuto) return auto_backend;
+  if (b == AesBackend::kAesni && !aesni_supported()) return AesBackend::kTable;
   return b;
 }
 

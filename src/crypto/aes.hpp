@@ -12,9 +12,10 @@
 // entry point: many independent blocks in flight hide the AESENC latency
 // exactly like the FPGA pipelines one table per core per clock.
 //
-// Backend selection (resolved once, process-wide):
-//   1. set_aes_backend(...) if called before first use (tests, tools);
-//   2. else env MAXEL_AES_BACKEND in {auto, table, aesni};
+// Backend selection (process-wide):
+//   1. set_aes_backend(...), which takes effect at any time (tests, tools);
+//   2. else env MAXEL_AES_BACKEND in {auto, table, aesni}, read once at
+//      first use;
 //   3. else auto: aesni when the CPU supports it, table otherwise.
 #pragma once
 

@@ -5,7 +5,9 @@
 // the software model of the label generator.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "crypto/aes.hpp"
@@ -18,10 +20,7 @@ class Prg {
   explicit Prg(const Block& seed) : aes_(seed) {}
 
   // Next 128 pseudorandom bits.
-  Block next_block() {
-    const Block ctr{counter_++, 0x5052472D43545221ull};  // "PRG-CTR!"
-    return aes_.encrypt(ctr);
-  }
+  Block next_block() { return aes_.encrypt(next_counter()); }
 
   std::uint64_t next_u64() { return next_block().lo ^ next_block().hi; }
 
@@ -36,17 +35,21 @@ class Prg {
 
   bool next_bit() { return (next_u64() & 1u) != 0; }
 
-  // Fills `n` bytes of pseudorandom output.
+  // Fills `n` bytes of pseudorandom output: the same stream as repeated
+  // next_block() calls, serialized with Block::to_bytes, but expanded 8
+  // counter blocks per encrypt_batch call so AES-NI pipelines them. A
+  // partial trailing block consumes its counter like next_block() does.
   void fill(std::uint8_t* out, std::size_t n) {
-    while (n >= 16) {
-      next_block().to_bytes(out);
-      out += 16;
-      n -= 16;
-    }
-    if (n > 0) {
-      std::uint8_t tmp[16];
-      next_block().to_bytes(tmp);
-      for (std::size_t i = 0; i < n; ++i) out[i] = tmp[i];
+    Block ctr[8];
+    Block ks[8];
+    while (n > 0) {
+      const std::size_t blocks = std::min<std::size_t>(8, (n + 15) / 16);
+      for (std::size_t i = 0; i < blocks; ++i) ctr[i] = next_counter();
+      aes_.encrypt_batch(ctr, ks, blocks);
+      const std::size_t bytes = std::min(n, blocks * 16);
+      std::memcpy(out, ks, bytes);  // Block's bytes are its to_bytes()
+      out += bytes;
+      n -= bytes;
     }
   }
 
@@ -63,6 +66,10 @@ class Prg {
   }
 
  private:
+  Block next_counter() {
+    return Block{counter_++, 0x5052472D43545221ull};  // "PRG-CTR!"
+  }
+
   Aes128 aes_;
   std::uint64_t counter_ = 0;
 };

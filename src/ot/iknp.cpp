@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ot/transpose.hpp"
+
 namespace maxel::ot {
 namespace {
 
@@ -12,11 +14,7 @@ std::size_t words_for(std::size_t m) { return (m + 63) / 64; }
 // Expands a PRG into a word-packed bit column of m bits.
 BitColumn prg_column(crypto::Prg& prg, std::size_t m) {
   BitColumn col(words_for(m));
-  for (std::size_t w = 0; w < col.size(); w += 2) {
-    const Block b = prg.next_block();
-    col[w] = b.lo;
-    if (w + 1 < col.size()) col[w + 1] = b.hi;
-  }
+  prg.fill(reinterpret_cast<std::uint8_t*>(col.data()), col.size() * 8);
   if (m % 64 != 0) col.back() &= (1ull << (m % 64)) - 1;
   return col;
 }
@@ -39,18 +37,16 @@ BitColumn recv_column(proto::Channel& ch, std::size_t m) {
   return col;
 }
 
-Block row_from_columns(const std::vector<BitColumn>& cols, std::size_t j) {
-  Block b = Block::zero();
-  const std::size_t word = j / 64;
-  const std::size_t shift = j % 64;
-  for (std::size_t i = 0; i < kIknpWidth; ++i) {
-    if (((cols[i][word] >> shift) & 1u) == 0) continue;
-    if (i < 64)
-      b.lo |= (1ull << i);
-    else
-      b.hi |= (1ull << (i - 64));
-  }
-  return b;
+// The m rows of the bit matrix whose 128 columns are `cols`. Word
+// columns are read as the little-endian byte columns transpose128 takes.
+std::vector<Block> rows_from_columns(const std::vector<BitColumn>& cols,
+                                     std::size_t m) {
+  const std::uint8_t* ptrs[kIknpWidth];
+  for (std::size_t i = 0; i < kIknpWidth; ++i)
+    ptrs[i] = reinterpret_cast<const std::uint8_t*>(cols[i].data());
+  std::vector<Block> rows(m);
+  transpose128(ptrs, m, rows.data());
+  return rows;
 }
 
 }  // namespace
@@ -118,8 +114,7 @@ void IknpReceiver::recv_phase1(const std::vector<bool>& choices) {
     send_column(ch_, u);
   }
 
-  t_rows_.resize(m);
-  for (std::size_t j = 0; j < m; ++j) t_rows_[j] = row_from_columns(t_cols, j);
+  t_rows_ = rows_from_columns(t_cols, m);
 }
 
 void IknpSender::send_phase2(
@@ -137,11 +132,19 @@ void IknpSender::send_phase2(
     }
   }
 
+  // Hash inputs interleaved per OT: (q_j, tweak_j), (q_j ^ s, tweak_j).
+  const std::vector<Block> q = rows_from_columns(q_cols, m);
+  std::vector<Block> x(2 * m);
+  std::vector<Block> tweaks(2 * m);
   for (std::size_t j = 0; j < m; ++j) {
-    const Block q = row_from_columns(q_cols, j);
-    const Block tweak{ot_index_ + j, kIknpDomain};
-    ch_.send_block(msgs[j].first ^ hash_(q, tweak));
-    ch_.send_block(msgs[j].second ^ hash_(q ^ s_block_, tweak));
+    x[2 * j] = q[j];
+    x[2 * j + 1] = q[j] ^ s_block_;
+    tweaks[2 * j] = tweaks[2 * j + 1] = Block{ot_index_ + j, kIknpDomain};
+  }
+  hash_.hash_batch(x.data(), tweaks.data(), x.data(), x.size());
+  for (std::size_t j = 0; j < m; ++j) {
+    ch_.send_block(msgs[j].first ^ x[2 * j]);
+    ch_.send_block(msgs[j].second ^ x[2 * j + 1]);
   }
   ot_index_ += m;
 }
@@ -149,11 +152,13 @@ void IknpSender::send_phase2(
 std::vector<Block> IknpReceiver::recv_phase2() {
   const std::size_t m = choices_.size();
   std::vector<Block> out(m);
+  for (std::size_t j = 0; j < m; ++j)
+    out[j] = Block{ot_index_ + j, kIknpDomain};
+  hash_.hash_batch(t_rows_.data(), out.data(), out.data(), m);
   for (std::size_t j = 0; j < m; ++j) {
     const Block y0 = ch_.recv_block();
     const Block y1 = ch_.recv_block();
-    const Block tweak{ot_index_ + j, kIknpDomain};
-    out[j] = (choices_[j] ? y1 : y0) ^ hash_(t_rows_[j], tweak);
+    out[j] ^= choices_[j] ? y1 : y0;
   }
   ot_index_ += m;
   return out;

@@ -30,12 +30,37 @@
 // the standard correlated-OT optimization (honest-but-curious, like the
 // rest of the protocol); see docs/PROTOCOL.md §v3.
 //
-// Thread safety: claim/consume/discard/stats are internally locked (the
-// broker lets concurrent sessions of one client share a pool); base_setup
-// and extend speak on a channel and must be serialized by the caller.
+// Pad lifetime and memory. Each extend() stores its n pads as one chunk
+// indexed by absolute OT index, so an extension never copies the pads
+// already held and costs the same at any pool size. Chunks are freed
+// once no open claim can reach them:
+//
+//   * the sender frees every chunk lying wholly below the lowest open
+//     claim, or below the next claim's start when no claim is open;
+//   * the receiver frees every chunk lying wholly below the start of the
+//     latest claim mark_consumed accepted, so the pads of the claim in
+//     use stay readable until the next mark_consumed.
+//
+// Reading a freed index throws std::out_of_range. extended() keeps
+// counting every index ever materialized (claims and reconciliation
+// compare it across the wire); PoolStats::held counts the pads still
+// resident. Per client identity, memory is thus bounded by the pads from
+// the chunk holding the oldest open claim (sender) or the claim in use
+// (receiver) up to the materialized end, at 16 B per pad (plus one choice
+// bit per pad on the receiver). The broker extends only to cover a
+// claim's deficit, so with every claim closed an identity keeps about
+// one extension resident (<= kMaxPoolExtend pads), however long it lives.
+//
+// Thread safety: claim/consume/discard/pad/stats are internally locked
+// (the broker lets concurrent sessions of one client share a pool), and
+// the sender's extend() appends its chunk under the same lock;
+// base_setup and extend speak on a channel and must be serialized by the
+// caller. The receiver is single-threaded.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -58,6 +83,7 @@ inline constexpr std::size_t kMaxPoolExtend = 1u << 20;
 
 struct PoolStats {
   std::uint64_t extended = 0;   // indices materialized so far
+  std::uint64_t held = 0;       // pads still resident (not yet freed)
   std::uint64_t claimed = 0;    // outstanding (sessions in flight)
   std::uint64_t consumed = 0;   // used by completed rounds
   std::uint64_t discarded = 0;  // burned by failed/abandoned sessions
@@ -72,6 +98,42 @@ struct PoolClaim {
   std::uint64_t start = 0;
   std::uint64_t count = 0;
 };
+
+namespace detail {
+
+// Pads stored one chunk per extension, indexed by absolute OT index.
+// Chunks are appended in index order and freed from the front.
+class PadChunks {
+ public:
+  // Appends the next extension's pads; `bits` is the receiver's
+  // byte-packed choice column (empty on the sender).
+  void push(std::vector<Block> pads, std::vector<std::uint8_t> bits = {});
+  // Frees every chunk whose indices all lie below `end`.
+  void release_below(std::uint64_t end);
+  void clear();
+
+  // Pad / choice bit of a resident index; throws std::out_of_range for an
+  // index never materialized or already freed.
+  [[nodiscard]] const Block& pad(std::uint64_t idx) const;
+  [[nodiscard]] bool bit(std::uint64_t idx) const;
+
+  [[nodiscard]] std::uint64_t extended() const { return end_; }
+  [[nodiscard]] std::uint64_t held() const { return held_; }
+
+ private:
+  struct Chunk {
+    std::uint64_t base = 0;
+    std::vector<Block> pads;
+    std::vector<std::uint8_t> bits;
+  };
+  [[nodiscard]] const Chunk& chunk_of(std::uint64_t idx) const;
+
+  std::deque<Chunk> chunks_;
+  std::uint64_t end_ = 0;   // one past the last materialized index
+  std::uint64_t held_ = 0;  // pads in chunks_
+};
+
+}  // namespace detail
 
 // Server side. Owns the correlation secret s == the garbling delta, so
 // evaluator-input labels ride the pool pads directly.
@@ -95,14 +157,15 @@ class CorrelatedPoolSender {
   // does not hold enough available extensions.
   PoolClaim claim(std::uint64_t count);
   // Marks a claim used (successful session) or burned (failure). Every
-  // claim must end in exactly one of these; discard is idempotent-safe
-  // to call from error paths only once per claim.
+  // claim must end in exactly one of these, exactly once: ending a
+  // (start, count) that is not open throws std::logic_error. A
+  // zero-count claim holds no index, and ending it is a no-op.
   void consume(const PoolClaim& c);
   void discard(const PoolClaim& c);
 
-  // Raw pad q_idx. Valid for any materialized index. Returned by value
-  // under the lock: a concurrent extend() may reallocate the backing
-  // store, so a reference would dangle.
+  // Raw pad q_idx of a resident index (see "Pad lifetime" above).
+  // Returned by value under the lock: a concurrent consume() may free
+  // the chunk, so a reference could dangle.
   [[nodiscard]] Block pad(std::uint64_t idx) const;
 
   [[nodiscard]] const Block& delta() const { return delta_; }
@@ -116,8 +179,14 @@ class CorrelatedPoolSender {
   std::vector<bool> s_bits_;
   std::optional<BaseOtReceiver> base_;  // alive between steps 2 and 4
   std::vector<crypto::Prg> prgs_;  // G(k_i^{s_i}), stateful across extends
-  std::vector<Block> pads_;        // q rows
+  // Ends an open claim, counting it into `tally`, and frees what no open
+  // claim can reach any more.
+  void close(const PoolClaim& c, std::uint64_t& tally, const char* what);
+
   mutable std::mutex mu_;
+  detail::PadChunks pads_;         // q rows
+  // Open claims: start index -> count.
+  std::map<std::uint64_t, std::uint64_t> open_;
   std::uint64_t next_claim_ = 0;   // monotone: indices below are burned
   std::uint64_t claimed_ = 0;
   std::uint64_t consumed_ = 0;
@@ -143,16 +212,19 @@ class CorrelatedPoolReceiver {
   // Sends one extension batch of n correlated OTs.
   void extend(proto::Channel& ch, std::size_t n);
 
-  // Pad t_idx and random choice bit r_idx of a materialized index.
+  // Pad t_idx and random choice bit r_idx of a resident index (see "Pad
+  // lifetime" above); a reference stays valid while the index does.
   [[nodiscard]] const Block& pad(std::uint64_t idx) const;
   [[nodiscard]] bool choice(std::uint64_t idx) const;
 
   // Accepts the server's claim [start, start + count) for this session;
   // throws std::runtime_error if it dips below the watermark (an index
-  // replay — abort, never evaluate) or past the materialized end.
+  // replay — abort, never evaluate) or past the materialized end. Frees
+  // the chunks wholly below `start`.
   void mark_consumed(std::uint64_t start, std::uint64_t count);
 
-  [[nodiscard]] std::uint64_t extended() const { return choices_.size(); }
+  [[nodiscard]] std::uint64_t extended() const { return pads_.extended(); }
+  [[nodiscard]] std::uint64_t held() const { return pads_.held(); }
   [[nodiscard]] std::uint64_t watermark() const { return watermark_; }
 
  private:
@@ -162,8 +234,7 @@ class CorrelatedPoolReceiver {
   std::vector<crypto::Prg> prgs0_;
   std::vector<crypto::Prg> prgs1_;
   std::optional<crypto::Prg> r_prg_;  // private choice-bit stream
-  std::vector<Block> pads_;     // t rows
-  std::vector<bool> choices_;   // r bits
+  detail::PadChunks pads_;      // t rows, with the r bits alongside
   std::uint64_t watermark_ = 0;
 };
 

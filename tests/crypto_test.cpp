@@ -122,6 +122,22 @@ TEST(AesBackend, ActiveBackendIsConcrete) {
   }
 }
 
+TEST(AesBackend, SetBackendTakesEffectAfterFirstUse) {
+  // kAuto resolves once, at first use; an explicit pin must still switch
+  // the backend of every later call, and back again.
+  const Aes128 aes;
+  const Block pt{0x0123, 0x4567};
+  const Block ct_auto = aes.encrypt(pt);
+  const AesBackend auto_backend = aes_active_backend();
+  {
+    ScopedBackend pin(AesBackend::kTable);
+    EXPECT_EQ(aes_active_backend(), AesBackend::kTable);
+    EXPECT_EQ(aes.encrypt(pt), ct_auto);
+  }
+  EXPECT_EQ(aes_active_backend(), auto_backend);
+  EXPECT_EQ(aes.encrypt(pt), ct_auto);
+}
+
 TEST(AesBackend, AesniMatchesTableOnFips197) {
   if (!aesni_supported()) GTEST_SKIP() << "no AES-NI on this host/build";
   const std::uint8_t key_bytes[16] = {0x00, 0x01, 0x02, 0x03, 0x04, 0x05,
@@ -294,6 +310,29 @@ TEST(Prg, DeterministicFromSeed) {
   Prg a(Block{42, 0});
   Prg b(Block{42, 0});
   for (int i = 0; i < 32; ++i) EXPECT_EQ(a.next_block(), b.next_block());
+}
+
+TEST(Prg, FillIsTheNextBlockStream) {
+  // fill() batches its AES calls but must emit exactly the bytes of
+  // repeated next_block(), a partial last block consuming its counter.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        std::size_t{127}, std::size_t{128}, std::size_t{129},
+        std::size_t{1000}}) {
+    Prg a(Block{5, n});
+    Prg b(Block{5, n});
+    std::vector<std::uint8_t> got(n);
+    a.fill(got.data(), n);
+    std::vector<std::uint8_t> want;
+    while (want.size() < n) {
+      std::uint8_t buf[16];
+      b.next_block().to_bytes(buf);
+      want.insert(want.end(), buf, buf + 16);
+    }
+    want.resize(n);
+    EXPECT_EQ(got, want) << "n " << n;
+    EXPECT_EQ(a.next_block(), b.next_block()) << "n " << n;
+  }
 }
 
 TEST(Prg, DifferentSeedsDiverge) {

@@ -1,14 +1,17 @@
 // Oblivious-transfer tests: Fp127 field algebra, base OT correctness and
-// obliviousness structure, IKNP extension over multiple batches, and
+// obliviousness structure, the extension bit-matrix transpose, IKNP
+// extension over multiple batches (and its pinned wire transcript), and
 // channel traffic accounting.
 #include <gtest/gtest.h>
 
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/field.hpp"
 #include "ot/iknp.hpp"
 #include "ot/precomputed_ot.hpp"
+#include "ot/transpose.hpp"
 #include "proto/channel.hpp"
 
 #include <chrono>
@@ -30,6 +33,10 @@ namespace {
 using crypto::Block;
 using crypto::SystemRandom;
 using proto::MemoryChannel;
+
+// SHA-256 of the sender's side of Iknp.WireTranscriptIsPinned.
+constexpr const char* kIknpTranscriptDigest =
+    "a904346dd5b4094c76c9f2c250a9cadf41c5297403b363d0077c9efe52fb18ef";
 
 TEST(Fp127, ReduceCanonical) {
   EXPECT_EQ(Fp127::reduce(Fp127::p()), 0u);
@@ -173,6 +180,50 @@ TEST(Iknp, MultipleBatchesStayCorrect) {
       ASSERT_EQ(out[i], choices[i] ? msgs[i].second : msgs[i].first)
           << "batch " << batch << " index " << i;
   }
+}
+
+// A channel endpoint that hashes every byte it sends and receives.
+class TranscriptTap final : public proto::Channel {
+ public:
+  explicit TranscriptTap(std::unique_ptr<MemoryChannel> inner)
+      : inner_(std::move(inner)) {}
+  std::string digest() { return crypto::Sha256::hex(sha_.digest()); }
+
+ protected:
+  void raw_send(const std::uint8_t* data, std::size_t n) override {
+    sha_.update(data, n);
+    inner_->send_bytes(data, n);
+  }
+  void raw_recv(std::uint8_t* data, std::size_t n) override {
+    inner_->recv_bytes(data, n);
+    sha_.update(data, n);
+  }
+
+ private:
+  std::unique_ptr<MemoryChannel> inner_;
+  crypto::Sha256 sha_;
+};
+
+TEST(Iknp, WireTranscriptIsPinned) {
+  // Every byte IKNP puts on the wire -- base OT, the u columns and the
+  // hashed message pairs -- is pinned, so a peer built from older or
+  // newer code agrees on every OT.
+  auto [a, b] = MemoryChannel::create_pair();
+  TranscriptTap s_ch(std::move(a));
+  MemoryChannel& r_ch = *b;
+  SystemRandom s_rng(Block{21, 1});
+  SystemRandom r_rng(Block{21, 2});
+  IknpSender sender(s_ch, s_rng);
+  IknpReceiver receiver(r_ch, r_rng);
+  iknp_setup(sender, receiver);
+  for (const std::size_t n : {std::size_t{300}, std::size_t{128}}) {
+    const auto msgs = random_pairs(n, s_rng);
+    const auto choices = random_choices(n, 31 + n);
+    const auto out = run_ot(sender, receiver, msgs, choices);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(out[i], choices[i] ? msgs[i].second : msgs[i].first);
+  }
+  EXPECT_EQ(s_ch.digest(), kIknpTranscriptDigest);
 }
 
 TEST(Iknp, ExtensionBeatsBaseOtOnPublicKeyWork) {
@@ -353,6 +404,38 @@ TEST(TrustedOt, ShortcutDeliversChosen) {
   const auto out = run_ot(sender, receiver, msgs, choices);
   for (std::size_t i = 0; i < 8; ++i)
     EXPECT_EQ(out[i], choices[i] ? msgs[i].second : msgs[i].first);
+}
+
+TEST(Transpose128, MatchesScalarOracle) {
+  crypto::Prg prg(Block{0x7A, 0x128});
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+        std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
+        std::size_t{128}, std::size_t{129}, std::size_t{1000},
+        std::size_t{8192}}) {
+    // Random columns of exactly ceil(n / 8) bytes, junk bits past n
+    // included: the kernel must neither read past a column nor let
+    // those bits into a row.
+    const std::size_t bytes = (n + 7) / 8;
+    std::vector<std::vector<std::uint8_t>> cols(128);
+    const std::uint8_t* ptrs[128];
+    for (std::size_t i = 0; i < 128; ++i) {
+      cols[i].resize(bytes);
+      prg.fill(cols[i].data(), bytes);
+      ptrs[i] = cols[i].data();
+    }
+    std::vector<Block> rows(n + 1, Block{~0ull, ~0ull});
+    transpose128(ptrs, n, rows.data());
+    for (std::size_t j = 0; j < n; ++j) {
+      Block want = Block::zero();
+      for (std::size_t i = 0; i < 128; ++i) {
+        if (((cols[i][j / 8] >> (j % 8)) & 1u) == 0) continue;
+        (i < 64 ? want.lo : want.hi) |= 1ull << (i % 64);
+      }
+      ASSERT_EQ(rows[j], want) << "n " << n << " row " << j;
+    }
+    EXPECT_EQ(rows[n], (Block{~0ull, ~0ull})) << "wrote past row n-1";
+  }
 }
 
 TEST(Channel, CountsBytesBothWays) {

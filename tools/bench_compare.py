@@ -73,8 +73,12 @@ CHECKS = {
         "ratio": [
             ("mac_per_sec", "reusable-1000", "v3-1000", 2.0),
         ],
+        # A long-lived identity's pool extension must cost what a fresh
+        # pool's does: pads live in per-extension chunks, so nothing
+        # already held is copied (same-run ratio, any machine speed).
         "ratio_max": [
             ("bytes_per_mac", "reusable-1000", "v3-1000", 0.25),
+            ("extend_ms", "extend-at-1m", "extend-fresh", 1.1),
         ],
     },
     "broker_scaling": {
