@@ -25,6 +25,7 @@
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
 #include "proto/reusable_io.hpp"
+#include "proto/v3_records.hpp"
 
 namespace maxel::evloop {
 
@@ -128,12 +129,12 @@ void ReusableLoadgen::prepare(const LoadgenConfig& cfg) {
     ext.ticket =
         proto::ResumptionTicket{send_pool->pool_id(), client_id, cookie};
     net::send_hello_ext_v3(bc, ext);
-    proto::ReusableClientSetup cs;
-    cs.extended = send_pool->extended();
-    cs.watermark = 0;
-    cs.has_artifact = true;  // skip the artifact transfer: steady state
-    cs.artifact_sha = rctx_->view_sha;
-    proto::send_reusable_client_setup(bc, cs);
+    proto::send_client_setup(bc,
+                             proto::V3ClientSetup{send_pool->extended(), 0});
+    proto::ClientArtifactOffer have;
+    have.has_artifact = true;  // skip the artifact transfer: steady state
+    have.sha = rctx_->view_sha;
+    proto::send_client_offer(bc, have);
     bc.send_bits(std::vector<bool>(static_cast<std::size_t>(need), false));
     bc.flush();
 
@@ -314,9 +315,7 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
           const bool ok = n == 0 && status == 0;
           const bool retryable =
               status == static_cast<std::uint32_t>(
-                            net::RejectCode::kServerBusy) ||
-              status == static_cast<std::uint32_t>(
-                            net::RejectCode::kShuttingDown);
+                            net::RejectCode::kServerBusy);
           finish(c.fd, ok, retryable, c.attempts, c.identity, c.start_ms);
           break;
         }

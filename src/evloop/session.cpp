@@ -158,10 +158,10 @@ std::size_t EvSession::current_need() const {
     case St::kPreOt:
     case St::kStrOt:
       return ot_need();
-    case St::kV3Gate:
-      return 16;  // V3ClientSetup
-    case St::kReGate:
-      return proto::kReusableClientSetupWire;
+    case St::kPoolGate:
+      return proto::V3ClientSetup::kWireSize +
+             (mode_ == Mode::kReusable ? proto::ClientArtifactOffer::kWireSize
+                                       : 0);
     case St::kPoolExtend:
       return 128 * ((static_cast<std::size_t>(extend_count_) + 7) / 8);
     case St::kV3Round:
@@ -220,8 +220,7 @@ void EvSession::step() {
       else
         finalize(Mode::kStream);
       return;
-    case St::kV3Gate:
-    case St::kReGate:
+    case St::kPoolGate:
       pool_gate_step();
       return;
     case St::kPoolBase2:
@@ -266,30 +265,30 @@ void EvSession::finish_handshake() {
   stats_.handshake_seconds += seconds_since(t_accept_);
   t_session_ = Clock::now();
 
-  if (v3_ &&
-      hello_.mode == static_cast<std::uint8_t>(net::SessionMode::kReusable)) {
-    mode_ = Mode::kReusable;
-    if (ctx_->reusable == nullptr)
-      throw std::logic_error("evloop: reusable accepted without a context");
-    const std::uint64_t n_in = ctx_->reusable->artifact.view.n_evaluator_inputs;
-    need_total_ = static_cast<std::uint64_t>(ctx_->reusable->rounds) * n_in;
+  if (v3_) {
+    // The pooled modes share every step from here to the claim; they
+    // differ only in the claim demand and where the session comes from.
+    if (hello_.mode ==
+        static_cast<std::uint8_t>(net::SessionMode::kReusable)) {
+      mode_ = Mode::kReusable;
+      if (ctx_->reusable == nullptr)
+        throw std::logic_error("evloop: reusable accepted without a context");
+      need_total_ = static_cast<std::uint64_t>(ctx_->reusable->rounds) *
+                    ctx_->reusable->artifact.view.n_evaluator_inputs;
+    } else {
+      mode_ = Mode::kV3;
+      if (!ctx_->take_v3)
+        throw net::NetError("evloop: v3 mode has no session source");
+      v3_session_ = ctx_->take_v3();
+      if (v3_session_.pool_lineage != ctx_->reg->lineage())
+        throw std::logic_error(
+            "evloop v3: session garbled under a foreign delta");
+      need_total_ = v3_session_.round_count() * n_eval_;
+    }
     if (need_total_ == 0 || need_total_ > ot::kMaxPoolExtend)
-      throw std::invalid_argument("evloop reusable: bad claim demand");
+      throw std::invalid_argument("evloop: pool claim demand out of range");
     entry_ = ctx_->reg->entry_for(ext_->client_id);
-    state_ = St::kReGate;
-  } else if (v3_) {
-    mode_ = Mode::kV3;
-    if (!ctx_->take_v3)
-      throw net::NetError("evloop: v3 mode has no session source");
-    v3_session_ = ctx_->take_v3();
-    need_total_ = v3_session_.round_count() * n_eval_;
-    if (need_total_ > ot::kMaxPoolExtend)
-      throw std::invalid_argument("evloop v3: session too large");
-    if (v3_session_.pool_lineage != ctx_->reg->lineage())
-      throw std::logic_error(
-          "evloop v3: session garbled under a foreign delta");
-    entry_ = ctx_->reg->entry_for(ext_->client_id);
-    state_ = St::kV3Gate;
+    state_ = St::kPoolGate;
   } else if (hello_.mode ==
              static_cast<std::uint8_t>(net::SessionMode::kStream)) {
     init_stream();
@@ -398,10 +397,32 @@ void EvSession::pool_gate_step() {
     return;
   }
   gate_held_ = true;
-  if (mode_ == Mode::kV3)
-    v3_setup_part_a();
-  else
-    re_setup_part_a();
+
+  // Both records are read before either reply is staged: a recv flushes
+  // staged sends, and each side's setup and offer share one frame.
+  const proto::V3ClientSetup cs = proto::recv_client_setup(ch_);
+  const bool reusable = mode_ == Mode::kReusable;
+  if (reusable) {
+    const proto::ClientArtifactOffer have = proto::recv_client_offer(ch_);
+    artifact_sent_ =
+        !(have.has_artifact && have.sha == ctx_->reusable->view_sha);
+  }
+  reconcile_pool(cs.extended);
+  proto::V3ServerSetup ss;
+  ss.fresh = fresh_pool_;
+  ss.pool_id = pool_->pool_id();
+  ss.cookie = cookie_;
+  ss.start_index = claim_start_expected_;
+  ss.claim_count = need_total_;
+  ss.extend_count = extend_count_;
+  proto::send_server_setup(ch_, ss);
+  if (reusable)
+    proto::send_server_offer(
+        ch_, proto::ServerArtifactOffer{
+                 artifact_sent_ ? ctx_->reusable->view_bytes.size() : 0,
+                 ctx_->reusable->view_sha});
+  ch_.flush();
+  begin_pool_phases();
 }
 
 void EvSession::reconcile_pool(std::uint64_t client_extended) {
@@ -451,41 +472,6 @@ void EvSession::begin_pool_phases() {
     finish_pool_setup();
 }
 
-void EvSession::v3_setup_part_a() {
-  reconcile_pool(proto::recv_client_setup(ch_).extended);
-  proto::V3ServerSetup ss;
-  ss.fresh = fresh_pool_;
-  ss.pool_id = pool_->pool_id();
-  ss.cookie = cookie_;
-  ss.start_index = claim_start_expected_;
-  ss.claim_count = need_total_;
-  ss.extend_count = extend_count_;
-  proto::send_server_setup(ch_, ss);
-  ch_.flush();
-  begin_pool_phases();
-}
-
-void EvSession::re_setup_part_a() {
-  const proto::ReusableClientSetup cs =
-      proto::recv_reusable_client_setup(ch_);
-  reconcile_pool(cs.extended);
-  artifact_sent_ =
-      !(cs.has_artifact && cs.artifact_sha == ctx_->reusable->view_sha);
-  proto::ReusableServerSetup ss;
-  ss.fresh = fresh_pool_;
-  ss.pool_id = pool_->pool_id();
-  ss.cookie = cookie_;
-  ss.start_index = claim_start_expected_;
-  ss.claim_count = need_total_;
-  ss.extend_count = extend_count_;
-  ss.artifact_bytes =
-      artifact_sent_ ? ctx_->reusable->view_bytes.size() : 0;
-  ss.artifact_sha = ctx_->reusable->view_sha;
-  proto::send_reusable_server_setup(ch_, ss);
-  ch_.flush();
-  begin_pool_phases();
-}
-
 void EvSession::finish_pool_setup() {
   claim_ = pool_->claim(need_total_);
   claim_open_ = true;
@@ -493,7 +479,7 @@ void EvSession::finish_pool_setup() {
     throw std::logic_error("evloop: pool claim raced despite the gate");
   proto::send_ticket(ch_, proto::ResumptionTicket{pool_->pool_id(),
                                                   ext_->client_id, cookie_});
-  if (mode_ == Mode::kReusable && artifact_sent_)
+  if (artifact_sent_)
     timed(stats_.transfer_seconds, [this] {
       ch_.send_bytes(ctx_->reusable->view_bytes.data(),
                      ctx_->reusable->view_bytes.size());
@@ -505,7 +491,6 @@ void EvSession::finish_pool_setup() {
     proto::SeedExpansionRecord seed;
     seed.label_seed = v3_session_.label_seed;
     proto::send_seed_expansion(ch_, seed);
-    round_idx_ = claim_.start;
     r_ = 0;
     v3_send_round_frame();
     state_ = St::kV3Round;
@@ -515,37 +500,21 @@ void EvSession::finish_pool_setup() {
 }
 
 void EvSession::v3_send_round_frame() {
-  timed(stats_.transfer_seconds, [this] {
-    proto::V3RoundFrame frame;
-    frame.rows = v3_session_.rounds[r_].rows;
-    frame.output_map = v3_session_.rounds[r_].output_map;
-    proto::send_round_frame(ch_, frame);
-    ch_.flush();
-  });
+  timed(stats_.transfer_seconds,
+        [this] { proto::send_v3_round(ch_, v3_session_, r_); });
 }
 
 void EvSession::v3_round_step() {
   // The round's label OT: derandomize the pool pads by the client's
   // choice-adjust bits.
   timed(stats_.ot_seconds, [this] {
-    std::vector<std::uint8_t> d((n_eval_ + 7) / 8);
-    ch_.recv_bytes(d.data(), d.size());
-    const gc::V3RoundMaterial& m = v3_session_.rounds[r_];
-    for (std::size_t j = 0; j < n_eval_; ++j, ++round_idx_) {
-      crypto::Block z = pool_->pad(round_idx_) ^ m.evaluator_pairs[j].first;
-      if ((d[j / 8] >> (j % 8)) & 1u) z ^= v3_session_.delta;
-      ch_.send_block(z);
-    }
-    ch_.flush();
+    proto::answer_v3_round(ch_, v3_session_, r_, *pool_, claim_);
   });
   ++r_;
-  if (r_ < v3_session_.round_count()) {
+  if (r_ < v3_session_.round_count())
     v3_send_round_frame();
-  } else {
-    pool_->consume(claim_);
-    claim_open_ = false;
+  else
     finalize(Mode::kV3);
-  }
 }
 
 void EvSession::re_dbits_step() {
@@ -578,12 +547,14 @@ void EvSession::re_dbits_step() {
     ch_.send_bits(ctx_->reusable->masked_garbler_bits);
     ch_.flush();
   });
-  pool_->consume(claim_);
-  claim_open_ = false;
   finalize(Mode::kReusable);
 }
 
 void EvSession::finalize(Mode done_mode) {
+  if (claim_open_) {
+    pool_->consume(claim_);
+    claim_open_ = false;
+  }
   stats_.bytes_sent += ch_.bytes_sent();
   stats_.bytes_received += ch_.bytes_received();
   ++stats_.sessions_served;
@@ -598,16 +569,16 @@ void EvSession::finalize(Mode done_mode) {
     case Mode::kV3:
       stats_.rounds_served += v3_session_.round_count();
       ++stats_.v3_sessions_served;
-      if (fresh_pool_) ++stats_.v3_fresh_pools;
-      stats_.v3_ot_extended += extend_count_;
       break;
     case Mode::kReusable:
       stats_.rounds_served += ctx_->reusable->rounds;
       ++stats_.reusable_sessions_served;
       if (artifact_sent_) ++stats_.reusable_artifacts_sent;
-      if (fresh_pool_) ++stats_.v3_fresh_pools;
-      stats_.v3_ot_extended += extend_count_;
       break;
+  }
+  if (pool_) {  // the pooled modes' shared accounting
+    if (fresh_pool_) ++stats_.v3_fresh_pools;
+    stats_.v3_ot_extended += extend_count_;
   }
   session_seconds_ = seconds_since(t_session_);
   state_ = St::kDone;

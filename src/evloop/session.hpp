@@ -118,8 +118,7 @@ class EvSession {
     kOtSetup4,    // IKNP setup step 4
     kPreOt,       // precomputed: waiting the round's OT phase-2 bytes
     kStrOt,       // stream: waiting the round's OT phase-2 bytes
-    kV3Gate,      // v3: client setup buffered, waiting the pool gate
-    kReGate,      // reusable: likewise
+    kPoolGate,    // v3/reusable: client setup buffered, waiting the gate
     kPoolBase2,   // pool base OT step 2 (v3/reusable)
     kPoolBase4,   // pool base OT step 4
     kPoolExtend,  // pool extension columns
@@ -141,13 +140,13 @@ class EvSession {
   void init_stream();
   void begin_pre_round();
   void start_stream_chunk();
-  void pool_gate_step();   // kV3Gate / kReGate action once the gate is won
+  // kPoolGate: wins the gate, reads the client's setup (+ artifact
+  // offer), answers it and starts the pool phases.
+  void pool_gate_step();
   // Resume-or-fresh decision, extension size and claim start for the
   // client's pool, from the materialized count its setup record reports.
   void reconcile_pool(std::uint64_t client_extended);
   void begin_pool_phases();  // base OT / extend / claim, as needed
-  void v3_setup_part_a();
-  void re_setup_part_a();
   void finish_pool_setup();  // claim + ticket (+artifact), releases gate
   void v3_send_round_frame();
   void v3_round_step();
@@ -199,7 +198,6 @@ class EvSession {
   std::uint64_t need_total_ = 0;
   std::uint64_t extend_count_ = 0;
   std::uint64_t claim_start_expected_ = 0;
-  std::uint64_t round_idx_ = 0;  // next pool index for v3 rounds
 
   net::ServerStats stats_;
   double session_seconds_ = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -85,190 +86,176 @@ std::unique_ptr<proto::Channel> make_channel(
   return base;
 }
 
-// One protocol-v3 session attempt: slim wire format, input labels from
-// the cross-session OT pool in `st`. Throws HandshakeError with
-// kVersionMismatch when the server only speaks v2 (the caller falls
-// back); any other failure follows the usual retry path — the pool
-// state survives, so a retried session resumes instead of redoing the
-// base OT.
-ClientStats run_v3_attempt(const ClientConfig& cfg,
-                           const std::shared_ptr<FaultInjector>& injector,
-                           V3ClientState& st) {
-  const auto t_total = Clock::now();
-  const circuit::Circuit circ =
-      circuit::make_mac_circuit(circuit::MacOptions{cfg.bits, cfg.bits, true});
-  const gc::V3Analysis an = gc::analyze_v3(circ);
-  std::unique_ptr<proto::Channel> ch = make_channel(cfg, injector);
+// What a session body needs from the attempt around it: the handshake
+// is done, the evaluator's demo inputs for every round are drawn, and
+// the body fills in its own ClientStats fields plus `note`, the
+// mode-specific part of the verbose line.
+struct Attempt {
+  const ClientConfig& cfg;
+  const circuit::Circuit& circ;
+  proto::Channel& ch;
+  V3ClientState* pool;  // null on the v2 wire
+  const std::vector<std::vector<bool>>& e_bits;
+  Clock::time_point t_total;
+  ClientStats& stats;
+  std::string note;
+};
 
-  ClientStats stats;
-  stats.protocol_used = kProtocolVersionV3;
-  {
-    const auto t0 = Clock::now();
-    ClientHello hello;
-    hello.scheme = static_cast<std::uint8_t>(cfg.scheme);
-    hello.ot = static_cast<std::uint8_t>(cfg.ot);
-    hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
-    hello.rounds = cfg.rounds_hint;
-    hello.circuit_hash = circuit_fingerprint(circ);
-    HelloExtV3 ext;
-    ext.client_id = st.client_id;
-    if (st.ticket) {
-      ext.has_ticket = true;
-      ext.ticket = *st.ticket;
-    }
-    stats.rounds = client_handshake_v3(*ch, hello, ext);
-    stats.handshake_seconds = seconds_since(t0);
-  }
+// A session body runs after the handshake and returns the final round's
+// decoded outputs.
+using SessionBody = std::vector<bool> (*)(Attempt&);
 
-  DemoInputStream x_inputs(cfg.demo_seed, kEvaluatorStream, cfg.bits);
-  std::vector<std::vector<bool>> e_bits(stats.rounds);
-  for (auto& row : e_bits) row = x_inputs.next_bits();
-
+// v2 wire, precomputed or stream delivery: a per-session OT (base or
+// IKNP), then per round the garbled material, the label OT and a
+// streaming evaluation.
+std::vector<bool> v2_body(Attempt& a) {
+  const ClientConfig& cfg = a.cfg;
+  ClientStats& stats = a.stats;
   crypto::SystemRandom rng;
-  const auto t0 = Clock::now();
-  const V3EvalOutcome out = eval_v3_session(*ch, circ, an, e_bits, st, rng);
-  stats.eval_seconds = seconds_since(t0);
-  stats.first_table_seconds = seconds_since(t_total);
-
-  stats.setup_bytes = out.setup_bytes;
-  stats.pool_resumed = !out.fresh_pool;
-  stats.output_value = circuit::from_bits(out.decoded);
-  if (cfg.check) {
-    stats.checked = true;
-    stats.verified = stats.output_value == demo_mac_reference(cfg.demo_seed,
-                                                              cfg.bits,
-                                                              stats.rounds);
+  std::unique_ptr<ot::BaseOtReceiver> base_ot;
+  std::unique_ptr<ot::IknpReceiver> iknp;
+  ot::OtReceiver* ot = nullptr;
+  if (cfg.ot == OtChoice::kIknp) {
+    iknp = std::make_unique<ot::IknpReceiver>(a.ch, rng);
+    const auto t0 = Clock::now();
+    iknp->setup_step1();
+    iknp->setup_step3();
+    stats.ot_seconds += seconds_since(t0);
+    ot = iknp.get();
+  } else {
+    base_ot = std::make_unique<ot::BaseOtReceiver>(a.ch, rng);
+    ot = base_ot.get();
   }
-  stats.bytes_sent = ch->bytes_sent();
-  stats.bytes_received = ch->bytes_received();
-  stats.total_seconds = seconds_since(t_total);
 
-  if (cfg.verbose)
-    std::fprintf(stderr,
-                 "[maxel_client] v3 (%s), %u rounds, %llu B in / %llu B out, "
-                 "setup %llu B%s\n",
-                 stats.pool_resumed ? "resumed pool" : "fresh pool",
-                 stats.rounds,
-                 static_cast<unsigned long long>(stats.bytes_received),
-                 static_cast<unsigned long long>(stats.bytes_sent),
-                 static_cast<unsigned long long>(stats.setup_bytes),
-                 stats.checked ? (stats.verified ? ", VERIFIED" : ", MISMATCH")
-                               : "");
-  return stats;
+  gc::StreamingEvaluator evaluator(a.circ, cfg.scheme);
+  stats.working_set_bytes = evaluator.working_set_bytes();
+
+  // One round's label OT and evaluation, the same in both deliveries.
+  std::vector<bool> decoded;
+  std::uint32_t done = 0;
+  const auto ot_and_eval = [&](const gc::RoundTables& tables,
+                               const std::vector<crypto::Block>& garbler_labels,
+                               const std::vector<crypto::Block>& fixed_labels,
+                               const std::vector<bool>& output_map) {
+    auto t0 = Clock::now();
+    ot->recv_phase1(a.e_bits[done]);
+    const std::vector<crypto::Block> my_labels = ot->recv_phase2();
+    stats.ot_seconds += seconds_since(t0);
+
+    t0 = Clock::now();
+    const auto out_labels = evaluator.eval_round(tables, garbler_labels,
+                                                 my_labels, fixed_labels);
+    decoded = gc::decode_with_map(out_labels, output_map);
+    stats.eval_seconds += seconds_since(t0);
+    ++done;
+  };
+
+  if (cfg.mode == SessionMode::kStream) {
+    // Stream mode: rounds arrive in chunk frames (proto::chunk_io); OT
+    // still runs once per round after each chunk lands.
+    while (done < stats.rounds) {
+      const auto t0 = Clock::now();
+      proto::WireChunk wc = proto::recv_chunk(a.ch);
+      stats.transfer_seconds += seconds_since(t0);
+      if (done == 0) stats.first_table_seconds = seconds_since(a.t_total);
+      if (wc.scheme != cfg.scheme)
+        throw NetError("stream chunk: scheme mismatch");
+      if (wc.first_round != done || wc.rounds.empty() ||
+          done + wc.rounds.size() > stats.rounds)
+        throw NetError("stream chunk: rounds out of order or overrun");
+      if (done == 0)
+        evaluator.set_initial_state_labels(wc.initial_state_labels);
+      for (const auto& wr : wc.rounds)
+        ot_and_eval(wr.tables, wr.garbler_labels, wr.fixed_labels,
+                    wr.output_map);
+      ++stats.chunks_received;
+    }
+  } else {
+    std::vector<std::uint8_t> table_buf;
+    while (done < stats.rounds) {
+      // Round material, same wire order GarblerParty/PrecomputedGarblerParty
+      // send it: tables, garbler labels, fixed labels, initial state
+      // (round 0 only), output decode map.
+      const auto t0 = Clock::now();
+      const std::size_t n_tables = a.ch.recv_u64();
+      table_buf.resize(n_tables * gc::bytes_per_and(cfg.scheme));
+      a.ch.recv_bytes(table_buf.data(), table_buf.size());
+      const gc::RoundTables tables =
+          gc::tables_from_bytes(table_buf.data(), n_tables, cfg.scheme);
+      const std::vector<crypto::Block> garbler_labels = a.ch.recv_blocks();
+      const std::vector<crypto::Block> fixed_labels = a.ch.recv_blocks();
+      if (done == 0) evaluator.set_initial_state_labels(a.ch.recv_blocks());
+      const std::vector<bool> output_map = a.ch.recv_bits();
+      stats.transfer_seconds += seconds_since(t0);
+      if (done == 0) stats.first_table_seconds = seconds_since(a.t_total);
+      ot_and_eval(tables, garbler_labels, fixed_labels, output_map);
+    }
+  }
+
+  char note[160];
+  std::snprintf(note, sizeof(note),
+                "%s, working set %zu B, transfer %.3fs, ot %.3fs, eval %.3fs",
+                cfg.mode == SessionMode::kStream ? "stream" : "precomputed",
+                stats.working_set_bytes, stats.transfer_seconds,
+                stats.ot_seconds, stats.eval_seconds);
+  a.note = note;
+  return decoded;
 }
 
-// One reusable-mode session attempt: v3 hello with mode kReusable, the
-// artifact view cached across attempts/sessions in `st`, inputs through
-// the shared OT pool, all rounds evaluated locally off the plaintext
-// masked tables. There is no v2 equivalent to fall back to: a
-// kVersionMismatch (or any other reject) surfaces to the caller.
-ClientStats run_reusable_attempt(const ClientConfig& cfg,
-                                 const std::shared_ptr<FaultInjector>& injector,
-                                 V3ClientState& st) {
-  const auto t_total = Clock::now();
-  const circuit::Circuit circ =
-      circuit::make_mac_circuit(circuit::MacOptions{cfg.bits, cfg.bits, true});
-  std::unique_ptr<proto::Channel> ch = make_channel(cfg, injector);
+// The pooled bodies' stamps. first_table_seconds is taken once the whole
+// session is evaluated: the rounds interleave with their label OT.
+std::vector<bool> pooled_result(Attempt& a, Clock::time_point t0,
+                                const V3EvalOutcome& out,
+                                const std::string& mode) {
+  a.stats.eval_seconds = seconds_since(t0);
+  a.stats.first_table_seconds = seconds_since(a.t_total);
+  a.stats.setup_bytes = out.setup_bytes;
+  a.stats.pool_resumed = !out.fresh_pool;
+  a.note = mode + (out.fresh_pool ? ", fresh pool" : ", resumed pool") +
+           ", setup " + std::to_string(out.setup_bytes) + " B";
+  return out.decoded;
+}
 
-  ClientStats stats;
-  stats.protocol_used = kProtocolVersionV3;
-  {
-    const auto t0 = Clock::now();
-    ClientHello hello;
-    hello.scheme = static_cast<std::uint8_t>(cfg.scheme);
-    hello.ot = static_cast<std::uint8_t>(cfg.ot);
-    hello.mode = static_cast<std::uint8_t>(SessionMode::kReusable);
-    hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
-    hello.rounds = cfg.rounds_hint;
-    hello.circuit_hash = circuit_fingerprint(circ);
-    HelloExtV3 ext;
-    ext.client_id = st.client_id;
-    if (st.ticket) {
-      ext.has_ticket = true;
-      ext.ticket = *st.ticket;
-    }
-    stats.rounds = client_handshake_v3(*ch, hello, ext);
-    stats.handshake_seconds = seconds_since(t0);
-  }
+// Protocol v3: slim wire format, input labels from the cross-session OT
+// pool.
+std::vector<bool> v3_body(Attempt& a) {
+  const gc::V3Analysis an = gc::analyze_v3(a.circ);
+  crypto::SystemRandom rng;
+  const auto t0 = Clock::now();
+  return pooled_result(
+      a, t0, eval_v3_session(a.ch, a.circ, an, a.e_bits, *a.pool, rng),
+      "v3");
+}
 
-  DemoInputStream x_inputs(cfg.demo_seed, kEvaluatorStream, cfg.bits);
-  std::vector<std::vector<bool>> e_bits(stats.rounds);
-  for (auto& row : e_bits) row = x_inputs.next_bits();
-
+// Reusable mode: the artifact view cached across attempts and sessions
+// in the pool state, inputs through the shared OT pool, all rounds
+// evaluated locally off the plaintext masked tables.
+std::vector<bool> reusable_body(Attempt& a) {
   crypto::SystemRandom rng;
   const auto t0 = Clock::now();
   const ReusableEvalOutcome out =
-      eval_reusable_session(*ch, circ, e_bits, st, rng);
-  stats.eval_seconds = seconds_since(t0);
-  stats.first_table_seconds = seconds_since(t_total);
-
-  stats.setup_bytes = out.setup_bytes;
-  stats.pool_resumed = !out.fresh_pool;
-  stats.output_value = circuit::from_bits(out.decoded);
-  if (cfg.check) {
-    stats.checked = true;
-    stats.verified = stats.output_value == demo_mac_reference(cfg.demo_seed,
-                                                              cfg.bits,
-                                                              stats.rounds);
-  }
-  stats.bytes_sent = ch->bytes_sent();
-  stats.bytes_received = ch->bytes_received();
-  stats.total_seconds = seconds_since(t_total);
-
-  if (cfg.verbose)
-    std::fprintf(stderr,
-                 "[maxel_client] reusable (%s, %s), %u rounds, "
-                 "%llu B in / %llu B out, setup %llu B%s\n",
-                 stats.pool_resumed ? "resumed pool" : "fresh pool",
-                 out.artifact_received ? "artifact received"
-                                       : "artifact cached",
-                 stats.rounds,
-                 static_cast<unsigned long long>(stats.bytes_received),
-                 static_cast<unsigned long long>(stats.bytes_sent),
-                 static_cast<unsigned long long>(stats.setup_bytes),
-                 stats.checked ? (stats.verified ? ", VERIFIED" : ", MISMATCH")
-                               : "");
-  return stats;
+      eval_reusable_session(a.ch, a.circ, a.e_bits, *a.pool, rng);
+  return pooled_result(a, t0, out,
+                       out.artifact_received ? "reusable, artifact received"
+                                             : "reusable, artifact cached");
 }
 
-// One complete session attempt: fresh channel, fresh handshake, fresh
-// OT state, fresh evaluator. Throws on any failure; run_client maps
-// non-NetError escapes (parse/eval blowups from corrupted-but-framed
-// bytes) to the typed, retryable CorruptionError.
-ClientStats run_session_attempt(const ClientConfig& cfg,
-                                const std::shared_ptr<FaultInjector>& injector,
-                                V3ClientState* v3_state) {
-  if (cfg.mode == SessionMode::kReusable) {
-    if (!v3_state)
-      throw std::logic_error("reusable mode requires v3 client state");
-    return run_reusable_attempt(cfg, injector, *v3_state);
-  }
-  // Prefer v3 when configured (precomputed mode only — v3 subsumes the
-  // per-round flow). A v2-only server rejects the v3 hello with
-  // kVersionMismatch; redial the same attempt with a v2 hello so old
-  // servers keep working unchanged.
-  if (v3_state && cfg.protocol >= kProtocolVersionV3 &&
-      cfg.mode == SessionMode::kPrecomputed) {
-    try {
-      return run_v3_attempt(cfg, injector, *v3_state);
-    } catch (const HandshakeError& e) {
-      if (e.code() != RejectCode::kVersionMismatch) throw;
-      if (cfg.verbose)
-        std::fprintf(stderr,
-                     "[maxel_client] server only speaks protocol v2 (%s); "
-                     "redialing with a v2 hello\n",
-                     e.what());
-    }
-  }
-
+// One complete session attempt: circuit, fresh channel, hello (with the
+// v3 extension when `pool` is given), the evaluator's demo inputs, the
+// mode's body, then the reference check and the byte and time stamps.
+// Throws on any failure; run_client maps non-NetError escapes
+// (parse/eval blowups from corrupted-but-framed bytes) to the typed,
+// retryable CorruptionError.
+ClientStats run_attempt(const ClientConfig& cfg,
+                        const std::shared_ptr<FaultInjector>& injector,
+                        V3ClientState* pool, SessionBody body) {
   const auto t_total = Clock::now();
   const circuit::Circuit circ =
       circuit::make_mac_circuit(circuit::MacOptions{cfg.bits, cfg.bits, true});
-
   std::unique_ptr<proto::Channel> ch = make_channel(cfg, injector);
 
   ClientStats stats;
-  stats.protocol_used = kProtocolVersion;
+  stats.protocol_used = pool ? kProtocolVersionV3 : kProtocolVersion;
   {
     const auto t0 = Clock::now();
     ClientHello hello;
@@ -278,95 +265,26 @@ ClientStats run_session_attempt(const ClientConfig& cfg,
     hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
     hello.rounds = cfg.rounds_hint;
     hello.circuit_hash = circuit_fingerprint(circ);
-    stats.rounds = client_handshake(*ch, hello);
+    if (pool) {
+      HelloExtV3 ext;
+      ext.client_id = pool->client_id;
+      if (pool->ticket) {
+        ext.has_ticket = true;
+        ext.ticket = *pool->ticket;
+      }
+      stats.rounds = client_handshake_v3(*ch, hello, ext);
+    } else {
+      stats.rounds = client_handshake(*ch, hello);
+    }
     stats.handshake_seconds = seconds_since(t0);
   }
 
-  crypto::SystemRandom rng;
-  std::unique_ptr<ot::BaseOtReceiver> base_ot;
-  std::unique_ptr<ot::IknpReceiver> iknp;
-  ot::OtReceiver* ot = nullptr;
-  if (cfg.ot == OtChoice::kIknp) {
-    iknp = std::make_unique<ot::IknpReceiver>(*ch, rng);
-    const auto t0 = Clock::now();
-    iknp->setup_step1();
-    iknp->setup_step3();
-    stats.ot_seconds += seconds_since(t0);
-    ot = iknp.get();
-  } else {
-    base_ot = std::make_unique<ot::BaseOtReceiver>(*ch, rng);
-    ot = base_ot.get();
-  }
-
-  gc::StreamingEvaluator evaluator(circ, cfg.scheme);
-  stats.working_set_bytes = evaluator.working_set_bytes();
-
   DemoInputStream x_inputs(cfg.demo_seed, kEvaluatorStream, cfg.bits);
-  std::vector<bool> decoded;
-  if (cfg.mode == SessionMode::kStream) {
-    // Stream mode: rounds arrive in chunk frames (proto::chunk_io); OT
-    // still runs once per round after each chunk lands.
-    std::uint32_t done = 0;
-    while (done < stats.rounds) {
-      auto t0 = Clock::now();
-      proto::WireChunk wc = proto::recv_chunk(*ch);
-      stats.transfer_seconds += seconds_since(t0);
-      if (done == 0) stats.first_table_seconds = seconds_since(t_total);
-      if (wc.scheme != cfg.scheme)
-        throw NetError("stream chunk: scheme mismatch");
-      if (wc.first_round != done || wc.rounds.empty() ||
-          done + wc.rounds.size() > stats.rounds)
-        throw NetError("stream chunk: rounds out of order or overrun");
-      if (done == 0)
-        evaluator.set_initial_state_labels(wc.initial_state_labels);
-      for (const auto& wr : wc.rounds) {
-        t0 = Clock::now();
-        ot->recv_phase1(x_inputs.next_bits());
-        const std::vector<crypto::Block> my_labels = ot->recv_phase2();
-        stats.ot_seconds += seconds_since(t0);
+  std::vector<std::vector<bool>> e_bits(stats.rounds);
+  for (auto& row : e_bits) row = x_inputs.next_bits();
 
-        t0 = Clock::now();
-        const auto out_labels = evaluator.eval_round(
-            wr.tables, wr.garbler_labels, my_labels, wr.fixed_labels);
-        decoded = gc::decode_with_map(out_labels, wr.output_map);
-        stats.eval_seconds += seconds_since(t0);
-        ++done;
-      }
-      ++stats.chunks_received;
-    }
-  } else {
-    std::vector<std::uint8_t> table_buf;
-    for (std::uint32_t r = 0; r < stats.rounds; ++r) {
-      // Round material, same wire order GarblerParty/PrecomputedGarblerParty
-      // send it: tables, garbler labels, fixed labels, initial state
-      // (round 0 only), output decode map.
-      auto t0 = Clock::now();
-      const std::size_t n_tables = ch->recv_u64();
-      table_buf.resize(n_tables * gc::bytes_per_and(cfg.scheme));
-      ch->recv_bytes(table_buf.data(), table_buf.size());
-      const gc::RoundTables tables =
-          gc::tables_from_bytes(table_buf.data(), n_tables, cfg.scheme);
-      const std::vector<crypto::Block> garbler_labels = ch->recv_blocks();
-      const std::vector<crypto::Block> fixed_labels = ch->recv_blocks();
-      if (r == 0) evaluator.set_initial_state_labels(ch->recv_blocks());
-      const std::vector<bool> output_map = ch->recv_bits();
-      stats.transfer_seconds += seconds_since(t0);
-      if (r == 0) stats.first_table_seconds = seconds_since(t_total);
-
-      t0 = Clock::now();
-      ot->recv_phase1(x_inputs.next_bits());
-      const std::vector<crypto::Block> my_labels = ot->recv_phase2();
-      stats.ot_seconds += seconds_since(t0);
-
-      t0 = Clock::now();
-      const auto out_labels = evaluator.eval_round(tables, garbler_labels,
-                                                   my_labels, fixed_labels);
-      decoded = gc::decode_with_map(out_labels, output_map);
-      stats.eval_seconds += seconds_since(t0);
-    }
-  }
-
-  stats.output_value = circuit::from_bits(decoded);
+  Attempt a{cfg, circ, *ch, pool, e_bits, t_total, stats, {}};
+  stats.output_value = circuit::from_bits(body(a));
   if (cfg.check) {
     stats.checked = true;
     stats.verified = stats.output_value == demo_mac_reference(cfg.demo_seed,
@@ -379,17 +297,45 @@ ClientStats run_session_attempt(const ClientConfig& cfg,
 
   if (cfg.verbose)
     std::fprintf(stderr,
-                 "[maxel_client] %s%u rounds, %llu B in / %llu B out, "
-                 "working set %zu B, transfer %.3fs, ot %.3fs, eval %.3fs%s\n",
-                 cfg.mode == SessionMode::kStream ? "stream, " : "",
+                 "[maxel_client] %u rounds, %llu B in / %llu B out, %s%s\n",
                  stats.rounds,
                  static_cast<unsigned long long>(stats.bytes_received),
                  static_cast<unsigned long long>(stats.bytes_sent),
-                 stats.working_set_bytes, stats.transfer_seconds,
-                 stats.ot_seconds, stats.eval_seconds,
+                 a.note.c_str(),
                  stats.checked ? (stats.verified ? ", VERIFIED" : ", MISMATCH")
                                : "");
   return stats;
+}
+
+// Picks the wire and the body for cfg.mode. Reusable mode has no v2
+// equivalent: any reject surfaces to the caller. Precomputed mode
+// prefers v3 when configured (v3 subsumes the per-round flow); a
+// v2-only server rejects the v3 hello with kVersionMismatch, and the
+// same attempt redials with a v2 hello so old servers keep working.
+// The pool state survives every failure, so a retried v3 session
+// resumes instead of redoing the base OT.
+ClientStats run_session_attempt(const ClientConfig& cfg,
+                                const std::shared_ptr<FaultInjector>& injector,
+                                V3ClientState* v3_state) {
+  if (cfg.mode == SessionMode::kReusable) {
+    if (!v3_state)
+      throw std::logic_error("reusable mode requires v3 client state");
+    return run_attempt(cfg, injector, v3_state, reusable_body);
+  }
+  if (v3_state && cfg.protocol >= kProtocolVersionV3 &&
+      cfg.mode == SessionMode::kPrecomputed) {
+    try {
+      return run_attempt(cfg, injector, v3_state, v3_body);
+    } catch (const HandshakeError& e) {
+      if (e.code() != RejectCode::kVersionMismatch) throw;
+      if (cfg.verbose)
+        std::fprintf(stderr,
+                     "[maxel_client] server only speaks protocol v2 (%s); "
+                     "redialing with a v2 hello\n",
+                     e.what());
+    }
+  }
+  return run_attempt(cfg, injector, nullptr, v2_body);
 }
 
 }  // namespace

@@ -56,10 +56,12 @@ class CorruptionError : public NetError {
 };
 
 // Session-protocol rejection codes (see handshake.hpp for the fields).
-// kServerBusy / kShuttingDown are load-state rejects sent by the broker
-// before it reads the hello: the admission queue is full, or the broker
-// is draining. Both are retryable from the client's point of view,
-// unlike the configuration mismatches above them.
+// kServerBusy is the load-state reject the broker sends before it reads
+// the hello, when it is out of descriptors. It is retryable from the
+// client's point of view, unlike the configuration mismatches above it.
+// Value 8 stays reserved, never reused, so an older peer's 8 is not
+// misread as another code; a client that receives it sees an unknown,
+// non-retryable reject.
 enum class RejectCode : std::uint32_t {
   kOk = 0,
   kBadMagic = 1,
@@ -69,7 +71,6 @@ enum class RejectCode : std::uint32_t {
   kCircuitMismatch = 5,
   kBadOtMode = 6,
   kServerBusy = 7,
-  kShuttingDown = 8,
   kBadMode = 9,  // unknown/unsupported session mode byte in the hello
 };
 
@@ -83,7 +84,6 @@ enum class RejectCode : std::uint32_t {
     case RejectCode::kCircuitMismatch: return "circuit-mismatch";
     case RejectCode::kBadOtMode: return "bad-ot-mode";
     case RejectCode::kServerBusy: return "server-busy";
-    case RejectCode::kShuttingDown: return "shutting-down";
     case RejectCode::kBadMode: return "bad-mode";
   }
   return "?";
@@ -92,7 +92,7 @@ enum class RejectCode : std::uint32_t {
 // True for rejects that describe transient server load rather than a
 // configuration mismatch; a client may retry these after a backoff.
 [[nodiscard]] constexpr bool reject_is_retryable(RejectCode c) {
-  return c == RejectCode::kServerBusy || c == RejectCode::kShuttingDown;
+  return c == RejectCode::kServerBusy;
 }
 
 // Handshake failed: the peer rejected us (code from the wire) or sent a

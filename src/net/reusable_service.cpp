@@ -89,40 +89,22 @@ ReusableEvalOutcome eval_reusable_session(
   const std::uint64_t rounds = evaluator_bits.size();
   const std::uint64_t need = rounds * n_in;
 
-  proto::ReusableClientSetup cs;
-  cs.extended = st.pool.extended();
-  cs.watermark = st.pool.watermark();
-  cs.has_artifact = st.reusable_view.has_value();
-  if (cs.has_artifact) cs.artifact_sha = st.reusable_sha;
-  proto::send_reusable_client_setup(ch, cs);
-  ch.flush();
-  const proto::ReusableServerSetup ss = proto::recv_reusable_server_setup(ch);
+  proto::ClientArtifactOffer offer;
+  offer.has_artifact = st.reusable_view.has_value();
+  if (offer.has_artifact) offer.sha = st.reusable_sha;
+  const PoolJoin join = join_pool(ch, st, need, rng, &offer);
+  const proto::V3ServerSetup& ss = join.setup;
 
   ReusableEvalOutcome out;
-  if (ss.fresh) {
-    st.pool.reset();
-    st.ticket.reset();
-    st.pool.base_setup_step1(ch, rng);
-    st.pool.base_setup_step3();
-    out.fresh_pool = true;
-  }
-  if (ss.extend_count > 0) st.pool.extend(ch, ss.extend_count);
-  const proto::ResumptionTicket ticket = proto::recv_ticket(ch);
-  if (ticket.client_id != st.client_id)
-    throw NetError("reusable setup: ticket issued for a different client");
-  if (ticket.pool_id != ss.pool_id)
-    throw NetError("reusable setup: ticket names a different pool");
-  if (ss.claim_count != need)
-    throw NetError("reusable setup: claim does not cover the session rounds");
-
-  if (ss.artifact_bytes > 0) {
-    // Size was cap-checked by the setup parser; receive, hash-verify,
+  out.fresh_pool = join.fresh_pool;
+  if (join.artifact.artifact_bytes > 0) {
+    // Size was cap-checked by the offer parser; receive, hash-verify,
     // parse (view framing only — a secrets-bearing blob is refused by
     // the parser), and pin to the locally built netlist.
     std::vector<std::uint8_t> blob(
-        static_cast<std::size_t>(ss.artifact_bytes));
+        static_cast<std::size_t>(join.artifact.artifact_bytes));
     ch.recv_bytes(blob.data(), blob.size());
-    if (crypto::Sha256::hash(blob.data(), blob.size()) != ss.artifact_sha)
+    if (crypto::Sha256::hash(blob.data(), blob.size()) != join.artifact.sha)
       throw CorruptionError("reusable artifact failed its checksum");
     gc::ReusableView view = proto::parse_reusable_view(blob.data(),
                                                        blob.size());
@@ -130,19 +112,15 @@ ReusableEvalOutcome eval_reusable_session(
       throw NetError(
           "reusable artifact is for a different circuit fingerprint");
     st.reusable_view = std::move(view);
-    st.reusable_sha = ss.artifact_sha;
+    st.reusable_sha = join.artifact.sha;
     out.artifact_received = true;
   } else {
     if (!st.reusable_view)
       throw NetError("server sent no reusable artifact and none is cached");
-    if (ss.artifact_sha != st.reusable_sha)
+    if (join.artifact.sha != st.reusable_sha)
       throw NetError(
           "server confirmed a reusable artifact the client does not hold");
   }
-
-  // Watermark check: throws on any replayed OT index before use.
-  st.pool.mark_consumed(ss.start_index, ss.claim_count);
-  st.ticket = ticket;
   out.setup_bytes = ch.bytes_sent() + ch.bytes_received();
 
   std::vector<bool> d(static_cast<std::size_t>(need));

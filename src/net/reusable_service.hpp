@@ -7,9 +7,11 @@
 // session after that is a single exchange on top of the shared v3
 // OT-pool registry:
 //
-//   client  ReusableClientSetup (pool state + cached-artifact hash)
-//   server  ReusableServerSetup (fresh/resume verdict, claim window,
-//           artifact size: 0 when the client cache is current)
+//   client  V3ClientSetup (pool state) + ClientArtifactOffer
+//           (cached-artifact hash)
+//   server  V3ServerSetup (fresh/resume verdict, claim window) +
+//           ServerArtifactOffer (artifact size: 0 when the client
+//           cache is current)
 //           [base OT + pool extend as needed] ticket [artifact view]
 //   client  d bits — one per (round, evaluator input): the true input
 //           bit XOR the pool choice bit at the claimed index
@@ -19,10 +21,11 @@
 //   client  evaluates all rounds locally — plaintext table lookups,
 //           zero AES, zero further wire traffic.
 //
-// Pool discipline matches v3 (net/v3_service.hpp): one claim per
-// session under the per-client pool gate, ended by consume on success
-// or discard on any failure, so no OT index ever backs two sessions and
-// no claim can stay stuck. The server half runs in evloop::EvSession.
+// The setup exchange is v3's own pool join (net::join_pool) with the
+// offers stapled on, so pool discipline is v3's: one claim per session
+// under the per-client pool gate, ended by consume on success or
+// discard on any failure, so no OT index ever backs two sessions and no
+// claim can stay stuck. The server half runs in evloop::EvSession.
 // Security model: weaker than the single-use modes — see
 // gc/reusable.hpp and docs/SECURITY_MODELS.md before serving real data.
 #pragma once
@@ -67,11 +70,8 @@ ReusableServeContext make_reusable_context(const circuit::Circuit& c,
                                            std::uint32_t rounds,
                                            std::uint64_t demo_seed);
 
-struct ReusableEvalOutcome {
-  std::vector<bool> decoded;      // final-round outputs
-  bool fresh_pool = false;
+struct ReusableEvalOutcome : V3EvalOutcome {
   bool artifact_received = false;
-  std::uint64_t setup_bytes = 0;
 };
 
 // Client half, run after client_handshake_v3 with SessionMode::kReusable

@@ -62,40 +62,52 @@ std::shared_ptr<V3ClientState> make_v3_client_state(
   return st;
 }
 
-V3EvalOutcome eval_v3_session(
-    proto::Channel& ch, const circuit::Circuit& circ,
-    const gc::V3Analysis& an,
-    const std::vector<std::vector<bool>>& evaluator_bits, V3ClientState& st,
-    crypto::RandomSource& rng) {
-  const std::size_t n_in = circ.evaluator_inputs.size();
+PoolJoin join_pool(proto::Channel& ch, V3ClientState& st, std::uint64_t need,
+                   crypto::RandomSource& rng,
+                   const proto::ClientArtifactOffer* offer) {
   proto::send_client_setup(
       ch, proto::V3ClientSetup{st.pool.extended(), st.pool.watermark()});
+  if (offer != nullptr) proto::send_client_offer(ch, *offer);
   ch.flush();
-  const proto::V3ServerSetup ss = proto::recv_server_setup(ch);
+  PoolJoin j;
+  j.setup = proto::recv_server_setup(ch);
+  if (offer != nullptr) j.artifact = proto::recv_server_offer(ch);
 
-  V3EvalOutcome out;
+  const proto::V3ServerSetup& ss = j.setup;
   if (ss.fresh) {
     st.pool.reset();
     st.ticket.reset();
     st.pool.base_setup_step1(ch, rng);
     st.pool.base_setup_step3();
-    out.fresh_pool = true;
+    j.fresh_pool = true;
   }
   if (ss.extend_count > 0) st.pool.extend(ch, ss.extend_count);
   const proto::ResumptionTicket ticket = proto::recv_ticket(ch);
   if (ticket.client_id != st.client_id)
-    throw NetError("v3 setup: ticket issued for a different client");
+    throw NetError("pool setup: ticket issued for a different client");
   if (ticket.pool_id != ss.pool_id)
-    throw NetError("v3 setup: ticket names a different pool");
-  if (ss.claim_count != evaluator_bits.size() * n_in)
-    throw NetError("v3 setup: claim does not cover the session rounds");
+    throw NetError("pool setup: ticket names a different pool");
+  if (ss.claim_count != need)
+    throw NetError("pool setup: claim does not cover the session rounds");
   // Watermark check: throws on any replayed index before we evaluate.
   st.pool.mark_consumed(ss.start_index, ss.claim_count);
   st.ticket = ticket;
-  out.setup_bytes = ch.bytes_sent() + ch.bytes_received();
+  return j;
+}
 
+V3EvalOutcome eval_v3_session(
+    proto::Channel& ch, const circuit::Circuit& circ,
+    const gc::V3Analysis& an,
+    const std::vector<std::vector<bool>>& evaluator_bits, V3ClientState& st,
+    crypto::RandomSource& rng) {
+  const PoolJoin join = join_pool(
+      ch, st, evaluator_bits.size() * circ.evaluator_inputs.size(), rng,
+      nullptr);
+  V3EvalOutcome out;
+  out.fresh_pool = join.fresh_pool;
+  out.setup_bytes = ch.bytes_sent() + ch.bytes_received();
   out.decoded = proto::eval_v3_rounds(ch, circ, an, evaluator_bits, st.pool,
-                                      ss.start_index);
+                                      join.setup.start_index);
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Protocol-v3 service plumbing shared by the serving front
 // (evloop::EvSession), the client, and the loopback benches: the
-// per-client OT-pool registry on the garbler side, and the client half
-// of the pool-reconciliation + session flow run after a v3 handshake is
-// accepted.
+// per-client OT-pool registry on the garbler side, the client's pool
+// join — the one pool-reconciliation flow both pooled modes (v3 and
+// reusable, net/reusable_service.hpp) run after a v3 handshake is
+// accepted — and the client half of a v3 session.
 //
 // Cross-session amortization contract:
 //   * The registry keys long-lived CorrelatedPoolSender instances by the
@@ -37,6 +38,8 @@
 #include "net/handshake.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
+#include "proto/reusable_io.hpp"
+#include "proto/v3_records.hpp"
 #include "proto/v3_session.hpp"
 
 namespace maxel::net {
@@ -101,6 +104,26 @@ struct V3ClientState {
 };
 
 std::shared_ptr<V3ClientState> make_v3_client_state(crypto::RandomSource& rng);
+
+// What the client learned from joining the server's pool.
+struct PoolJoin {
+  proto::V3ServerSetup setup;  // the claim is [start_index, +claim_count)
+  proto::ServerArtifactOffer artifact;  // reusable mode only
+  bool fresh_pool = false;
+};
+
+// Client half of pool reconciliation, shared by the pooled modes: sends
+// the V3ClientSetup (with `offer` stapled on in reusable mode, else
+// null), reads the server's setup (and its offer), resets the pool and
+// runs the base OT when the server demands a fresh one, runs any
+// extension, receives the resumption ticket and checks it names this
+// client and the server's pool and that the claim holds exactly `need`
+// indices, then watermarks the claim and stores the ticket. Throws
+// NetError on a failed check and V3FormatError/ReusableFormatError on
+// hostile records.
+PoolJoin join_pool(proto::Channel& ch, V3ClientState& st, std::uint64_t need,
+                   crypto::RandomSource& rng,
+                   const proto::ClientArtifactOffer* offer);
 
 struct V3EvalOutcome {
   std::vector<bool> decoded;     // final-round outputs

@@ -31,12 +31,6 @@ void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
   std::memcpy(buf.data() + off, &v, 8);
 }
 
-void put_block(std::vector<std::uint8_t>& buf, const crypto::Block& b) {
-  const std::size_t off = buf.size();
-  buf.resize(off + 16);
-  b.to_bytes(buf.data() + off);
-}
-
 // Packed bit vector, lsb-first, no count prefix (counts live in the
 // record header and are validated before the bits are touched).
 void put_bits(std::vector<std::uint8_t>& buf, const std::vector<bool>& bits) {
@@ -75,13 +69,6 @@ struct Reader {
     p += 8;
     left -= 8;
     return v;
-  }
-  crypto::Block block(const char* what) {
-    need(16, what);
-    const crypto::Block b = crypto::Block::from_bytes(p);
-    p += 16;
-    left -= 16;
-    return b;
   }
   std::array<std::uint8_t, 32> sha(const char* what) {
     need(32, what);
@@ -201,89 +188,42 @@ gc::ReusableCircuit parse_reusable(const std::uint8_t* data, std::size_t n) {
   return parse_any(data, n, true);
 }
 
-std::vector<std::uint8_t> serialize_reusable_client_setup(
-    const ReusableClientSetup& s) {
+void send_client_offer(Channel& ch, const ClientArtifactOffer& o) {
   std::vector<std::uint8_t> buf;
-  put_u64(buf, s.extended);
-  put_u64(buf, s.watermark);
-  buf.push_back(s.has_artifact ? 1 : 0);
-  buf.insert(buf.end(), s.artifact_sha.begin(), s.artifact_sha.end());
-  return buf;
+  buf.push_back(o.has_artifact ? 1 : 0);
+  buf.insert(buf.end(), o.sha.begin(), o.sha.end());
+  ch.send_bytes(buf.data(), buf.size());
 }
 
-ReusableClientSetup parse_reusable_client_setup(const std::uint8_t* data,
-                                                std::size_t n) {
-  Reader rd{data, n};
-  ReusableClientSetup s;
-  s.extended = rd.u64("client extended");
-  s.watermark = rd.u64("client watermark");
-  if (s.watermark > s.extended) bad("client watermark above extended");
+ClientArtifactOffer recv_client_offer(Channel& ch) {
+  std::uint8_t raw[ClientArtifactOffer::kWireSize];
+  ch.recv_bytes(raw, sizeof(raw));
+  Reader rd{raw, sizeof(raw)};
+  ClientArtifactOffer o;
   const std::uint8_t have = rd.u8("client artifact flag");
   if (have > 1) bad("client artifact flag not boolean");
-  s.has_artifact = have == 1;
-  s.artifact_sha = rd.sha("client artifact sha");
-  if (rd.left != 0) bad("trailing bytes");
-  return s;
+  o.has_artifact = have == 1;
+  o.sha = rd.sha("client artifact sha");
+  return o;
 }
 
-std::vector<std::uint8_t> serialize_reusable_server_setup(
-    const ReusableServerSetup& s) {
+void send_server_offer(Channel& ch, const ServerArtifactOffer& o) {
   std::vector<std::uint8_t> buf;
-  buf.push_back(s.fresh ? 1 : 0);
-  put_u64(buf, s.pool_id);
-  put_block(buf, s.cookie);
-  put_u64(buf, s.start_index);
-  put_u64(buf, s.claim_count);
-  put_u64(buf, s.extend_count);
-  put_u64(buf, s.artifact_bytes);
-  buf.insert(buf.end(), s.artifact_sha.begin(), s.artifact_sha.end());
-  return buf;
-}
-
-ReusableServerSetup parse_reusable_server_setup(const std::uint8_t* data,
-                                                std::size_t n) {
-  Reader rd{data, n};
-  ReusableServerSetup s;
-  const std::uint8_t fresh = rd.u8("server fresh flag");
-  if (fresh > 1) bad("server fresh flag not boolean");
-  s.fresh = fresh == 1;
-  s.pool_id = rd.u64("server pool id");
-  s.cookie = rd.block("server cookie");
-  s.start_index = rd.u64("server start index");
-  s.claim_count = rd.u64("server claim count");
-  s.extend_count = rd.u64("server extend count");
-  if (s.claim_count > kMaxReusableClaim)
-    bad("implausible claim count " + std::to_string(s.claim_count));
-  if (s.extend_count > kMaxReusableClaim)
-    bad("implausible extend count " + std::to_string(s.extend_count));
-  s.artifact_bytes = rd.u64("server artifact size");
-  if (s.artifact_bytes > kMaxReusableArtifactBytes)
-    bad("implausible artifact size " + std::to_string(s.artifact_bytes));
-  s.artifact_sha = rd.sha("server artifact sha");
-  if (rd.left != 0) bad("trailing bytes");
-  return s;
-}
-
-void send_reusable_client_setup(Channel& ch, const ReusableClientSetup& s) {
-  const auto buf = serialize_reusable_client_setup(s);
+  put_u64(buf, o.artifact_bytes);
+  buf.insert(buf.end(), o.sha.begin(), o.sha.end());
   ch.send_bytes(buf.data(), buf.size());
 }
 
-ReusableClientSetup recv_reusable_client_setup(Channel& ch) {
-  std::uint8_t raw[kReusableClientSetupWire];
+ServerArtifactOffer recv_server_offer(Channel& ch) {
+  std::uint8_t raw[ServerArtifactOffer::kWireSize];
   ch.recv_bytes(raw, sizeof(raw));
-  return parse_reusable_client_setup(raw, sizeof(raw));
-}
-
-void send_reusable_server_setup(Channel& ch, const ReusableServerSetup& s) {
-  const auto buf = serialize_reusable_server_setup(s);
-  ch.send_bytes(buf.data(), buf.size());
-}
-
-ReusableServerSetup recv_reusable_server_setup(Channel& ch) {
-  std::uint8_t raw[kReusableServerSetupWire];
-  ch.recv_bytes(raw, sizeof(raw));
-  return parse_reusable_server_setup(raw, sizeof(raw));
+  Reader rd{raw, sizeof(raw)};
+  ServerArtifactOffer o;
+  o.artifact_bytes = rd.u64("server artifact size");
+  if (o.artifact_bytes > kMaxReusableArtifactBytes)
+    bad("implausible artifact size " + std::to_string(o.artifact_bytes));
+  o.sha = rd.sha("server artifact sha");
+  return o;
 }
 
 }  // namespace maxel::proto

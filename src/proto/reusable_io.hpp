@@ -1,5 +1,5 @@
 // MXREUS1 wire codec: the reusable-circuit artifact (gc/reusable.hpp)
-// and the per-session setup records of the `reusable` session mode.
+// and the artifact-offer records of the `reusable` session mode.
 //
 // Two artifact framings share one layout, told apart by a secrets flag:
 //
@@ -22,12 +22,17 @@
 // anything is allocated, packed-bit padding must be zero, and trailing
 // bytes are rejected. Malformed input surfaces as ReusableFormatError.
 //
-// The session setup records mirror proto::V3ClientSetup/V3ServerSetup
-// with the artifact offer stapled on: the client names the SHA-256 of
-// its cached view (HAVE) or all-zeros (NEED); the server replies with
-// the authoritative artifact hash and either artifact_bytes == 0 (the
-// cache is current) or the size of the view blob it sends after the
-// resumption ticket.
+// A reusable session reconciles its OT pool with the v3 setup records
+// (proto/v3_records.hpp) and staples one fixed-size offer record after
+// each, sent in the same frame:
+//
+//   ClientArtifactOffer  has_artifact u8 | sha 32B
+//     the SHA-256 of the client's cached view (HAVE), or all-zeros
+//     (NEED)
+//   ServerArtifactOffer  artifact_bytes u64 | sha 32B
+//     the authoritative artifact hash, and either artifact_bytes == 0
+//     (the cache is current) or the size of the view blob the server
+//     sends after the resumption ticket
 #pragma once
 
 #include <array>
@@ -35,7 +40,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "crypto/block.hpp"
 #include "gc/reusable.hpp"
 #include "proto/channel.hpp"
 
@@ -52,49 +56,31 @@ inline constexpr std::uint64_t kMaxReusableInputs = 1u << 20;
 inline constexpr std::uint64_t kMaxReusableOutputs = 1u << 20;
 inline constexpr std::uint64_t kMaxReusableDffs = 1u << 20;
 inline constexpr std::uint64_t kMaxReusableArtifactBytes = 1u << 26;
-inline constexpr std::uint64_t kMaxReusableClaim = 1u << 20;
 
 std::vector<std::uint8_t> serialize_reusable_view(const gc::ReusableView& v);
 std::vector<std::uint8_t> serialize_reusable(const gc::ReusableCircuit& rc);
 gc::ReusableView parse_reusable_view(const std::uint8_t* data, std::size_t n);
 gc::ReusableCircuit parse_reusable(const std::uint8_t* data, std::size_t n);
 
-// --- Session setup records (fixed size, bounded-reader parsed) ----------
+// --- Artifact-offer records (fixed size, bounded-reader parsed) --------
 
-struct ReusableClientSetup {
-  std::uint64_t extended = 0;   // OT indices the client has materialized
-  std::uint64_t watermark = 0;  // lowest index the client will accept
-  bool has_artifact = false;    // true: artifact_sha names a cached view
-  std::array<std::uint8_t, 32> artifact_sha{};
+struct ClientArtifactOffer {
+  bool has_artifact = false;  // true: sha names a cached view
+  std::array<std::uint8_t, 32> sha{};
+
+  static constexpr std::size_t kWireSize = 1 + 32;
 };
 
-struct ReusableServerSetup {
-  bool fresh = false;  // true: discard pool, run base OT anew
-  std::uint64_t pool_id = 0;
-  crypto::Block cookie;
-  std::uint64_t start_index = 0;
-  std::uint64_t claim_count = 0;
-  std::uint64_t extend_count = 0;
+struct ServerArtifactOffer {
   std::uint64_t artifact_bytes = 0;  // 0: client cache is current
-  std::array<std::uint8_t, 32> artifact_sha{};
+  std::array<std::uint8_t, 32> sha{};
+
+  static constexpr std::size_t kWireSize = 8 + 32;
 };
 
-inline constexpr std::size_t kReusableClientSetupWire = 8 + 8 + 1 + 32;
-inline constexpr std::size_t kReusableServerSetupWire =
-    1 + 8 + 16 + 8 + 8 + 8 + 8 + 32;
-
-std::vector<std::uint8_t> serialize_reusable_client_setup(
-    const ReusableClientSetup& s);
-ReusableClientSetup parse_reusable_client_setup(const std::uint8_t* data,
-                                                std::size_t n);
-std::vector<std::uint8_t> serialize_reusable_server_setup(
-    const ReusableServerSetup& s);
-ReusableServerSetup parse_reusable_server_setup(const std::uint8_t* data,
-                                                std::size_t n);
-
-void send_reusable_client_setup(Channel& ch, const ReusableClientSetup& s);
-ReusableClientSetup recv_reusable_client_setup(Channel& ch);
-void send_reusable_server_setup(Channel& ch, const ReusableServerSetup& s);
-ReusableServerSetup recv_reusable_server_setup(Channel& ch);
+void send_client_offer(Channel& ch, const ClientArtifactOffer& o);
+ClientArtifactOffer recv_client_offer(Channel& ch);
+void send_server_offer(Channel& ch, const ServerArtifactOffer& o);
+ServerArtifactOffer recv_server_offer(Channel& ch);
 
 }  // namespace maxel::proto

@@ -232,7 +232,7 @@ void send_client_setup(Channel& ch, const V3ClientSetup& s) {
 }
 
 V3ClientSetup recv_client_setup(Channel& ch) {
-  std::uint8_t raw[16];
+  std::uint8_t raw[V3ClientSetup::kWireSize];
   ch.recv_bytes(raw, sizeof(raw));
   Reader rd{raw, sizeof(raw)};
   V3ClientSetup s;
@@ -269,9 +269,9 @@ V3ServerSetup recv_server_setup(Channel& ch) {
   s.start_index = rd.u64("server start index");
   s.claim_count = rd.u64("server claim count");
   s.extend_count = rd.u64("server extend count");
-  if (s.extend_count > kMaxV3Extend)
+  if (s.extend_count > ot::kMaxPoolExtend)
     bad("implausible extend count " + std::to_string(s.extend_count));
-  if (s.claim_count > kMaxV3Extend)
+  if (s.claim_count > ot::kMaxPoolExtend)
     bad("implausible claim count " + std::to_string(s.claim_count));
   return s;
 }

@@ -28,6 +28,8 @@
 //     many extensions it holds and its consumption watermark; the server
 //     replies whether the pool is fresh (new base OT required), which
 //     index range this session claims, and how much to extend first.
+//     Both pooled modes send these same records; reusable mode staples
+//     an artifact-offer record (proto/reusable_io.hpp) after each.
 //
 // Parsing is hostile-input safe in the chunk_io mold: every count is
 // validated against a hard cap and the bytes actually present before
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "crypto/block.hpp"
+#include "ot/pool.hpp"
 #include "proto/channel.hpp"
 
 namespace maxel::proto {
@@ -53,7 +56,6 @@ class V3FormatError : public std::runtime_error {
 inline constexpr std::uint64_t kMaxV3Corrections = 1u << 16;
 inline constexpr std::uint64_t kMaxV3Rows = 1u << 24;
 inline constexpr std::uint64_t kMaxV3Outputs = 1u << 20;
-inline constexpr std::uint64_t kMaxV3Extend = 1u << 20;
 
 struct SeedExpansionRecord {
   crypto::Block label_seed;
@@ -103,10 +105,13 @@ void send_ticket(Channel& ch, const ResumptionTicket& t);
 ResumptionTicket recv_ticket(Channel& ch);
 
 // Pool-state reconciliation (fixed-size, no counts to guard beyond the
-// extend cap, but still parsed through the bounded reader).
+// claim and extend caps — both ot::kMaxPoolExtend — but still parsed
+// through the bounded reader).
 struct V3ClientSetup {
   std::uint64_t extended = 0;   // OT indices the client has materialized
   std::uint64_t watermark = 0;  // lowest index the client will accept
+
+  static constexpr std::size_t kWireSize = 8 + 8;
 };
 
 struct V3ServerSetup {

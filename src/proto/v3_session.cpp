@@ -120,6 +120,34 @@ PrecomputedSessionV3 garble_session_v3(
   return s;
 }
 
+void send_v3_round(Channel& ch, const PrecomputedSessionV3& session,
+                   std::size_t r) {
+  const gc::V3RoundMaterial& m = session.rounds[r];
+  V3RoundFrame frame;
+  frame.rows = m.rows;
+  frame.output_map = m.output_map;
+  send_round_frame(ch, frame);
+  ch.flush();
+}
+
+void answer_v3_round(Channel& ch, const PrecomputedSessionV3& session,
+                     std::size_t r, const ot::CorrelatedPoolSender& pool,
+                     const ot::PoolClaim& claim) {
+  const gc::V3RoundMaterial& m = session.rounds[r];
+  const std::size_t n_in = m.evaluator_pairs.size();
+  const std::uint64_t first = claim.start + r * n_in;
+  if (first + n_in > claim.start + claim.count)
+    throw std::logic_error("answer_v3_round: round overruns the claim");
+  std::vector<std::uint8_t> d((n_in + 7) / 8);
+  ch.recv_bytes(d.data(), d.size());
+  for (std::size_t j = 0; j < n_in; ++j) {
+    crypto::Block z = pool.pad(first + j) ^ m.evaluator_pairs[j].first;
+    if ((d[j / 8] >> (j % 8)) & 1u) z ^= session.delta;
+    ch.send_block(z);
+  }
+  ch.flush();
+}
+
 void serve_v3_rounds(Channel& ch, const circuit::Circuit& c,
                      const PrecomputedSessionV3& session,
                      ot::CorrelatedPoolSender& pool,
@@ -135,24 +163,9 @@ void serve_v3_rounds(Channel& ch, const circuit::Circuit& c,
   SeedExpansionRecord seed;
   seed.label_seed = session.label_seed;
   send_seed_expansion(ch, seed);
-
-  const std::size_t d_bytes = (n_in + 7) / 8;
-  std::vector<std::uint8_t> d(d_bytes);
-  std::uint64_t idx = claim.start;
-  for (const auto& m : session.rounds) {
-    V3RoundFrame frame;
-    frame.rows = m.rows;
-    frame.output_map = m.output_map;
-    send_round_frame(ch, frame);
-    ch.flush();
-
-    ch.recv_bytes(d.data(), d.size());
-    for (std::size_t j = 0; j < n_in; ++j, ++idx) {
-      crypto::Block z = pool.pad(idx) ^ m.evaluator_pairs[j].first;
-      if ((d[j / 8] >> (j % 8)) & 1u) z ^= session.delta;
-      ch.send_block(z);
-    }
-    ch.flush();
+  for (std::size_t r = 0; r < session.round_count(); ++r) {
+    send_v3_round(ch, session, r);
+    answer_v3_round(ch, session, r, pool, claim);
   }
 }
 

@@ -64,7 +64,20 @@ PrecomputedSessionV3 garble_session_v3(
     const crypto::Block& delta, const crypto::Block& label_seed,
     crypto::RandomSource& rng);
 
-// Serves the session body over ch. The claim must hold exactly
+// The two garbler-side steps of round r, each ending in a flush:
+// send_v3_round sends the round's V3RoundFrame; answer_v3_round reads
+// the client's derandomization bits d and answers with one z-block per
+// evaluator input, drawing the pads claim.start + r * n_in + j (a round
+// that would reach past the claim throws std::logic_error). Every server
+// of the session body (evloop::EvSession, serve_v3_rounds) runs these.
+void send_v3_round(Channel& ch, const PrecomputedSessionV3& session,
+                   std::size_t r);
+void answer_v3_round(Channel& ch, const PrecomputedSessionV3& session,
+                     std::size_t r, const ot::CorrelatedPoolSender& pool,
+                     const ot::PoolClaim& claim);
+
+// Serves the whole session body over ch, blocking: the seed record, then
+// both steps of every round. The claim must hold exactly
 // session.round_count() * c.evaluator_inputs.size() pool indices and
 // the pool's delta must match the session's (checked via lineage).
 // Throws on any transport error; the caller owns claim consume/discard.

@@ -12,10 +12,7 @@
 #include "crypto/prg.hpp"
 #include "crypto/randomness_tests.hpp"
 #include "crypto/rng.hpp"
-#include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
-
-#include <chrono>
 
 namespace maxel::crypto {
 namespace {
@@ -265,45 +262,6 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   Sha256 b;
   for (char c : msg) b.update(std::string(1, c));
   EXPECT_EQ(a.digest(), b.digest());
-}
-
-
-TEST(Sha1, KnownVectors) {
-  Sha1 h;
-  EXPECT_EQ(Sha1::hex(h.digest()),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-  Sha1 h2;
-  h2.update("abc");
-  EXPECT_EQ(Sha1::hex(h2.digest()),
-            "a9993e364706816aba3e25717850c26c9cd0d89d");
-  Sha1 h3;
-  h3.update("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  EXPECT_EQ(Sha1::hex(h3.digest()),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(Sha1, GcHashVariantBehaves) {
-  const Block x{1, 2};
-  EXPECT_NE(sha1_gc_hash(x, Block{0, 0}), sha1_gc_hash(x, Block{1, 0}));
-  EXPECT_NE(sha1_gc_hash(x, Block{0, 0}), sha1_gc_hash(Block{2, 2}, Block{0, 0}));
-  EXPECT_EQ(sha1_gc_hash(x, Block{7, 7}), sha1_gc_hash(x, Block{7, 7}));
-}
-
-TEST(Sha1, SlowerThanFixedKeyAes) {
-  // The paper's point about [14]: SHA-1 garbling is the expensive part.
-  // One SHA-1 compression must cost more than one AES-128 encryption.
-  const GcHash aes_hash;
-  const Block x{3, 4};
-  const auto t0 = std::chrono::steady_clock::now();
-  Block acc = Block::zero();
-  for (int i = 0; i < 20000; ++i)
-    acc ^= aes_hash(x, Block{static_cast<std::uint64_t>(i), 0});
-  const auto t1 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 20000; ++i)
-    acc ^= sha1_gc_hash(x, Block{static_cast<std::uint64_t>(i), 0});
-  const auto t2 = std::chrono::steady_clock::now();
-  if (acc.lo == 0xDEADBEEF) std::printf("improbable\n");
-  EXPECT_GT((t2 - t1).count(), (t1 - t0).count());
 }
 
 TEST(Prg, DeterministicFromSeed) {

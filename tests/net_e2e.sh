@@ -35,6 +35,9 @@ spid=""
 trap '[ -n "$spid" ] && kill "$spid" 2>/dev/null; rm -rf "$dir"' EXIT
 
 start_server() {  # start_server <extra server args...>
+  # Create the log before the server starts: the backgrounded redirect
+  # may not have opened it yet when the first sed below reads it.
+  : >"$dir/server.log"
   "$SERVER" --port 0 --bits 8 "$@" --json "$dir/server.json" \
             >"$dir/server.log" 2>&1 &
   spid=$!

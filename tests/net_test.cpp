@@ -342,6 +342,21 @@ TEST(Handshake, UnknownModeByteRejected) {
   EXPECT_EQ(server_code, RejectCode::kBadMode);
 }
 
+// Status 8 is reserved: a verdict carrying it is an unknown reject —
+// typed, and final rather than retried.
+TEST(Handshake, ReservedStatusEightIsANonRetryableReject) {
+  auto [client, server] = proto::MemoryChannel::create_pair();
+  send_accept(*server,
+              ServerAccept{static_cast<RejectCode>(8), 0, "draining"});
+  try {
+    (void)client_handshake(*client, demo_hello(demo_expectation(8)));
+    FAIL() << "a status-8 verdict was taken as an accept";
+  } catch (const HandshakeError& e) {
+    EXPECT_EQ(static_cast<std::uint32_t>(e.code()), 8u);
+    EXPECT_FALSE(net_error_is_retryable(e));
+  }
+}
+
 TEST(Handshake, StreamModeRefusedWhenDisallowed) {
   ServerExpectation ex = demo_expectation(8);
   ex.allow_stream = false;

@@ -153,7 +153,11 @@ TEST(V3Records, ServerSetupValidatesByValue) {
   auto [tx, rx] = MemoryChannel::create_pair();
   V3ServerSetup ss;
   ss.fresh = false;
-  ss.extend_count = kMaxV3Extend + 1;  // hostile extension demand
+  ss.extend_count = ot::kMaxPoolExtend + 1;  // hostile extension demand
+  send_server_setup(*tx, ss);
+  EXPECT_THROW((void)recv_server_setup(*rx), V3FormatError);
+  ss.extend_count = 0;
+  ss.claim_count = ot::kMaxPoolExtend + 1;  // hostile claim
   send_server_setup(*tx, ss);
   EXPECT_THROW((void)recv_server_setup(*rx), V3FormatError);
 
