@@ -1,8 +1,12 @@
 // Micro-benchmarks (google-benchmark) of every primitive on the garbling
 // hot path: AES, the fixed-key hash, gate garbling and evaluation per
 // scheme, whole-MAC garbling, base OT and IKNP extension, and the
-// MAXelerator simulator itself.
+// MAXelerator simulator itself — plus SHA-256 per backend, the checksum
+// every spool disk read pays.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "baseline/tinygarble.hpp"
 #include "circuit/circuits.hpp"
@@ -11,6 +15,7 @@
 #include "crypto/gc_hash.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "gc/garble.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
@@ -30,6 +35,26 @@ void BM_Aes128Encrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Aes128Encrypt);
+
+// SHA-256 of one spool-session-sized buffer (a b=16, 64-round v3 session
+// is 572,600 bytes), one case per backend.
+void BM_Sha256(benchmark::State& state, crypto::Sha256Backend backend) {
+  if (backend == crypto::Sha256Backend::kShani && !crypto::shani_supported()) {
+    state.SkipWithError("no SHA extensions on this CPU");
+    return;
+  }
+  crypto::set_sha256_backend(backend);
+  std::vector<std::uint8_t> buf(572'600);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::uint8_t>(i * 131);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(crypto::Sha256::hash(buf.data(), buf.size()));
+  crypto::set_sha256_backend(crypto::Sha256Backend::kAuto);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK_CAPTURE(BM_Sha256, portable, crypto::Sha256Backend::kPortable);
+BENCHMARK_CAPTURE(BM_Sha256, shani, crypto::Sha256Backend::kShani);
 
 void BM_GcHash(benchmark::State& state) {
   const crypto::GcHash h;

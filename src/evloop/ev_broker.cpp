@@ -304,19 +304,27 @@ void EvBroker::hand_off_then_spool(Handoff<S>& lane, std::vector<S>& batch,
 }
 
 void EvBroker::producer_loop() {
+  // A lane starts refilling below the low watermark and keeps at it up
+  // to the high one, one batch of pool_.cores() sessions at a time. The
+  // watermarks are re-read between batches, so waiting takers get fresh
+  // sessions after each batch and at most one batch is held in memory.
+  const std::size_t low = cfg_.spool_low_watermark;
+  const std::size_t high = cfg_.spool_high_watermark;
+  bool refill = false;
+  bool refill_v3 = false;
   while (!producer_stop_.load(std::memory_order_relaxed)) {
     const std::size_t ready = spool_.ready();
-    const std::size_t ready_v3 =
-        cfg_.allow_v3 ? spool_.ready_v3() : cfg_.spool_high_watermark;
-    if (ready >= cfg_.spool_low_watermark &&
-        ready_v3 >= cfg_.spool_low_watermark) {
+    const std::size_t ready_v3 = cfg_.allow_v3 ? spool_.ready_v3() : high;
+    refill = ready < high && (refill || ready < low);
+    refill_v3 = ready_v3 < high && (refill_v3 || ready_v3 < low);
+    if (!refill && !refill_v3) {
       std::unique_lock<std::mutex> lock(spool_mu_);
       spool_cv_.wait_for(lock, std::chrono::milliseconds(50));
       continue;
     }
     std::size_t garbled = 0;
-    if (ready < cfg_.spool_low_watermark) {
-      const std::size_t batch = cfg_.spool_high_watermark - ready;
+    if (refill) {
+      const std::size_t batch = std::min(pool_.cores(), high - ready);
       std::vector<proto::PrecomputedSession> fresh(batch);
       pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
         fresh[item] = proto::garble_session(circ_, cfg_.scheme,
@@ -327,8 +335,8 @@ void EvBroker::producer_loop() {
       hand_off_then_spool(handoff_, fresh,
                           [&](auto& s) { spool_.put(std::move(s)); });
     }
-    if (ready_v3 < cfg_.spool_low_watermark) {
-      const std::size_t batch = cfg_.spool_high_watermark - ready_v3;
+    if (refill_v3) {
+      const std::size_t batch = std::min(pool_.cores(), high - ready_v3);
       std::vector<proto::PrecomputedSessionV3> fresh(batch);
       pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
         auto& rng = pool_.core_rng(core);
@@ -338,7 +346,7 @@ void EvBroker::producer_loop() {
       });
       garbled += batch;
       hand_off_then_spool(handoff_v3_, fresh,
-                          [&](auto& s) { spool_.put_v3(s); });
+                          [&](auto& s) { spool_.put_v3(std::move(s)); });
     }
     m_.sessions_precomputed.inc(garbled);
     spool_cv_.notify_all();
@@ -634,7 +642,7 @@ void EvBroker::run() {
   producer.join();
   // A hand-off whose taker found spooled stock first is spooled, not lost.
   for (auto& s : handoff_.fresh) spool_.put(std::move(s));
-  for (auto& s : handoff_v3_.fresh) spool_.put_v3(s);
+  for (auto& s : handoff_v3_.fresh) spool_.put_v3(std::move(s));
   handoff_.fresh.clear();
   handoff_v3_.fresh.clear();
   m_.total_seconds.observe(seconds_since(t0));

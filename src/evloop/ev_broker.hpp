@@ -9,9 +9,13 @@
 // garbling delta), one read-only reusable artifact, one MetricsRegistry
 // (the only ledger of serving facts), one producer thread keeping the
 // spool between its watermarks (the software stand-in for the
-// accelerator streaming fresh sessions up over PCIe). A freshly garbled
-// batch is offered to sessions waiting on an empty lane before it is
-// spooled, so a cold start's first table waits behind the garble, not
+// accelerator streaming fresh sessions up over PCIe). A lane that drops
+// below its low watermark is refilled to the high one in batches of one
+// session per GC core (GcCorePool::cores()), re-reading the watermarks
+// between batches, so the producer never holds more than one core's
+// worth of garbled sessions in memory. A freshly garbled batch is
+// offered to sessions waiting on an empty lane before it is spooled, so
+// a cold start's first table waits behind one batch's garble, not
 // behind the spool put too (counted in spool_handoffs /
 // spool_handoffs_v3). Per-client pool phases are
 // serialized by Entry::ev_gate (see evloop/session.hpp), so two shards

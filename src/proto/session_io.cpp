@@ -1,171 +1,196 @@
 #include "proto/session_io.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 
 namespace maxel::proto {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'X', 'S', 'E', 'S', 'S', '1', '\0'};
-
-// Buffers grow by at most this many elements per step while reading, so
-// a hostile count prefix can only make us allocate in proportion to the
-// bytes the stream actually delivers.
-constexpr std::size_t kGrowChunk = 4096;
+// Smallest encoding of one round: five u64 count prefixes.
+constexpr std::size_t kMinRoundBytes = 5 * 8;
 
 [[noreturn]] void bad(const std::string& what) {
   throw SessionFormatError("load_session: " + what);
 }
 
-// Validates a count prefix against its cap before anything is reserved.
-std::uint64_t checked_count(std::uint64_t n, std::uint64_t cap,
-                            const char* what) {
-  if (n > cap)
-    bad(std::string("implausible ") + what + " count " + std::to_string(n) +
-        " (cap " + std::to_string(cap) + ")");
+std::size_t blocks_size(const std::vector<crypto::Block>& v) {
+  return 8 + 16 * v.size();
+}
+
+std::size_t encoded_size(const PrecomputedSession& s) {
+  const std::size_t rows = gc::rows_per_and(s.scheme);
+  std::size_t n =
+      sizeof(kMagic) + 1 + 16 + 8 + blocks_size(s.initial_state_labels);
+  for (const auto& r : s.rounds)
+    n += 8 + 16 * rows * r.tables.tables.size() +
+         blocks_size(r.garbler_labels0) + 8 + 32 * r.evaluator_pairs.size() +
+         blocks_size(r.fixed_labels) + 8 + (r.output_map.size() + 7) / 8;
   return n;
 }
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  os.write(buf, 8);
-}
+// Encodes into a buffer already sized by encoded_size().
+struct Writer {
+  std::uint8_t* p;
 
-std::uint64_t get_u64(std::istream& is) {
-  char buf[8];
-  is.read(buf, 8);
-  if (!is) bad("truncated stream");
-  std::uint64_t v;
-  std::memcpy(&v, buf, 8);
-  return v;
-}
-
-void put_block(std::ostream& os, const crypto::Block& b) {
-  std::uint8_t raw[16];
-  b.to_bytes(raw);
-  os.write(reinterpret_cast<const char*>(raw), 16);
-}
-
-crypto::Block get_block(std::istream& is) {
-  std::uint8_t raw[16];
-  is.read(reinterpret_cast<char*>(raw), 16);
-  if (!is) bad("truncated stream");
-  return crypto::Block::from_bytes(raw);
-}
-
-void put_blocks(std::ostream& os, const std::vector<crypto::Block>& v) {
-  put_u64(os, v.size());
-  for (const auto& b : v) put_block(os, b);
-}
-
-std::vector<crypto::Block> get_blocks(std::istream& is) {
-  const std::uint64_t n =
-      checked_count(get_u64(is), kMaxSessionCount, "block");
-  std::vector<crypto::Block> v;
-  v.reserve(std::min<std::uint64_t>(n, kGrowChunk));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(get_block(is));
-  return v;
-}
-
-void put_bits(std::ostream& os, const std::vector<bool>& bits) {
-  put_u64(os, bits.size());
-  std::vector<char> packed((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    if (bits[i]) packed[i / 8] |= static_cast<char>(1 << (i % 8));
-  os.write(packed.data(), static_cast<std::streamsize>(packed.size()));
-}
-
-std::vector<bool> get_bits(std::istream& is) {
-  const std::uint64_t n = checked_count(get_u64(is), kMaxSessionCount, "bit");
-  std::vector<bool> bits;
-  bits.reserve(std::min<std::uint64_t>(n, kGrowChunk));
-  char packed[kGrowChunk];
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::size_t bytes = static_cast<std::size_t>(
-        std::min<std::uint64_t>((n - done + 7) / 8, sizeof(packed)));
-    is.read(packed, static_cast<std::streamsize>(bytes));
-    if (!is) bad("truncated stream");
-    const std::uint64_t chunk_bits = std::min<std::uint64_t>(
-        n - done, static_cast<std::uint64_t>(bytes) * 8);
-    for (std::uint64_t i = 0; i < chunk_bits; ++i)
-      bits.push_back((packed[i / 8] >> (i % 8)) & 1);
-    done += chunk_bits;
+  void u64(std::uint64_t v) {
+    std::memcpy(p, &v, 8);
+    p += 8;
   }
-  return bits;
-}
+  void block(const crypto::Block& b) {
+    b.to_bytes(p);
+    p += 16;
+  }
+  void blocks(const std::vector<crypto::Block>& v) {
+    u64(v.size());
+    for (const auto& b : v) block(b);
+  }
+  void bits(const std::vector<bool>& v) {
+    u64(v.size());
+    const std::size_t packed = (v.size() + 7) / 8;
+    std::memset(p, 0, packed);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      if (v[i]) p[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    p += packed;
+  }
+};
+
+// Every count prefix is checked against its hard cap and against the
+// bytes actually left before anything is reserved, so a hostile prefix
+// can only make us allocate in proportion to the input.
+struct Reader {
+  const std::uint8_t* p;
+  std::size_t left;
+
+  void need(std::size_t n) {
+    if (left < n) bad("truncated stream");
+  }
+  std::uint64_t u64() {
+    need(8);
+    std::uint64_t v;
+    std::memcpy(&v, p, 8);
+    p += 8;
+    left -= 8;
+    return v;
+  }
+  crypto::Block block() {
+    need(16);
+    const crypto::Block b = crypto::Block::from_bytes(p);
+    p += 16;
+    left -= 16;
+    return b;
+  }
+  // elem_bytes = 0: the caller checks the bytes itself.
+  std::uint64_t count(std::uint64_t cap, std::size_t elem_bytes,
+                      const char* what) {
+    const std::uint64_t n = u64();
+    if (n > cap)
+      bad(std::string("implausible ") + what + " count " + std::to_string(n) +
+          " (cap " + std::to_string(cap) + ")");
+    if (elem_bytes != 0 && n > left / elem_bytes) bad("truncated stream");
+    return n;
+  }
+  std::vector<crypto::Block> blocks(const char* what) {
+    const std::uint64_t n = count(kMaxSessionCount, 16, what);
+    std::vector<crypto::Block> v;
+    v.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) v.push_back(block());
+    return v;
+  }
+  std::vector<bool> bits() {
+    const std::uint64_t n = count(kMaxSessionCount, 0, "bit");
+    const std::size_t packed = static_cast<std::size_t>((n + 7) / 8);
+    need(packed);
+    std::vector<bool> v(n);
+    for (std::uint64_t i = 0; i < n; ++i) v[i] = (p[i / 8] >> (i % 8)) & 1u;
+    p += packed;
+    left -= packed;
+    return v;
+  }
+};
 
 }  // namespace
 
-void save_session(const PrecomputedSession& s, std::ostream& os) {
-  os.write(kMagic, sizeof(kMagic));
-  const char scheme = static_cast<char>(s.scheme);
-  os.write(&scheme, 1);
-  put_block(os, s.delta);
-  put_u64(os, s.rounds.size());
+std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s) {
+  std::vector<std::uint8_t> buf(encoded_size(s));
+  Writer w{buf.data()};
+  std::memcpy(w.p, kMagic, sizeof(kMagic));
+  w.p += sizeof(kMagic);
+  *w.p++ = static_cast<std::uint8_t>(s.scheme);
+  w.block(s.delta);
+  w.u64(s.rounds.size());
   const std::size_t rows = gc::rows_per_and(s.scheme);
   for (const auto& r : s.rounds) {
-    put_u64(os, r.tables.tables.size());
+    w.u64(r.tables.tables.size());
     for (const auto& t : r.tables.tables)
-      for (std::size_t i = 0; i < rows; ++i) put_block(os, t.ct[i]);
-    put_blocks(os, r.garbler_labels0);
-    put_u64(os, r.evaluator_pairs.size());
+      for (std::size_t i = 0; i < rows; ++i) w.block(t.ct[i]);
+    w.blocks(r.garbler_labels0);
+    w.u64(r.evaluator_pairs.size());
     for (const auto& [l0, l1] : r.evaluator_pairs) {
-      put_block(os, l0);
-      put_block(os, l1);
+      w.block(l0);
+      w.block(l1);
     }
-    put_blocks(os, r.fixed_labels);
-    put_bits(os, r.output_map);
+    w.blocks(r.fixed_labels);
+    w.bits(r.output_map);
   }
-  put_blocks(os, s.initial_state_labels);
+  w.blocks(s.initial_state_labels);
+  return buf;
+}
+
+PrecomputedSession parse_session(const std::uint8_t* data, std::size_t n) {
+  Reader rd{data, n};
+  if (n < sizeof(kMagic) || std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
+    bad("bad magic");
+  rd.p += sizeof(kMagic);
+  rd.left -= sizeof(kMagic);
+  rd.need(1);
+  const std::uint8_t scheme = *rd.p++;
+  --rd.left;
+  if (scheme > 2) bad("bad scheme");
+  PrecomputedSession s;
+  s.scheme = static_cast<gc::Scheme>(scheme);
+  s.delta = rd.block();
+  const std::uint64_t n_rounds =
+      rd.count(kMaxSessionRounds, kMinRoundBytes, "round");
+  const std::size_t rows = gc::rows_per_and(s.scheme);
+  s.rounds.reserve(n_rounds);
+  for (std::uint64_t rd_i = 0; rd_i < n_rounds; ++rd_i) {
+    PrecomputedSession::Round r;
+    const std::uint64_t n_tables =
+        rd.count(kMaxSessionCount, 16 * rows, "table");
+    r.tables.tables.resize(n_tables);
+    for (auto& tab : r.tables.tables)
+      for (std::size_t i = 0; i < rows; ++i) tab.ct[i] = rd.block();
+    r.garbler_labels0 = rd.blocks("block");
+    const std::uint64_t n_pairs = rd.count(kMaxSessionCount, 32, "pair");
+    r.evaluator_pairs.reserve(n_pairs);
+    for (std::uint64_t i = 0; i < n_pairs; ++i) {
+      const crypto::Block l0 = rd.block();
+      const crypto::Block l1 = rd.block();
+      r.evaluator_pairs.emplace_back(l0, l1);
+    }
+    r.fixed_labels = rd.blocks("block");
+    r.output_map = rd.bits();
+    s.rounds.push_back(std::move(r));
+  }
+  s.initial_state_labels = rd.blocks("block");
+  return s;
+}
+
+void save_session(const PrecomputedSession& s, std::ostream& os) {
+  const std::vector<std::uint8_t> bytes = serialize_session(s);
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
   if (!os) throw std::runtime_error("save_session: write failure");
 }
 
 PrecomputedSession load_session(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    bad("bad magic");
-  PrecomputedSession s;
-  char scheme = 0;
-  is.read(&scheme, 1);
-  if (!is || scheme < 0 || scheme > 2) bad("bad scheme");
-  s.scheme = static_cast<gc::Scheme>(scheme);
-  s.delta = get_block(is);
-  const std::uint64_t n_rounds =
-      checked_count(get_u64(is), kMaxSessionRounds, "round");
-  const std::size_t rows = gc::rows_per_and(s.scheme);
-  s.rounds.reserve(std::min<std::uint64_t>(n_rounds, kGrowChunk));
-  for (std::uint64_t rd = 0; rd < n_rounds; ++rd) {
-    PrecomputedSession::Round r;
-    const std::uint64_t n_tables =
-        checked_count(get_u64(is), kMaxSessionCount, "table");
-    r.tables.tables.reserve(std::min<std::uint64_t>(n_tables, kGrowChunk));
-    for (std::uint64_t t = 0; t < n_tables; ++t) {
-      gc::GarbledTable tab;
-      for (std::size_t i = 0; i < rows; ++i) tab.ct[i] = get_block(is);
-      r.tables.tables.push_back(tab);
-    }
-    r.garbler_labels0 = get_blocks(is);
-    const std::uint64_t n_pairs =
-        checked_count(get_u64(is), kMaxSessionCount, "pair");
-    r.evaluator_pairs.reserve(std::min<std::uint64_t>(n_pairs, kGrowChunk));
-    for (std::uint64_t p = 0; p < n_pairs; ++p) {
-      const crypto::Block l0 = get_block(is);
-      const crypto::Block l1 = get_block(is);
-      r.evaluator_pairs.emplace_back(l0, l1);
-    }
-    r.fixed_labels = get_blocks(is);
-    r.output_map = get_bits(is);
-    s.rounds.push_back(std::move(r));
-  }
-  s.initial_state_labels = get_blocks(is);
-  return s;
+  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(is),
+                                        std::istreambuf_iterator<char>()};
+  return parse_session(bytes.data(), bytes.size());
 }
 
 void save_session_file(const PrecomputedSession& s, const std::string& path) {
@@ -177,19 +202,6 @@ void save_session_file(const PrecomputedSession& s, const std::string& path) {
 PrecomputedSession load_session_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("load_session_file: cannot open " + path);
-  return load_session(is);
-}
-
-std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s) {
-  std::ostringstream os(std::ios::binary);
-  save_session(s, os);
-  const std::string bytes = os.str();
-  return {bytes.begin(), bytes.end()};
-}
-
-PrecomputedSession parse_session(const std::uint8_t* data, std::size_t n) {
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(data), n), std::ios::binary);
   return load_session(is);
 }
 

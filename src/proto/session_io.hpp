@@ -11,8 +11,8 @@
 //   initial_state_labels (count-prefixed)
 //
 // Loading is hostile-input safe: every count prefix is validated
-// against a hard cap before use and all buffers grow incrementally as
-// bytes actually arrive, so a truncated or bit-flipped file surfaces as
+// against a hard cap and against the bytes actually left before anything
+// is reserved, so a truncated or bit-flipped file surfaces as
 // SessionFormatError — never an OOM-sized allocation or bad_alloc.
 // These are the files svc::SessionSpool parks on disk; the spool
 // additionally checksums them (see serialize_session) so corruption is
@@ -48,17 +48,20 @@ class SessionFormatError : public std::runtime_error {
 inline constexpr std::uint64_t kMaxSessionRounds = 1u << 20;
 inline constexpr std::uint64_t kMaxSessionCount = 1u << 26;  // per-vector
 
+// The codec: encodes straight into one exactly sized buffer and parses
+// from a pointer, with no stream or string copy in between. The spool
+// uses these to checksum a session's exact on-disk bytes and to write
+// them in one atomic rename step.
+std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s);
+PrecomputedSession parse_session(const std::uint8_t* data, std::size_t n);
+
+// Stream wrappers over the byte codec; load_session reads `is` to its
+// end.
 void save_session(const PrecomputedSession& s, std::ostream& os);
 PrecomputedSession load_session(std::istream& is);
 
 // Convenience file helpers; throw std::runtime_error on I/O failure.
 void save_session_file(const PrecomputedSession& s, const std::string& path);
 PrecomputedSession load_session_file(const std::string& path);
-
-// Whole-session byte codec, same format as save/load_session. The spool
-// uses these to checksum a session's exact on-disk bytes and to write
-// them in one atomic rename step.
-std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s);
-PrecomputedSession parse_session(const std::uint8_t* data, std::size_t n);
 
 }  // namespace maxel::proto

@@ -1,15 +1,18 @@
 #include "svc/session_spool.hpp"
 
+#include <fcntl.h>
 #include <stdlib.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <vector>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <vector>
 
 #include "crypto/sha256.hpp"
 #include "proto/reusable_io.hpp"
@@ -89,6 +92,79 @@ void remove_all_children(const fs::path& dir, std::uint64_t* count = nullptr) {
     if (count) ++*count;
   }
 }
+
+// Reads a file of exactly `bytes` bytes into a buffer of that size; false
+// when it cannot be opened or is shorter or longer than that.
+bool read_exact(const fs::path& path, std::uint64_t bytes,
+                std::vector<std::uint8_t>& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  out.resize(bytes);
+  std::size_t got = 0;
+  ssize_t r = 1;
+  while (got < out.size() && r > 0) {
+    r = ::read(fd, out.data() + got, out.size() - got);
+    if (r > 0) got += static_cast<std::size_t>(r);
+    if (r < 0 && errno == EINTR) r = 1;
+  }
+  // One more byte would mean the file outgrew its indexed size.
+  std::uint8_t extra = 0;
+  do r = ::read(fd, &extra, 1);
+  while (r < 0 && errno == EINTR);
+  ::close(fd);
+  return got == out.size() && r == 0;
+}
+
+void write_file(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+  if (!os)
+    throw std::runtime_error("SessionSpool: cannot write " +
+                             path.filename().string());
+}
+
+// What differs between the two single-use lanes; everything else is
+// one put and one take.
+template <class Session>
+struct Lane;
+
+template <>
+struct Lane<proto::PrecomputedSession> {
+  static constexpr bool kV3 = false;
+  static std::string file_name(std::uint64_t seq) {
+    return session_file_name(seq);
+  }
+  static std::vector<std::uint8_t> serialize(
+      const proto::PrecomputedSession& s) {
+    return proto::serialize_session(s);
+  }
+  static proto::PrecomputedSession parse(const std::vector<std::uint8_t>& b) {
+    return proto::parse_session(b.data(), b.size());
+  }
+  static std::size_t& ready(SpoolStats& st) { return st.sessions_ready; }
+  static std::uint64_t& spooled(SpoolStats& st) { return st.sessions_spooled; }
+  static std::uint64_t& claimed(SpoolStats& st) { return st.sessions_claimed; }
+};
+
+template <>
+struct Lane<proto::PrecomputedSessionV3> {
+  static constexpr bool kV3 = true;
+  static std::string file_name(std::uint64_t seq) {
+    return session_v3_file_name(seq);
+  }
+  static std::vector<std::uint8_t> serialize(
+      const proto::PrecomputedSessionV3& s) {
+    return proto::serialize_session_v3(s);
+  }
+  static proto::PrecomputedSessionV3 parse(
+      const std::vector<std::uint8_t>& b) {
+    return proto::parse_session_v3(b.data(), b.size());
+  }
+  static std::size_t& ready(SpoolStats& st) { return st.sessions_ready_v3; }
+  static std::uint64_t& spooled(SpoolStats& st) { return st.v3_spooled; }
+  static std::uint64_t& claimed(SpoolStats& st) { return st.v3_claimed; }
+};
 
 }  // namespace
 
@@ -190,28 +266,26 @@ void SessionSpool::open_or_rebuild() {
       on_disk.push_back(e.path().filename().string());
   std::sort(on_disk.begin(), on_disk.end());
   for (const auto& name : on_disk) {
+    next_seq_ = std::max(next_seq_.load(), parse_seq(name) + 1);
     const auto it = std::find_if(index_.begin(), index_.end(),
                                  [&](const Entry& e) { return e.name == name; });
     if (index_ok && it != index_.end()) {
       reconciled.push_back(*it);
     } else {
-      std::ifstream f(root / "ready" / name, std::ios::binary);
-      std::ostringstream bytes;
-      bytes << f.rdbuf();
-      const std::string b = bytes.str();
+      const fs::path path = root / "ready" / name;
+      std::error_code size_ec;
+      const std::uint64_t size = fs::file_size(path, size_ec);
+      std::vector<std::uint8_t> b;
+      if (size_ec || !read_exact(path, size, b)) continue;
       Entry e;
       e.name = name;
       e.bytes = b.size();
-      e.sha256_hex = sha_hex(
-          reinterpret_cast<const std::uint8_t*>(b.data()), b.size());
+      e.sha256_hex = sha_hex(b.data(), b.size());
       if (is_v3_name(name)) {
         // The lineage column was lost with the index; recover it from
         // the file itself, or destroy a file that no longer parses.
         try {
-          e.lineage = proto::parse_session_v3(
-                          reinterpret_cast<const std::uint8_t*>(b.data()),
-                          b.size())
-                          .pool_lineage;
+          e.lineage = proto::parse_session_v3(b.data(), b.size()).pool_lineage;
           e.v3 = true;
         } catch (const std::exception&) {
           std::error_code ec;
@@ -223,8 +297,8 @@ void SessionSpool::open_or_rebuild() {
         // is recovered from the artifact itself; a blob that no longer
         // parses is destroyed rather than ever offered to a broker.
         try {
-          const gc::ReusableCircuit rc = proto::parse_reusable(
-              reinterpret_cast<const std::uint8_t*>(b.data()), b.size());
+          const gc::ReusableCircuit rc =
+              proto::parse_reusable(b.data(), b.size());
           e.key =
               reusable_artifact_key(rc.view.fingerprint, rc.view.bit_width);
           e.reusable = true;
@@ -237,7 +311,6 @@ void SessionSpool::open_or_rebuild() {
       }
       reconciled.push_back(std::move(e));
     }
-    next_seq_ = std::max(next_seq_, parse_seq(name) + 1);
   }
   index_ = std::move(reconciled);
   stats_.sessions_ready = 0;
@@ -282,36 +355,6 @@ void SessionSpool::write_index_locked() {
   fs::rename(tmp, root / kIndexName);
 }
 
-void SessionSpool::put(proto::PrecomputedSession s) {
-  const std::vector<std::uint8_t> bytes = proto::serialize_session(s);
-  const std::string digest = sha_hex(bytes.data(), bytes.size());
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = session_file_name(next_seq_++);
-  const fs::path root(cfg_.dir);
-  const fs::path tmp = root / "tmp" / name;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (!os) throw std::runtime_error("SessionSpool: cannot write " + name);
-  }
-  // The rename is the commit point: ready/ only ever holds complete files.
-  fs::rename(tmp, root / "ready" / name);
-  Entry entry;
-  entry.name = name;
-  entry.bytes = bytes.size();
-  entry.sha256_hex = digest;
-  index_.push_back(std::move(entry));
-  ++stats_.sessions_spooled;
-  ++stats_.sessions_ready;
-  stats_.bytes_on_disk += bytes.size();
-  write_index_locked();
-
-  if (cache_.size() < cfg_.ram_cache_sessions)
-    cache_.push_back(Cached{name, std::move(s)});
-}
-
 bool SessionSpool::claim_locked(const Entry& e) {
   const fs::path root(cfg_.dir);
   std::error_code ec;
@@ -319,137 +362,137 @@ bool SessionSpool::claim_locked(const Entry& e) {
   return !ec;
 }
 
-std::optional<proto::PrecomputedSession> SessionSpool::take() {
-  const std::lock_guard<std::mutex> lock(mu_);
+template <class Session>
+void SessionSpool::put_lane(Session s, std::deque<Cached<Session>>& cache) {
+  using L = Lane<Session>;
+  const std::vector<std::uint8_t> bytes = L::serialize(s);
+  Entry entry;
+  entry.name = L::file_name(next_seq_++);
+  entry.bytes = bytes.size();
+  entry.sha256_hex = sha_hex(bytes.data(), bytes.size());
+  entry.v3 = L::kV3;
+  if constexpr (L::kV3) entry.lineage = s.pool_lineage;
   const fs::path root(cfg_.dir);
-  for (;;) {
-    const auto it =
-        std::find_if(index_.begin(), index_.end(),
-                     [](const Entry& e) { return !e.v3 && !e.reusable; });
-    if (it == index_.end()) return std::nullopt;
-    Entry e = *it;
-    index_.erase(it);
-    if (!claim_locked(e)) {
-      // Somebody else (another process sharing the directory) won the
-      // rename, or the file vanished; either way it is not ours.
-      --stats_.sessions_ready;
-      continue;
-    }
-    --stats_.sessions_ready;
-    stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
-    ++stats_.sessions_claimed;
-    write_index_locked();
+  write_file(root / "tmp" / entry.name, bytes);
+  // The rename is the commit point: ready/ only ever holds complete
+  // files, and a take only sees the file once it is indexed below.
+  fs::rename(root / "tmp" / entry.name, root / "ready" / entry.name);
 
-    // RAM-cache hit: the bytes never leave memory; the claim above
-    // already burned the on-disk copy.
-    const auto cached = std::find_if(
-        cache_.begin(), cache_.end(),
-        [&](const Cached& c) { return c.name == e.name; });
-    if (cached != cache_.end()) {
-      proto::PrecomputedSession s = std::move(cached->session);
-      cache_.erase(cached);
-      ++stats_.cache_hits;
-      std::error_code ec;
-      fs::remove(root / "claimed" / e.name, ec);
-      return s;
-    }
-
-    ++stats_.cache_misses;
-    std::ifstream is(root / "claimed" / e.name, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string bytes = buf.str();
-    if (cfg_.verify_checksums &&
-        sha_hex(reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                bytes.size()) != e.sha256_hex)
-      throw std::runtime_error("SessionSpool: checksum mismatch on " + e.name +
-                               " (bit rot or tampering)");
-    proto::PrecomputedSession s = proto::parse_session(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    std::error_code ec;
-    fs::remove(root / "claimed" / e.name, ec);
-    return s;
-  }
-  return std::nullopt;
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++L::spooled(stats_);
+  ++L::ready(stats_);
+  stats_.bytes_on_disk += entry.bytes;
+  if (cache.size() < cfg_.ram_cache_sessions)
+    cache.push_back(Cached<Session>{entry.name, std::move(s)});
+  index_.push_back(std::move(entry));
+  write_index_locked();
 }
 
-void SessionSpool::put_v3(const proto::PrecomputedSessionV3& s) {
-  const std::vector<std::uint8_t> bytes = proto::serialize_session_v3(s);
-  const std::string digest = sha_hex(bytes.data(), bytes.size());
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = session_v3_file_name(next_seq_++);
+template <class Session>
+std::optional<Session> SessionSpool::take_lane(
+    std::deque<Cached<Session>>& cache, std::uint64_t expected_lineage) {
+  using L = Lane<Session>;
   const fs::path root(cfg_.dir);
-  const fs::path tmp = root / "tmp" / name;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (!os) throw std::runtime_error("SessionSpool: cannot write " + name);
+  for (;;) {
+    Entry e;
+    std::optional<Session> hit;
+    bool burn = false;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      // A cached session first, else the lane's oldest file on disk.
+      auto it = index_.end();
+      if (!cache.empty()) {
+        const std::string name = std::move(cache.front().name);
+        hit = std::move(cache.front().session);
+        cache.pop_front();
+        it = std::find_if(index_.begin(), index_.end(),
+                          [&](const Entry& x) { return x.name == name; });
+        if (it == index_.end()) continue;  // unindexed: never claimable
+      } else {
+        it = std::find_if(index_.begin(), index_.end(), [](const Entry& x) {
+          return x.v3 == L::kV3 && !x.reusable;
+        });
+        if (it == index_.end()) return std::nullopt;
+      }
+      e = std::move(*it);
+      index_.erase(it);
+      --L::ready(stats_);
+      // Somebody else (another process sharing the directory) may have
+      // won the rename, or the file vanished; either way it is not ours.
+      if (!claim_locked(e)) continue;
+      stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
+      write_index_locked();
+      // Garbled under a pool delta this process does not hold (e.g. a
+      // previous broker's registry): unservable, so burn it.
+      burn = L::kV3 && e.lineage != expected_lineage;
+      if (burn) {
+        ++stats_.v3_lineage_discarded;
+      } else if (hit) {
+        ++stats_.cache_hits;
+        ++L::claimed(stats_);
+      } else {
+        ++stats_.cache_misses;
+      }
+    }
+
+    // The claim above already took the file out of ready/; from here on
+    // nothing needs the lock.
+    const fs::path claimed = root / "claimed" / e.name;
+    std::error_code ec;
+    if (burn) {
+      fs::remove(claimed, ec);
+      continue;
+    }
+    if (hit) {
+      fs::remove(claimed, ec);
+      return hit;
+    }
+    std::vector<std::uint8_t> bytes;
+    if (!read_exact(claimed, e.bytes, bytes) ||
+        (cfg_.verify_checksums &&
+         sha_hex(bytes.data(), bytes.size()) != e.sha256_hex))
+      throw std::runtime_error("SessionSpool: size or checksum mismatch on " +
+                               e.name + " (bit rot or tampering)");
+    Session s = L::parse(bytes);
+    fs::remove(claimed, ec);
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++L::claimed(stats_);
+    return s;
   }
-  fs::rename(tmp, root / "ready" / name);
-  Entry entry;
-  entry.name = name;
-  entry.bytes = bytes.size();
-  entry.sha256_hex = digest;
-  entry.v3 = true;
-  entry.lineage = s.pool_lineage;
-  index_.push_back(std::move(entry));
-  ++stats_.v3_spooled;
-  ++stats_.sessions_ready_v3;
-  stats_.bytes_on_disk += bytes.size();
-  write_index_locked();
+}
+
+void SessionSpool::put(proto::PrecomputedSession s) {
+  put_lane(std::move(s), cache_);
+}
+
+std::optional<proto::PrecomputedSession> SessionSpool::take() {
+  return take_lane(cache_, 0);
+}
+
+void SessionSpool::put_v3(proto::PrecomputedSessionV3 s) {
+  put_lane(std::move(s), cache_v3_);
 }
 
 std::optional<proto::PrecomputedSessionV3> SessionSpool::take_v3(
     std::uint64_t expected_lineage) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const fs::path root(cfg_.dir);
-  for (;;) {
-    const auto it = std::find_if(index_.begin(), index_.end(),
-                                 [](const Entry& e) { return e.v3; });
-    if (it == index_.end()) return std::nullopt;
-    Entry e = *it;
-    index_.erase(it);
-    --stats_.sessions_ready_v3;
-    if (!claim_locked(e)) continue;
-    stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
-    write_index_locked();
-
-    std::error_code ec;
-    if (e.lineage != expected_lineage) {
-      // Garbled under a pool delta this process does not hold (e.g. a
-      // previous broker's registry). Unservable — burn it and move on.
-      ++stats_.v3_lineage_discarded;
-      fs::remove(root / "claimed" / e.name, ec);
-      continue;
-    }
-
-    std::ifstream is(root / "claimed" / e.name, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string bytes = buf.str();
-    if (cfg_.verify_checksums &&
-        sha_hex(reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                bytes.size()) != e.sha256_hex)
-      throw std::runtime_error("SessionSpool: checksum mismatch on " + e.name +
-                               " (bit rot or tampering)");
-    proto::PrecomputedSessionV3 s = proto::parse_session_v3(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    ++stats_.v3_claimed;
-    fs::remove(root / "claimed" / e.name, ec);
-    return s;
-  }
+  return take_lane(cache_v3_, expected_lineage);
 }
 
 void SessionSpool::put_reusable(const std::string& key,
                                 const std::vector<std::uint8_t>& bytes) {
   if (key.empty() || key.find_first_of(" \t\n") != std::string::npos)
     throw std::invalid_argument("SessionSpool: bad reusable key");
-  const std::string digest = sha_hex(bytes.data(), bytes.size());
+  Entry e;
+  e.name = reusable_file_name(next_seq_++);
+  e.bytes = bytes.size();
+  e.sha256_hex = sha_hex(bytes.data(), bytes.size());
+  e.reusable = true;
+  e.key = key;
+  const fs::path root(cfg_.dir);
+  write_file(root / "tmp" / e.name, bytes);
+  fs::rename(root / "tmp" / e.name, root / "ready" / e.name);
 
   const std::lock_guard<std::mutex> lock(mu_);
-  const fs::path root(cfg_.dir);
   // One resident artifact per key: a repeated put replaces (re-garble
   // after corruption, operator-forced refresh) and the evaluation
   // counter restarts with the new artifact's lineage.
@@ -466,21 +509,6 @@ void SessionSpool::put_reusable(const std::string& key,
       ++it;
     }
   }
-  const std::string name = reusable_file_name(next_seq_++);
-  const fs::path tmp = root / "tmp" / name;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (!os) throw std::runtime_error("SessionSpool: cannot write " + name);
-  }
-  fs::rename(tmp, root / "ready" / name);
-  Entry e;
-  e.name = name;
-  e.bytes = bytes.size();
-  e.sha256_hex = digest;
-  e.reusable = true;
-  e.key = key;
   index_.push_back(std::move(e));
   ++stats_.reusable_spooled;
   ++stats_.reusable_ready;
@@ -490,23 +518,28 @@ void SessionSpool::put_reusable(const std::string& key,
 
 std::optional<std::vector<std::uint8_t>> SessionSpool::fetch_reusable(
     const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mu_);
   const fs::path root(cfg_.dir);
-  const auto it = std::find_if(
-      index_.begin(), index_.end(),
-      [&](const Entry& e) { return e.reusable && e.key == key; });
-  if (it == index_.end()) return std::nullopt;
+  for (;;) {
+    Entry e;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      const auto it = std::find_if(
+          index_.begin(), index_.end(),
+          [&](const Entry& x) { return x.reusable && x.key == key; });
+      if (it == index_.end()) return std::nullopt;
+      e = *it;
+    }
+    std::vector<std::uint8_t> bytes;
+    if (read_exact(root / "ready" / e.name, e.bytes, bytes) &&
+        (!cfg_.verify_checksums ||
+         sha_hex(bytes.data(), bytes.size()) == e.sha256_hex))
+      return bytes;
 
-  std::ifstream is(root / "ready" / it->name, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string b = buf.str();
-  const bool corrupt =
-      !is.good() ||
-      (cfg_.verify_checksums &&
-       sha_hex(reinterpret_cast<const std::uint8_t*>(b.data()), b.size()) !=
-           it->sha256_hex);
-  if (corrupt) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it =
+        std::find_if(index_.begin(), index_.end(),
+                     [&](const Entry& x) { return x.name == e.name; });
+    if (it == index_.end()) continue;  // replaced or purged meanwhile
     // Bit rot or tampering: destroy the blob so it can never be served,
     // and let the caller re-garble under the same key.
     std::error_code ec;
@@ -520,9 +553,6 @@ std::optional<std::vector<std::uint8_t>> SessionSpool::fetch_reusable(
     write_index_locked();
     return std::nullopt;
   }
-  return std::vector<std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(b.data()),
-      reinterpret_cast<const std::uint8_t*>(b.data()) + b.size());
 }
 
 void SessionSpool::add_reusable_evaluations(const std::string& key,

@@ -37,18 +37,30 @@
 //     partially streamed to a client before the crash, so its labels
 //     are burned; destroying it is the only safe choice.
 //
-// The index maps each ready file to its SHA-256 so take() detects
-// bit-rot/tampering before a worker streams garbage tables; the index
-// itself carries a trailing checksum line and is rebuilt by scanning
-// ready/ when missing or corrupt.
+// The index maps each ready file to its SHA-256 and byte count, so a
+// take detects bit-rot/tampering before a worker streams garbage
+// tables: every read of a session file takes exactly the indexed byte
+// count (a short or long file fails like a checksum mismatch) and is
+// checksummed. The index itself carries a trailing checksum line and is
+// rebuilt by scanning ready/ when missing or corrupt.
 //
-// A small RAM cache fronts the disk: put() keeps the freshest sessions
-// in memory (bounded), and take() serves from it when its backing file
-// is still claimable — the disk write stays on the producer thread and
-// the hot path skips the read-back + parse entirely.
+// RAM first: each single-use lane (v2 and v3) keeps up to
+// ram_cache_sessions of its freshly put sessions in memory, and a take
+// serves a cached session first and otherwise the oldest session on
+// disk. A cache hit still wins the ready/ -> claimed/ rename and unlinks
+// the file before it returns, so single use and the restart story are
+// unchanged; it just reads, hashes and parses nothing. The v3 lineage
+// check applies to cached sessions too.
+//
+// Locking: mu_ guards the index, the caches and the ledger. It is held
+// for index bookkeeping (including the small index rewrite) and the
+// claim rename only — never across writing, reading, checksumming or
+// parsing a session or artifact file — so a put never waits behind a
+// take's disk read and a take never waits behind a put's write.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -63,7 +75,7 @@ namespace maxel::svc {
 
 struct SpoolConfig {
   std::string dir;
-  std::size_t ram_cache_sessions = 4;  // put()-side in-memory front
+  std::size_t ram_cache_sessions = 4;  // in-memory front, per lane
   bool verify_checksums = true;        // SHA-256 check on disk reads
 };
 
@@ -71,8 +83,8 @@ struct SpoolStats {
   std::size_t sessions_ready = 0;    // v2 files in ready/ right now
   std::uint64_t sessions_spooled = 0;   // put() total since open
   std::uint64_t sessions_claimed = 0;   // take() total since open
-  std::uint64_t cache_hits = 0;         // take() served from RAM
-  std::uint64_t cache_misses = 0;       // take() read back from disk
+  std::uint64_t cache_hits = 0;         // takes (either lane) served from RAM
+  std::uint64_t cache_misses = 0;       // takes (either lane) read from disk
   std::uint64_t purged_on_open = 0;     // claimed/ leftovers destroyed
   std::uint64_t bytes_on_disk = 0;      // sum of ready/ file sizes
   // Protocol-v3 lane (slim-wire sessions bound to an OT-pool delta).
@@ -122,12 +134,15 @@ class SessionSpool {
   SessionSpool& operator=(const SessionSpool&) = delete;
 
   // Serializes, checksums, stages to tmp/ and renames into ready/;
-  // updates the index and (space permitting) the RAM cache.
+  // updates the index and (space permitting) the lane's RAM cache,
+  // which keeps the session moved in here.
   void put(proto::PrecomputedSession s);
 
-  // Claims and returns the oldest ready session, or nullopt when the
-  // spool is empty. The on-disk file is renamed into claimed/ before
-  // the session is returned and unlinked once the load succeeded.
+  // Claims and returns a cached session if the lane has one, else the
+  // oldest ready session on disk, or nullopt when the lane is empty.
+  // The on-disk file is renamed into claimed/ before the session is
+  // returned and unlinked once it is served. Throws std::runtime_error
+  // when a disk copy fails its size or checksum check.
   std::optional<proto::PrecomputedSession> take();
 
   // Protocol-v3 lane. v3 sessions are only servable from the OT pool
@@ -135,8 +150,8 @@ class SessionSpool {
   // each file's pool lineage (proto::delta_lineage) and take_v3 burns —
   // claims and destroys, never serves — any session whose lineage does
   // not match the caller's registry. The same single-use claim
-  // discipline as the v2 lane applies.
-  void put_v3(const proto::PrecomputedSessionV3& s);
+  // discipline, RAM cache and take order as the v2 lane apply.
+  void put_v3(proto::PrecomputedSessionV3 s);
   std::optional<proto::PrecomputedSessionV3> take_v3(
       std::uint64_t expected_lineage);
 
@@ -173,19 +188,30 @@ class SessionSpool {
     std::uint64_t evals = 0;    // MAC evaluations served (reusable only)
   };
 
+  template <class Session>
+  struct Cached {
+    std::string name;  // its file, still in ready/ until claimed
+    Session session;
+  };
+
   void open_or_rebuild();
   void write_index_locked();
   bool claim_locked(const Entry& e);  // ready/ -> claimed/, true if won
 
+  // The one put and the one take behind both single-use lanes.
+  template <class Session>
+  void put_lane(Session s, std::deque<Cached<Session>>& cache);
+  template <class Session>
+  std::optional<Session> take_lane(std::deque<Cached<Session>>& cache,
+                                   std::uint64_t expected_lineage);
+
   SpoolConfig cfg_;
   mutable std::mutex mu_;
   std::deque<Entry> index_;  // oldest first
-  struct Cached {
-    std::string name;
-    proto::PrecomputedSession session;
-  };
-  std::deque<Cached> cache_;
-  std::uint64_t next_seq_ = 0;
+  // One RAM cache per single-use lane, oldest first.
+  std::deque<Cached<proto::PrecomputedSession>> cache_;
+  std::deque<Cached<proto::PrecomputedSessionV3>> cache_v3_;
+  std::atomic<std::uint64_t> next_seq_{0};
   SpoolStats stats_;
 };
 

@@ -3,6 +3,8 @@
 // quality of the ring-oscillator RNG model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 #include <vector>
 
@@ -262,6 +264,94 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   Sha256 b;
   for (char c : msg) b.update(std::string(1, c));
   EXPECT_EQ(a.digest(), b.digest());
+}
+
+// Pins a SHA-256 backend for the scope of a test and restores detection.
+struct ScopedSha256Backend {
+  explicit ScopedSha256Backend(Sha256Backend b) { set_sha256_backend(b); }
+  ~ScopedSha256Backend() { set_sha256_backend(Sha256Backend::kAuto); }
+};
+
+// The FIPS 180-4 example messages, hashed through one backend.
+void expect_fips180_vectors(Sha256Backend backend) {
+  const ScopedSha256Backend pin(backend);
+  ASSERT_EQ(sha256_active_backend(), backend);
+  const auto hex_of = [](const std::string& msg) {
+    Sha256 h;
+    h.update(msg);
+    return Sha256::hex(h.digest());
+  };
+  EXPECT_EQ(hex_of(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex_of("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex_of("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                   "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(hex_of(std::string(1'000'000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256Backend, ActiveBackendIsConcrete) {
+  EXPECT_NE(sha256_active_backend(), Sha256Backend::kAuto);
+  {
+    const ScopedSha256Backend pin(Sha256Backend::kPortable);
+    EXPECT_EQ(sha256_active_backend(), Sha256Backend::kPortable);
+  }
+  {
+    const ScopedSha256Backend pin(Sha256Backend::kShani);
+    EXPECT_EQ(sha256_active_backend(), shani_supported()
+                                           ? Sha256Backend::kShani
+                                           : Sha256Backend::kPortable);
+  }
+}
+
+TEST(Sha256Backend, PortablePassesFips180Vectors) {
+  expect_fips180_vectors(Sha256Backend::kPortable);
+}
+
+TEST(Sha256Backend, ShaniPassesFips180Vectors) {
+  if (!shani_supported()) GTEST_SKIP() << "no SHA extensions on this CPU";
+  expect_fips180_vectors(Sha256Backend::kShani);
+}
+
+// Random messages of every length 0..300 and one spool-session-sized
+// buffer, each fed through random update() splits: every backend must
+// give the portable one-shot digest.
+TEST(Sha256Backend, BackendsAgreeOnEveryLengthAndSplit) {
+  Prg prg(Block{0x5A256, 0x1});
+  std::vector<std::vector<std::uint8_t>> msgs;
+  for (std::size_t len = 0; len <= 300; ++len) msgs.emplace_back(len);
+  msgs.emplace_back(572'600);
+  for (auto& m : msgs)
+    for (auto& b : m) b = static_cast<std::uint8_t>(prg.next_u64());
+
+  std::vector<Sha256Backend> backends{Sha256Backend::kPortable};
+  if (shani_supported()) backends.push_back(Sha256Backend::kShani);
+  for (const auto& m : msgs) {
+    std::array<std::uint8_t, 32> want{};
+    {
+      const ScopedSha256Backend pin(Sha256Backend::kPortable);
+      want = Sha256::hash(m.data(), m.size());
+    }
+    for (const Sha256Backend backend : backends) {
+      const ScopedSha256Backend pin(backend);
+      EXPECT_EQ(Sha256::hash(m.data(), m.size()), want)
+          << sha256_backend_name(backend) << " one-shot, len " << m.size();
+      Sha256 h;
+      std::size_t at = 0;
+      while (at < m.size()) {
+        const std::size_t step = std::min<std::size_t>(
+            m.size() - at, prg.next_u64() % (m.size() > 300 ? 9000 : 130));
+        h.update(m.data() + at, step);
+        at += step;
+      }
+      EXPECT_EQ(h.digest(), want)
+          << sha256_backend_name(backend) << " split, len " << m.size();
+    }
+  }
 }
 
 TEST(Prg, DeterministicFromSeed) {

@@ -10,6 +10,7 @@
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "proto/precompute.hpp"
 #include "proto/protocol.hpp"
 #include "proto/session_io.hpp"
@@ -111,6 +112,24 @@ TEST(SessionIo, SerializeParseMatchesStreamCodec) {
                                              via_bytes.size());
   EXPECT_EQ(t.delta, s.delta);
   EXPECT_EQ(t.rounds.size(), s.rounds.size());
+}
+
+// The byte layout is pinned: a seeded session must encode to the exact
+// bytes (length and SHA-256) the stream-based codec produced before the
+// byte codec became the primary one, and re-encode identically after a
+// parse.
+TEST(SessionIo, SerializedFormatIsPinned) {
+  const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
+  SystemRandom rng(Block{0x5E55, 0x10});
+  const PrecomputedSession s =
+      garble_session(c, gc::Scheme::kHalfGates, 3, rng);
+  const std::vector<std::uint8_t> bytes = serialize_session(s);
+  EXPECT_EQ(bytes.size(), 12388u);
+  EXPECT_EQ(
+      crypto::Sha256::hex(crypto::Sha256::hash(bytes.data(), bytes.size())),
+      "8fc7b9be50eb383339b3362053dd6b87bf26ecb09468b180fe63d4be4c80eddd");
+  const PrecomputedSession t = parse_session(bytes.data(), bytes.size());
+  EXPECT_EQ(serialize_session(t), bytes);
 }
 
 TEST(SessionIo, RejectsCorruptStreams) {

@@ -256,6 +256,176 @@ TEST_F(SpoolTest, V3LaneSurvivesRestartAndBurnsForeignLineage) {
   EXPECT_EQ(reopened.ready_v3(), 0u);
 }
 
+// Flips one byte in the middle of a stored session file.
+void flip_byte(const fs::path& f, std::streamoff at = 200) {
+  std::fstream io(f, std::ios::in | std::ios::out | std::ios::binary);
+  char b;
+  io.seekg(at);
+  io.get(b);
+  io.seekp(at);
+  io.put(static_cast<char>(b ^ 0x40));
+}
+
+std::string hex_key(const Block& b) {
+  char key[40];
+  std::snprintf(key, sizeof(key), "%016llx%016llx",
+                static_cast<unsigned long long>(b.hi),
+                static_cast<unsigned long long>(b.lo));
+  return key;
+}
+
+TEST_F(SpoolTest, V3CacheHitSkipsDiskAndStillBurnsTheFile) {
+  const Block delta{0xCA, 0xC4E};
+  const proto::PrecomputedSessionV3 s = make_v3_session(1, delta);
+  {
+    SessionSpool spool(config(/*cache=*/2));
+    spool.put_v3(s);
+    // A disk read would now fail its checksum; a cache hit never looks.
+    flip_byte(dir_ / "ready" / "v3ss-000000000000.mx3");
+    const auto got = spool.take_v3(s.pool_lineage);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(proto::serialize_session_v3(*got),
+              proto::serialize_session_v3(s));
+    const SpoolStats st = spool.stats();
+    EXPECT_EQ(st.cache_hits, 1u);
+    EXPECT_EQ(st.cache_misses, 0u);
+    EXPECT_EQ(st.v3_claimed, 1u);
+    EXPECT_FALSE(spool.take_v3(s.pool_lineage).has_value());
+  }
+  // The hit claimed and unlinked the disk copy: a reopened spool finds
+  // nothing to serve.
+  SessionSpool reopened(config(/*cache=*/2));
+  EXPECT_EQ(reopened.ready_v3(), 0u);
+  EXPECT_FALSE(reopened.take_v3(s.pool_lineage).has_value());
+}
+
+TEST_F(SpoolTest, TakesServeCachedSessionsFirstThenOldestOnDisk) {
+  const Block delta{0x0D, 0xE5};
+  std::vector<proto::PrecomputedSessionV3> s;
+  for (std::uint64_t i = 0; i < 4; ++i)
+    s.push_back(make_v3_session(30 + i, delta));
+  const std::uint64_t lineage = s[0].pool_lineage;
+  SessionSpool spool(config(/*cache=*/2));
+  spool.put_v3(s[0]);  // cached
+  spool.put_v3(s[1]);  // cached
+  spool.put_v3(s[2]);  // disk only: the cache is full
+  std::vector<Block> order;
+  const auto take = [&] {
+    const auto got = spool.take_v3(lineage);
+    EXPECT_TRUE(got.has_value());
+    order.push_back(got ? got->label_seed : Block{});
+  };
+  take();              // s0, cached
+  spool.put_v3(s[3]);  // cached: the take made room
+  take();              // s1, cached
+  take();              // s3: cached beats the older s2 on disk
+  take();              // s2, from disk
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0], s[0].label_seed);
+  EXPECT_EQ(order[1], s[1].label_seed);
+  EXPECT_EQ(order[2], s[3].label_seed);
+  EXPECT_EQ(order[3], s[2].label_seed);
+  const SpoolStats st = spool.stats();
+  EXPECT_EQ(st.cache_hits, 3u);
+  EXPECT_EQ(st.cache_misses, 1u);
+  EXPECT_EQ(st.v3_claimed, 4u);
+}
+
+TEST_F(SpoolTest, CachedSessionOfForeignLineageIsBurnedNotServed) {
+  const proto::PrecomputedSessionV3 s = make_v3_session(5, Block{0xF0, 0x0F});
+  SessionSpool spool(config(/*cache=*/2));
+  spool.put_v3(s);
+  EXPECT_FALSE(spool.take_v3(s.pool_lineage + 1).has_value());
+  const SpoolStats st = spool.stats();
+  EXPECT_EQ(st.v3_lineage_discarded, 1u);
+  EXPECT_EQ(st.cache_hits, 0u);
+  EXPECT_EQ(st.v3_claimed, 0u);
+  // Burned for good: its own lineage cannot get it back either.
+  EXPECT_FALSE(spool.take_v3(s.pool_lineage).has_value());
+  EXPECT_TRUE(fs::is_empty(dir_ / "ready"));
+  EXPECT_TRUE(fs::is_empty(dir_ / "claimed"));
+}
+
+TEST_F(SpoolTest, V3DetectsBitRotViaChecksum) {
+  const proto::PrecomputedSessionV3 s = make_v3_session(3, Block{0xB1, 0x7});
+  SessionSpool spool(config());  // no cache: the take reads the disk
+  spool.put_v3(s);
+  flip_byte(dir_ / "ready" / "v3ss-000000000000.mx3");
+  EXPECT_THROW((void)spool.take_v3(s.pool_lineage), std::runtime_error);
+}
+
+// A producer that keeps up with its taker after a set-up backlog: the
+// cache, refilled by each put, serves every take.
+TEST_F(SpoolTest, SteadyPutTakeAfterBacklogServesEveryTakeFromCache) {
+  const proto::PrecomputedSessionV3 s = make_v3_session(8, Block{0x5E, 0xAD});
+  SessionSpool spool(config(/*cache=*/4));
+  for (int i = 0; i < 32; ++i) spool.put_v3(s);
+  for (int round = 0; round < 50; ++round) {
+    spool.put_v3(s);
+    spool.put_v3(s);
+    ASSERT_TRUE(spool.take_v3(s.pool_lineage).has_value());
+    ASSERT_TRUE(spool.take_v3(s.pool_lineage).has_value());
+  }
+  const SpoolStats st = spool.stats();
+  EXPECT_EQ(st.cache_hits, 100u);
+  EXPECT_EQ(st.cache_misses, 0u);
+  EXPECT_EQ(st.v3_claimed, 100u);
+  EXPECT_EQ(spool.ready_v3(), 32u);
+}
+
+// Two takers race one putter on both lanes. Every session is served at
+// most once, and the ledger balances: spooled == claimed + ready.
+TEST_F(SpoolTest, ConcurrentTakersAndPutterServeEachSessionOnce) {
+  constexpr std::uint64_t kPerLane = 24;
+  const Block delta{0xC0, 0xC0};
+  std::vector<proto::PrecomputedSession> v2;
+  std::vector<proto::PrecomputedSessionV3> v3;
+  for (std::uint64_t i = 0; i < kPerLane; ++i) {
+    v2.push_back(make_session(100 + i));
+    v3.push_back(make_v3_session(200 + i, delta));
+  }
+  const std::uint64_t lineage = v3[0].pool_lineage;
+
+  SessionSpool spool(config(/*cache=*/4));
+  std::atomic<bool> done{false};
+  std::vector<std::string> seen[2];
+  const auto taker = [&](std::vector<std::string>& out) {
+    for (;;) {
+      const bool finished = done.load();
+      bool got = false;
+      if (const auto s = spool.take()) {
+        out.push_back("v2:" + hex_key(s->delta));
+        got = true;
+      }
+      if (const auto s = spool.take_v3(lineage)) {
+        out.push_back("v3:" + hex_key(s->label_seed));
+        got = true;
+      }
+      if (!got && finished) return;
+    }
+  };
+  std::thread t0(taker, std::ref(seen[0]));
+  std::thread t1(taker, std::ref(seen[1]));
+  for (std::uint64_t i = 0; i < kPerLane; ++i) {
+    spool.put(std::move(v2[i]));
+    spool.put_v3(std::move(v3[i]));
+  }
+  done.store(true);
+  t0.join();
+  t1.join();
+
+  std::set<std::string> served;
+  for (const auto& side : seen)
+    for (const auto& key : side)
+      EXPECT_TRUE(served.insert(key).second) << key << " served twice";
+  EXPECT_EQ(served.size(), 2 * kPerLane);
+  const SpoolStats st = spool.stats();
+  EXPECT_EQ(st.sessions_spooled, st.sessions_claimed + st.sessions_ready);
+  EXPECT_EQ(st.v3_spooled, st.v3_claimed + st.sessions_ready_v3);
+  EXPECT_EQ(st.sessions_claimed, kPerLane);
+  EXPECT_EQ(st.v3_claimed, kPerLane);
+}
+
 // ---------------------------------------------------------------------------
 // Reusable lane: keyed garble-once artifacts, fetched without claiming.
 
