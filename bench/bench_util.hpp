@@ -8,8 +8,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "crypto/aes.hpp"
+#include "crypto/sha256.hpp"
 
 namespace maxel::bench {
 
@@ -36,8 +40,10 @@ inline std::string fix(double v, int prec = 2) {
 }
 
 // Machine-readable bench output: collects flat records and writes them
-// as a JSON array to BENCH_<name>.json so successive PRs accumulate a
-// perf trajectory. Usage:
+// as a JSON array to BENCH_<name>.json so successive runs accumulate a
+// perf trajectory. Every row is stamped with the host it ran on —
+// hardware_threads, aes_backend, sha256_backend, build_type and git_sha
+// — unless the bench already set that key itself. Usage:
 //
 //   JsonReporter rep("core_scaling");
 //   auto& row = rep.row();
@@ -89,11 +95,27 @@ class JsonReporter {
   }
 
   [[nodiscard]] std::string render() const {
+    Row stamp;
+    stamp.num("hardware_threads",
+              static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+        .str("aes_backend",
+             crypto::aes_backend_name(crypto::aes_active_backend()))
+        .str("sha256_backend",
+             crypto::sha256_backend_name(crypto::sha256_active_backend()))
+        // Both defined per bench target by bench/CMakeLists.txt.
+        .str("build_type", MAXEL_BUILD_TYPE)
+        .str("git_sha", MAXEL_GIT_SHA);
     std::ostringstream os;
     os << "[\n";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
+      auto fields = rows_[r].fields_;
+      for (const auto& host : stamp.fields_) {
+        bool set = false;
+        for (const auto& f : rows_[r].fields_)
+          set = set || f.first == host.first;
+        if (!set) fields.push_back(host);
+      }
       os << "  {";
-      const auto& fields = rows_[r].fields_;
       for (std::size_t f = 0; f < fields.size(); ++f) {
         os << "\"" << fields[f].first << "\": " << fields[f].second;
         if (f + 1 < fields.size()) os << ", ";

@@ -10,6 +10,7 @@
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "hwsim/power.hpp"
 #include "hwsim/resource_model.hpp"
 
@@ -27,7 +28,7 @@ SweepPoint run_point(std::size_t b, std::uint64_t rounds) {
   cfg.bit_width = b;
   crypto::SystemRandom rng(crypto::Block{b, 99});
   core::MaxeleratorSim sim(cfg, rng);
-  gc::CircuitEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
+  gc::StreamingEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
 
   crypto::Prg data(crypto::Block{b, 123});
   const circuit::MacOptions ref{b, b, true};

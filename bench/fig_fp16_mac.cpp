@@ -22,6 +22,7 @@
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "hwsim/schedule.hpp"
 
 namespace {
@@ -40,7 +41,7 @@ struct MacRun {
 MacRun run_fp16_mac(const circuit::Circuit& c, std::size_t rounds) {
   crypto::SystemRandom rng(crypto::Block{0xF9, 0x16AC});
   gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng);
-  gc::CircuitEvaluator evaluator(c, gc::Scheme::kHalfGates);
+  gc::StreamingEvaluator evaluator(c, gc::Scheme::kHalfGates);
   crypto::Prg prg(crypto::Block{0xBE, 0x16});
 
   MacRun out;

@@ -7,8 +7,8 @@
 //
 //  * peak live wires — the live-width that sizes every per-wire label
 //    buffer (deterministic, the primary objective);
-//  * garbler/evaluator label buffer bytes — the planned working sets of
-//    the streaming pipeline (deterministic);
+//  * garbler/evaluator label buffer bytes — the working sets of
+//    CircuitGarbler and StreamingEvaluator (deterministic);
 //  * hwsim gate-program cycles and utilization — the in-order issue
 //    model of hwsim/schedule.hpp on the paper's core configs
 //    (deterministic);
@@ -49,14 +49,12 @@ struct MacMeasure {
   bool verified = false;
 };
 
-// In-process sequential garble+evaluate of `rounds` MACs, planned label
-// layouts on both sides (the streaming pipeline's storage discipline).
+// In-process sequential garble+evaluate of `rounds` MACs.
 MacMeasure run_macs(const circuit::Circuit& c, const circuit::MacOptions& opt,
                     std::size_t rounds, std::uint64_t seed) {
   crypto::SystemRandom rng(crypto::Block{seed, 0x5eedULL});
   crypto::SystemRandom input_rng(crypto::Block{seed, 0xda7aULL});
-  gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng,
-                             gc::LabelLayout::kPlanned);
+  gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng);
   gc::StreamingEvaluator evaluator(c, gc::Scheme::kHalfGates);
 
   const std::size_t b = opt.bit_width;
@@ -112,8 +110,11 @@ Variant analyze(circuit::Circuit circ, std::size_t mac_width) {
   Variant v;
   v.peak_live = circuit::peak_live_wires(circ);
   v.sum_live = circuit::sum_live_ranges(circ);
-  v.garbler_buffer_bytes = gc::plan_garbling(circ).num_slots * 16;
-  v.evaluator_buffer_bytes = gc::plan_evaluation(circ).num_slots * 16;
+  crypto::SystemRandom rng(crypto::Block{0, 0});
+  const gc::CircuitGarbler garbler(circ, gc::Scheme::kHalfGates, rng);
+  v.garbler_buffer_bytes = garbler.label_buffer_bytes();
+  v.evaluator_buffer_bytes =
+      gc::StreamingEvaluator(circ, gc::Scheme::kHalfGates).working_set_bytes();
   v.hw = hwsim::schedule_gate_program(
       circ, hwsim::CoreConfig::for_mac_width(mac_width));
   v.circ = std::move(circ);

@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of every primitive on the garbling
 // hot path: AES, the fixed-key hash, gate garbling and evaluation per
-// scheme, whole-MAC garbling, base OT and IKNP extension, and the
-// MAXelerator simulator itself — plus SHA-256 per backend, the checksum
-// every spool disk read pays.
+// scheme, whole-MAC-round garbling and evaluation, base OT and IKNP
+// extension, and the MAXelerator simulator itself — plus SHA-256 per
+// backend, the checksum every spool disk read pays.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/channel.hpp"
@@ -121,6 +122,33 @@ void BM_GarbleMacRound(benchmark::State& state) {
   state.counters["ANDs"] = static_cast<double>(c.and_count());
 }
 BENCHMARK(BM_GarbleMacRound)->Arg(8)->Arg(16)->Arg(32);
+
+// One garbled MAC round, the BM_GarbleMacRound circuit, evaluated by
+// gc::StreamingEvaluator. The round is garbled once and evaluated every
+// iteration: only the first pass decodes (the tweak moves with the
+// evaluator's round counter), but a round costs the same whatever
+// label values flow through it.
+void BM_EvaluateMacRound(benchmark::State& state) {
+  const auto b = static_cast<std::size_t>(state.range(0));
+  const circuit::MacOptions opt{b, b, true,
+                                circuit::Builder::MulStructure::kSerial};
+  const circuit::Circuit c = circuit::make_mac_circuit(opt);
+  crypto::SystemRandom rng(Block{b, 5});
+  gc::CircuitGarbler g(c, gc::Scheme::kHalfGates, rng);
+  const gc::RoundMaterial m = g.garble_round_material();
+  std::vector<Block> e_labels;
+  for (const auto& pair : m.evaluator_pairs) e_labels.push_back(pair.first);
+  gc::StreamingEvaluator ev(c, gc::Scheme::kHalfGates);
+  ev.set_initial_state_labels(g.initial_state_labels());
+  for (auto _ : state) {
+    auto out =
+        ev.eval_round(m.tables, m.garbler_labels0, e_labels, m.fixed_labels);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["ANDs"] = static_cast<double>(c.and_count());
+}
+BENCHMARK(BM_EvaluateMacRound)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_MaxeleratorSimRound(benchmark::State& state) {
   const auto b = static_cast<std::size_t>(state.range(0));

@@ -11,6 +11,7 @@
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 
 int main() {
   using namespace maxel;
@@ -30,7 +31,7 @@ int main() {
               sim.hw().seg2_cores());
 
   // Client-side evaluator over the accelerator's table stream.
-  gc::CircuitEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
+  gc::StreamingEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
   crypto::Prg data(Block{99, 1});
   const circuit::MacOptions ref{b, b, true};
   std::uint64_t expect = 0;

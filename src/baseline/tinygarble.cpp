@@ -5,6 +5,7 @@
 
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 
 namespace maxel::baseline {
 
@@ -54,7 +55,7 @@ SoftwareMacResult measure_software_evaluation(std::size_t bit_width,
 
   crypto::SystemRandom rng;
   gc::CircuitGarbler garbler(c, opt.scheme, rng);
-  gc::CircuitEvaluator evaluator(c, opt.scheme);
+  gc::StreamingEvaluator evaluator(c, opt.scheme);
 
   // Pre-garble everything so only evaluation is on the timed path.
   std::vector<gc::RoundTables> tables;

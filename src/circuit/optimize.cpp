@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace maxel::circuit {
@@ -23,15 +24,17 @@ void fill_after(const Circuit& c, OptimizeStats* stats) {
 
 constexpr std::int64_t kNever = -1;
 
-// Last gate position using each wire, plus the persist set (outputs and
-// DFF next-state wires live to the end of the round).
-struct Liveness {
+// One round's liveness facts: the last gate position reading each wire
+// (kNever if none) and the persist set (outputs and DFF next-state wires
+// live to the end of the round). The slot planner, sum_live_ranges and
+// the schedule's live-set objective all read this one pass.
+struct RoundLiveness {
   std::vector<std::int64_t> last_use;
   std::vector<char> persist;
 };
 
-Liveness analyze_liveness(const Circuit& c) {
-  Liveness lv;
+RoundLiveness round_liveness(const Circuit& c) {
+  RoundLiveness lv;
   lv.last_use.assign(c.num_wires, kNever);
   for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
     lv.last_use[c.gates[idx].a] = static_cast<std::int64_t>(idx);
@@ -41,18 +44,6 @@ Liveness analyze_liveness(const Circuit& c) {
   for (const auto w : c.outputs) lv.persist[w] = 1;
   for (const auto& d : c.dffs) lv.persist[d.d] = 1;
   return lv;
-}
-
-// Wires defined at round start, before any gate runs. Mirrors the order
-// gc::plan_evaluation seeds its slot allocator with.
-std::vector<Wire> round_start_wires(const Circuit& c) {
-  std::vector<Wire> initial = {kConstZero, kConstOne};
-  initial.insert(initial.end(), c.garbler_inputs.begin(),
-                 c.garbler_inputs.end());
-  initial.insert(initial.end(), c.evaluator_inputs.begin(),
-                 c.evaluator_inputs.end());
-  for (const auto& d : c.dffs) initial.push_back(d.q);
-  return initial;
 }
 
 // One round of greedy list scheduling under a live-set objective: at
@@ -93,9 +84,7 @@ std::vector<std::uint32_t> greedy_live_order(const Circuit& c) {
     }
   }
 
-  std::vector<char> persist(c.num_wires, 0);
-  for (const auto w : c.outputs) persist[w] = 1;
-  for (const auto& d : c.dffs) persist[d.d] = 1;
+  const std::vector<char> persist = round_liveness(c).persist;
 
   std::vector<std::uint32_t> uses(c.num_wires, 0);
   for (std::uint32_t i = 0; i < c.gates.size(); ++i) {
@@ -196,34 +185,60 @@ Circuit reorder_gates(const Circuit& c,
 
 }  // namespace
 
-std::size_t peak_live_wires(const Circuit& c) {
-  const Liveness lv = analyze_liveness(c);
-  // Release-before-define, exactly like gc::plan_evaluation's slot
-  // allocator, so this count equals a planned label buffer's slot count.
-  std::size_t live = 0;
-  std::size_t peak = 0;
-  const auto initial = round_start_wires(c);
-  live += initial.size();
-  peak = std::max(peak, live);
-  for (const auto w : initial) {
-    if (lv.last_use[w] == kNever && !lv.persist[w]) --live;
-  }
+SlotPlan plan_label_slots(const Circuit& c, const std::vector<Wire>& held) {
+  RoundLiveness lv = round_liveness(c);
+  // 0: released at last use; 1: live to the round's end; 2: held.
+  std::vector<char> keep = std::move(lv.persist);
+  for (const auto w : held) keep[w] = 2;
+
+  SlotPlan plan;
+  plan.slot_of_wire.assign(c.num_wires, SlotPlan::kNoSlot);
+  for (Wire w = 0; w < c.num_wires; ++w)
+    if (keep[w] == 2)
+      plan.slot_of_wire[w] = static_cast<std::uint32_t>(plan.num_slots++);
+
+  std::vector<std::uint32_t> free_slots;
+  const auto define = [&](Wire w) {
+    if (plan.slot_of_wire[w] != SlotPlan::kNoSlot) return;  // held
+    if (free_slots.empty()) {
+      plan.slot_of_wire[w] = static_cast<std::uint32_t>(plan.num_slots++);
+    } else {
+      plan.slot_of_wire[w] = free_slots.back();
+      free_slots.pop_back();
+    }
+  };
+  const auto release_if_dead = [&](Wire w, std::int64_t at) {
+    if (lv.last_use[w] == at && keep[w] == 0)
+      free_slots.push_back(plan.slot_of_wire[w]);
+  };
+
+  // Round start: constants, inputs, state wires.
+  std::vector<Wire> start = {kConstZero, kConstOne};
+  start.insert(start.end(), c.garbler_inputs.begin(), c.garbler_inputs.end());
+  start.insert(start.end(), c.evaluator_inputs.begin(),
+               c.evaluator_inputs.end());
+  for (const auto& d : c.dffs) start.push_back(d.q);
+  for (const auto w : start) define(w);
+  for (const auto w : start) release_if_dead(w, kNever);
+
   for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
     const auto& g = c.gates[idx];
-    if (lv.last_use[g.a] == static_cast<std::int64_t>(idx) && !lv.persist[g.a])
-      --live;
-    if (g.b != g.a && lv.last_use[g.b] == static_cast<std::int64_t>(idx) &&
-        !lv.persist[g.b])
-      --live;
-    ++live;
-    peak = std::max(peak, live);
-    if (lv.last_use[g.out] == kNever && !lv.persist[g.out]) --live;
+    const auto at = static_cast<std::int64_t>(idx);
+    // Operands die here unless kept; a == b must free only once.
+    release_if_dead(g.a, at);
+    if (g.b != g.a) release_if_dead(g.b, at);
+    define(g.out);
+    release_if_dead(g.out, kNever);
   }
-  return peak;
+  return plan;
+}
+
+std::size_t peak_live_wires(const Circuit& c) {
+  return plan_label_slots(c).num_slots;
 }
 
 std::uint64_t sum_live_ranges(const Circuit& c) {
-  const Liveness lv = analyze_liveness(c);
+  const RoundLiveness lv = round_liveness(c);
   const std::int64_t end = static_cast<std::int64_t>(c.gates.size());
   std::vector<std::int64_t> def(c.num_wires, 0);
   for (std::size_t idx = 0; idx < c.gates.size(); ++idx)

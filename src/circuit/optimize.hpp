@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "circuit/netlist.hpp"
 
@@ -49,11 +50,30 @@ Circuit duplicate_gate_eliminate(const Circuit& c,
 // A wire is live from its definition (round start for constants, inputs
 // and DFF state wires; its producing gate otherwise) until its last use.
 // Outputs and DFF next-state wires stay live to the end of the round.
-// The release-before-define convention matches gc::plan_evaluation, so
-// peak_live_wires(c) equals the slot count of a planned label buffer:
-// peak_live_wires(c) * 16 bytes is the working set of one garbled round.
+// Every per-wire label buffer in the library — the garbler's and the
+// evaluator's — is laid out by plan_label_slots below, and
+// peak_live_wires(c) is its slot count with nothing held: x16 bytes,
+// the evaluator's working set of one garbled round.
 
-// Maximum number of simultaneously live wires across the round.
+// Label-slot layout of one round: wire -> slot, with a slot recycled
+// once its wire is dead. Wires that are never defined (no gate writes
+// them and they are not a round-start wire) map to kNoSlot.
+struct SlotPlan {
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  std::vector<std::uint32_t> slot_of_wire;
+  std::size_t num_slots = 0;
+};
+
+// The one liveness slot planner. `held` wires get their own slots from
+// round start (in wire order) and are never recycled — the garbler
+// holds every wire it answers label queries about after the round.
+// Every other wire is allocated at its definition and released at its
+// last use, operands before the gate's output (release-before-define),
+// so a gate may write its output into an operand's slot.
+SlotPlan plan_label_slots(const Circuit& c, const std::vector<Wire>& held = {});
+
+// Maximum number of simultaneously live wires across the round:
+// plan_label_slots(c).num_slots.
 std::size_t peak_live_wires(const Circuit& c);
 
 // Sum over wires of (last use - definition), in gate positions; the
@@ -91,8 +111,8 @@ Circuit optimize(const Circuit& c, OptimizeStats* stats = nullptr);
 
 // DCE + CSE to a fixed point, then (behind the flag) the locality
 // schedule. Consumers that garble or evaluate in netlist order — the
-// plain CircuitGarbler/CircuitEvaluator, the streaming pipeline, v3 and
-// the reusable construction — accept the scheduled circuit unchanged.
+// CircuitGarbler/StreamingEvaluator pair, v3 and the reusable
+// construction — accept the scheduled circuit unchanged.
 struct OptimizeOptions {
   bool schedule = false;  // run schedule_for_locality after DCE+CSE
 };

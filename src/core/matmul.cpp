@@ -6,6 +6,7 @@
 
 #include "circuit/circuits.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 
 namespace maxel::core {
 namespace {
@@ -52,7 +53,7 @@ CellResult run_matmul_cell(const std::vector<std::vector<std::uint64_t>>& a,
   MaxeleratorConfig cfg;
   cfg.bit_width = bit_width;
   MaxeleratorSim sim(cfg, rng);
-  gc::CircuitEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
+  gc::StreamingEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
 
   std::uint64_t expect = 0;
   std::vector<crypto::Block> out_labels;

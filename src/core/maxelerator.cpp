@@ -148,7 +148,7 @@ void MaxeleratorSim::finalize_round(std::uint64_t r, const RoundCallback& cb) {
   for (const auto w : c.outputs) out.output_labels0.push_back(resolve_label(r, w));
   if (r == 0) out.initial_state_active = initial_state_active_;
   out.tables.tables = std::move(st.tables);
-  if (cfg_.capture_wire_labels) out.wire_labels0 = st.labels0;
+  if (cfg_.capture_wire_labels) out.all_labels0 = st.labels0;
 
   pcie_.record_transfer(out.tables.tables.size() *
                         gc::bytes_per_and(gc::Scheme::kHalfGates));

@@ -9,7 +9,7 @@
 //
 // The produced tables are standard half-gates tables over the hardware
 // MAC netlist with the library-wide tweak convention, so the ordinary
-// software CircuitEvaluator evaluates them — the acceleration is
+// software StreamingEvaluator evaluates them — the acceleration is
 // transparent to the client, as the paper requires.
 #pragma once
 
@@ -114,7 +114,7 @@ struct RoundOutput {
   std::array<Block, 2> fixed_labels0{};     // const0 / const1 wires
   std::vector<Block> output_labels0;        // accumulator outputs
   std::vector<Block> initial_state_active;  // round 0 only
-  std::vector<Block> wire_labels0;          // only if capture_wire_labels
+  std::vector<Block> all_labels0;           // only if capture_wire_labels
 };
 
 class MaxeleratorSim {

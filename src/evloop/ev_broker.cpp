@@ -8,6 +8,9 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -220,6 +223,17 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
 }
 
 EvBroker::~EvBroker() { request_stop(); }
+
+// The producer, shard and run threads each allocate from their own malloc
+// arena, and glibc keeps what they free there. A thread of the next
+// broker in the same process may get a different arena, so a process
+// that runs brokers one after another would otherwise keep each one's
+// spool cache and session batches resident on top of the next one's.
+EvBroker::ReleaseFreedPages::~ReleaseFreedPages() {
+#ifdef __GLIBC__
+  ::malloc_trim(0);
+#endif
+}
 
 void EvBroker::ensure_reusable() {
   reusable_key_ =

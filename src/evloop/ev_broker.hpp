@@ -221,6 +221,11 @@ class EvBroker {
         &session_seconds, &first_table_seconds, &total_seconds;
   };
 
+  // Declared first so that it is destroyed last: once every other member
+  // is gone it hands the pages this broker's threads freed back to the OS.
+  struct ReleaseFreedPages {
+    ~ReleaseFreedPages();
+  } release_freed_pages_;
   EvBrokerConfig cfg_;
   svc::MetricsRegistry metrics_;
   Ledger m_;

@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "circuit/optimize.hpp"
+#include "gc/streaming_evaluator.hpp"
+
 namespace maxel::gc {
 
 using circuit::Circuit;
@@ -10,109 +13,42 @@ using circuit::kConstOne;
 using circuit::kConstZero;
 using circuit::Wire;
 
-GarblingPlan plan_garbling(const Circuit& c) {
-  constexpr std::int64_t kNever = -1;
-  std::vector<std::int64_t> last_use(c.num_wires, kNever);
-  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
-    last_use[c.gates[idx].a] = static_cast<std::int64_t>(idx);
-    last_use[c.gates[idx].b] = static_cast<std::int64_t>(idx);
-  }
-  // Pin every wire the garbler can be asked about after the round.
-  std::vector<char> pinned(c.num_wires, 0);
-  pinned[kConstZero] = 1;
-  pinned[kConstOne] = 1;
-  for (const auto w : c.garbler_inputs) pinned[w] = 1;
-  for (const auto w : c.evaluator_inputs) pinned[w] = 1;
-  for (const auto& d : c.dffs) {
-    pinned[d.q] = 1;
-    pinned[d.d] = 1;
-  }
-  for (const auto w : c.outputs) pinned[w] = 1;
-
-  GarblingPlan plan;
-  plan.num_wires = c.num_wires;
-  plan.slot_of_wire.assign(c.num_wires, UINT32_MAX);
-
-  std::vector<std::uint32_t> free_slots;
-  std::uint32_t next_slot = 0;
-  const auto define = [&](Wire w) {
-    if (plan.slot_of_wire[w] != UINT32_MAX) return;  // pinned, pre-placed
-    std::uint32_t slot;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-    } else {
-      slot = next_slot++;
-    }
-    plan.slot_of_wire[w] = slot;
-  };
-  const auto release = [&](Wire w) {
-    free_slots.push_back(plan.slot_of_wire[w]);
-  };
-
-  // Pinned wires first, in wire order, so their slots are stable and
-  // never recycled.
-  for (Wire w = 0; w < c.num_wires; ++w)
-    if (pinned[w]) plan.slot_of_wire[w] = next_slot++;
-
-  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
-    const auto& g = c.gates[idx];
-    if (last_use[g.a] == static_cast<std::int64_t>(idx) && !pinned[g.a])
-      release(g.a);
-    if (g.b != g.a && last_use[g.b] == static_cast<std::int64_t>(idx) &&
-        !pinned[g.b])
-      release(g.b);
-    define(g.out);
-    if (last_use[g.out] == kNever && !pinned[g.out]) release(g.out);
-  }
-
-  plan.num_slots = next_slot;
-  return plan;
-}
-
 namespace {
 
-std::vector<std::uint32_t> layout_slots(const Circuit& c, LabelLayout layout) {
-  if (layout == LabelLayout::kDense) {
-    std::vector<std::uint32_t> identity(c.num_wires);
-    for (Wire w = 0; w < c.num_wires; ++w) identity[w] = w;
-    return identity;
+// Every wire the garbler answers label queries about after the round
+// (garbler_input_label, evaluator_input_labels, output_map, ...).
+std::vector<Wire> protocol_wires(const Circuit& c) {
+  std::vector<Wire> held = {kConstZero, kConstOne};
+  held.insert(held.end(), c.garbler_inputs.begin(), c.garbler_inputs.end());
+  held.insert(held.end(), c.evaluator_inputs.begin(), c.evaluator_inputs.end());
+  for (const auto& d : c.dffs) {
+    held.push_back(d.q);
+    held.push_back(d.d);
   }
-  return plan_garbling(c).slot_of_wire;
-}
-
-std::size_t layout_size(const Circuit& c, LabelLayout layout) {
-  return layout == LabelLayout::kDense ? c.num_wires
-                                       : plan_garbling(c).num_slots;
+  held.insert(held.end(), c.outputs.begin(), c.outputs.end());
+  return held;
 }
 
 }  // namespace
 
 CircuitGarbler::CircuitGarbler(const Circuit& c, Scheme scheme,
-                               crypto::RandomSource& rng, LabelLayout layout)
+                               crypto::RandomSource& rng)
     : circ_(c),
       scheme_(scheme),
       rng_(rng),
       delta_(crypto::random_delta(rng)),
       gg_(scheme, delta_),
-      layout_(layout),
-      slot_(layout_slots(c, layout)),
-      labels0_(layout_size(c, layout), Block::zero()),
       next_state0_(c.dffs.size(), Block::zero()),
-      initial_state_active_(c.dffs.size(), Block::zero()) {}
-
-const std::vector<Block>& CircuitGarbler::wire_labels0() const {
-  if (layout_ != LabelLayout::kDense)
-    throw std::logic_error(
-        "wire_labels0: planned label buffers are slot-indexed; query "
-        "label0(wire) instead");
-  return labels0_;
+      initial_state_active_(c.dffs.size(), Block::zero()) {
+  circuit::SlotPlan plan = circuit::plan_label_slots(c, protocol_wires(c));
+  slot_ = std::move(plan.slot_of_wire);
+  labels0_.assign(plan.num_slots, Block::zero());
 }
 
 RoundTables CircuitGarbler::garble_round() {
   // Fresh labels for constants and inputs every round (sequential GC).
-  // The RNG draw order is part of the cross-layout equivalence contract
-  // (see LabelLayout): it must not depend on the storage plan.
+  // The RNG draw order is part of the pinned session format: it must
+  // not depend on the slot plan.
   l0(kConstZero) = rng_.next_block();
   l0(kConstOne) = rng_.next_block();
   for (const auto w : circ_.garbler_inputs) l0(w) = rng_.next_block();
@@ -208,66 +144,6 @@ bool CircuitGarbler::decode_output(std::size_t i, const Block& active) const {
   throw std::runtime_error("decode_output: label matches neither value");
 }
 
-CircuitEvaluator::CircuitEvaluator(const Circuit& c, Scheme scheme)
-    : circ_(c), gg_(scheme, Block::zero()), state_(c.dffs.size()) {}
-
-void CircuitEvaluator::set_initial_state_labels(std::vector<Block> labels) {
-  if (labels.size() != circ_.dffs.size())
-    throw std::invalid_argument("set_initial_state_labels: arity mismatch");
-  state_ = std::move(labels);
-}
-
-std::vector<Block> CircuitEvaluator::eval_round(
-    const RoundTables& tables, const std::vector<Block>& garbler_labels,
-    const std::vector<Block>& evaluator_labels,
-    const std::vector<Block>& fixed_labels) {
-  if (garbler_labels.size() != circ_.garbler_inputs.size() ||
-      evaluator_labels.size() != circ_.evaluator_inputs.size() ||
-      fixed_labels.size() != 2) {
-    throw std::invalid_argument("eval_round: label arity mismatch");
-  }
-
-  // Reuse the wire buffer across rounds (sequential GC evaluates the
-  // same netlist every round; reallocating it per round dominated the
-  // evaluator's time for small MAC netlists). Every wire is written
-  // before it is read — inputs/constants/state here, gate outputs in
-  // topological order below — so stale values never leak across rounds.
-  std::vector<Block>& active = active_;
-  active.resize(circ_.num_wires);
-  active[kConstZero] = fixed_labels[0];
-  active[kConstOne] = fixed_labels[1];
-  for (std::size_t i = 0; i < garbler_labels.size(); ++i)
-    active[circ_.garbler_inputs[i]] = garbler_labels[i];
-  for (std::size_t i = 0; i < evaluator_labels.size(); ++i)
-    active[circ_.evaluator_inputs[i]] = evaluator_labels[i];
-  for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
-    active[circ_.dffs[i].q] = state_[i];
-
-  std::size_t table_idx = 0;
-  for (std::size_t idx = 0; idx < circ_.gates.size(); ++idx) {
-    const auto& g = circ_.gates[idx];
-    if (circuit::is_free(g.type)) {
-      active[g.out] = active[g.a] ^ active[g.b];
-    } else {
-      if (table_idx >= tables.tables.size())
-        throw std::runtime_error("eval_round: table stream underrun");
-      active[g.out] =
-          gg_.evaluate(active[g.a], active[g.b], tables.tables[table_idx++],
-                       gate_tweak(static_cast<std::uint32_t>(idx), round_));
-    }
-  }
-  if (table_idx != tables.tables.size())
-    throw std::runtime_error("eval_round: unconsumed garbled tables");
-
-  for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
-    state_[i] = active[circ_.dffs[i].d];
-  ++round_;
-
-  std::vector<Block> out(circ_.outputs.size());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = active[circ_.outputs[i]];
-  return out;
-}
-
 void tables_to_bytes(const RoundTables& t, Scheme s, std::uint8_t* out) {
   const std::size_t rows = rows_per_and(s);
   for (const auto& table : t.tables)
@@ -299,7 +175,7 @@ std::vector<bool> garble_and_evaluate(const Circuit& c, Scheme scheme,
                                       const std::vector<bool>& evaluator_bits,
                                       crypto::RandomSource& rng) {
   CircuitGarbler garbler(c, scheme, rng);
-  CircuitEvaluator evaluator(c, scheme);
+  StreamingEvaluator evaluator(c, scheme);
   const RoundTables tables = garbler.garble_round();
 
   std::vector<Block> g_labels(garbler_bits.size());

@@ -50,7 +50,7 @@ RoundTables tables_from_bytes(const std::uint8_t* data, std::size_t n_tables,
 // label material needed to select garbler inputs (0-labels + delta),
 // run the evaluator-input OT (pairs), seed the constant wires, and
 // decode outputs. proto::PrecomputedSession stores rounds of exactly
-// this; gc::StreamingGarbler emits them in chunks as they are garbled.
+// this; stream sessions ship them in chunks as they are garbled.
 struct RoundMaterial {
   RoundTables tables;
   std::vector<Block> garbler_labels0;  // choose with input bits (+delta)
@@ -59,50 +59,23 @@ struct RoundMaterial {
   std::vector<bool> output_map;        // point-and-permute decode colors
 };
 
-// Label storage layout of a CircuitGarbler.
-//
-//  * kDense   — one slot per wire (index == wire id), the historical
-//    layout; wire_labels0() exposes the whole buffer.
-//  * kPlanned — slots are allocated by liveness (plan_garbling below),
-//    so the buffer holds the circuit's live width, not its wire count.
-//    On a locality-scheduled netlist (circuit::schedule_for_locality)
-//    the buffer shrinks further and gate operands cluster in a
-//    recently-touched window, which is what the streaming garbler wants
-//    for its per-chunk working set.
-//
-// The two layouts are bit-for-bit equivalent: they draw RNG labels in
-// the same order and hash the same values, so tables, input labels and
-// output maps are identical (asserted by tests).
-enum class LabelLayout { kDense, kPlanned };
-
-// Slot plan for a garbler-side label buffer. Mirrors plan_evaluation's
-// free-list allocation, but pins every protocol-visible wire — the
-// constants, both input vectors, DFF q/d wires and the outputs — for
-// the whole round, because the garbler answers label queries
-// (garbler_input_label, evaluator_input_labels, output_map, ...) after
-// the round is garbled. num_slots therefore exceeds the circuit's
-// peak_live_wires by at most the number of pinned wires.
-struct GarblingPlan {
-  std::vector<std::uint32_t> slot_of_wire;
-  std::size_t num_slots = 0;
-  std::size_t num_wires = 0;
-};
-
-GarblingPlan plan_garbling(const circuit::Circuit& c);
-
+// Garbles a circuit round after round. Labels live in a slot buffer
+// laid out by circuit::plan_label_slots, holding every wire the garbler
+// answers queries about after the round (the constants, both input
+// vectors, DFF q/d wires and the outputs); the rest share recycled
+// slots, so the buffer is the circuit's live width, not its wire count.
 class CircuitGarbler {
  public:
   CircuitGarbler(const circuit::Circuit& c, Scheme scheme,
-                 crypto::RandomSource& rng,
-                 LabelLayout layout = LabelLayout::kDense);
+                 crypto::RandomSource& rng);
 
   // Garbles the next round and returns its tables. All per-round label
   // queries below refer to the most recently garbled round.
   RoundTables garble_round();
 
   // Garbles the next round and gathers its complete material in one
-  // step — the shared body of proto::garble_session and the streaming
-  // garbler, so both producers emit byte-identical rounds.
+  // step — the shared body of proto::garble_session and the served
+  // stream session, so both producers emit byte-identical rounds.
   RoundMaterial garble_round_material();
 
   [[nodiscard]] std::uint64_t rounds_garbled() const { return round_; }
@@ -122,19 +95,13 @@ class CircuitGarbler {
   [[nodiscard]] bool decode_output(std::size_t i, const Block& active) const;
 
   [[nodiscard]] const Block& delta() const { return delta_; }
-  // 0-labels of every wire in the last garbled round (tests/equivalence).
-  // Dense layout only: planned buffers are slot-indexed, not
-  // wire-indexed, so this throws std::logic_error under kPlanned —
-  // query label0(w) instead.
-  [[nodiscard]] const std::vector<Block>& wire_labels0() const;
-  // 0-label of one wire in the last garbled round, any layout.
+  // 0-label of a wire in the last garbled round. Only held wires keep
+  // theirs after the round; any other wire's slot may have been reused.
   [[nodiscard]] const Block& label0(circuit::Wire w) const {
     return labels0_[slot_[w]];
   }
 
-  [[nodiscard]] LabelLayout layout() const { return layout_; }
-  // Size of the per-round label buffer — num_wires slots when dense,
-  // the garbling plan's live width when planned. x16 for bytes.
+  // Size of the per-round label buffer in slots; x16 for bytes.
   [[nodiscard]] std::size_t label_slots() const { return labels0_.size(); }
   [[nodiscard]] std::size_t label_buffer_bytes() const {
     return labels0_.size() * sizeof(Block);
@@ -151,34 +118,10 @@ class CircuitGarbler {
   crypto::RandomSource& rng_;
   Block delta_;
   GateGarbler gg_;
-  LabelLayout layout_;
-  std::vector<std::uint32_t> slot_;  // wire -> label slot (identity if dense)
+  std::vector<std::uint32_t> slot_;  // wire -> label slot
   std::vector<Block> labels0_;       // current round, 0-labels per slot
   std::vector<Block> next_state0_;   // d-wire 0-labels carried to next round
   std::vector<Block> initial_state_active_;
-  std::uint64_t round_ = 0;
-};
-
-class CircuitEvaluator {
- public:
-  CircuitEvaluator(const circuit::Circuit& c, Scheme scheme);
-
-  // Must be called before round 0 when the circuit has DFFs.
-  void set_initial_state_labels(std::vector<Block> labels);
-
-  // Evaluates one round; returns the active labels of the outputs.
-  std::vector<Block> eval_round(const RoundTables& tables,
-                                const std::vector<Block>& garbler_labels,
-                                const std::vector<Block>& evaluator_labels,
-                                const std::vector<Block>& fixed_labels);
-
-  [[nodiscard]] std::uint64_t rounds_evaluated() const { return round_; }
-
- private:
-  const circuit::Circuit& circ_;
-  GateGarbler gg_;  // evaluation does not use delta; zero is fine
-  std::vector<Block> state_;
-  std::vector<Block> active_;  // per-round wire buffer, reused across rounds
   std::uint64_t round_ = 0;
 };
 

@@ -10,69 +10,10 @@ using circuit::kConstOne;
 using circuit::kConstZero;
 using circuit::Wire;
 
-EvaluationPlan plan_evaluation(const Circuit& c) {
-  constexpr std::int64_t kNever = -1;
-  std::vector<std::int64_t> last_use(c.num_wires, kNever);
-  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
-    last_use[c.gates[idx].a] = static_cast<std::int64_t>(idx);
-    last_use[c.gates[idx].b] = static_cast<std::int64_t>(idx);
-  }
-  std::vector<char> persist(c.num_wires, 0);
-  for (const auto w : c.outputs) persist[w] = 1;
-  for (const auto& d : c.dffs) persist[d.d] = 1;
-
-  EvaluationPlan plan;
-  plan.num_wires = c.num_wires;
-  plan.slot_of_wire.assign(c.num_wires, UINT32_MAX);
-
-  std::vector<std::uint32_t> free_slots;
-  std::uint32_t next_slot = 0;
-  const auto define = [&](Wire w) {
-    std::uint32_t slot;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-    } else {
-      slot = next_slot++;
-    }
-    plan.slot_of_wire[w] = slot;
-  };
-  const auto release = [&](Wire w) {
-    free_slots.push_back(plan.slot_of_wire[w]);
-  };
-
-  // Round start: constants, inputs, state wires.
-  std::vector<Wire> initial = {kConstZero, kConstOne};
-  initial.insert(initial.end(), c.garbler_inputs.begin(),
-                 c.garbler_inputs.end());
-  initial.insert(initial.end(), c.evaluator_inputs.begin(),
-                 c.evaluator_inputs.end());
-  for (const auto& d : c.dffs) initial.push_back(d.q);
-  for (const auto w : initial) define(w);
-  for (const auto w : initial) {
-    if (last_use[w] == kNever && !persist[w]) release(w);
-  }
-
-  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
-    const auto& g = c.gates[idx];
-    // Operands die here unless persistent; a == b must free only once.
-    if (last_use[g.a] == static_cast<std::int64_t>(idx) && !persist[g.a])
-      release(g.a);
-    if (g.b != g.a && last_use[g.b] == static_cast<std::int64_t>(idx) &&
-        !persist[g.b])
-      release(g.b);
-    define(g.out);
-    if (last_use[g.out] == kNever && !persist[g.out]) release(g.out);
-  }
-
-  plan.num_slots = next_slot;
-  return plan;
-}
-
 StreamingEvaluator::StreamingEvaluator(const Circuit& c, Scheme scheme)
     : circ_(c),
       gg_(scheme, Block::zero()),
-      plan_(plan_evaluation(c)),
+      plan_(circuit::plan_label_slots(c)),
       slots_(plan_.num_slots, Block::zero()),
       state_(c.dffs.size(), Block::zero()) {}
 
@@ -92,9 +33,11 @@ std::vector<Block> StreamingEvaluator::eval_round(
       fixed_labels.size() != 2) {
     throw std::invalid_argument("StreamingEvaluator: label arity mismatch");
   }
-  const auto at = [&](Wire w) -> Block& {
-    return slots_[plan_.slot_of_wire[w]];
-  };
+  // Raw pointers: the evaluate() calls below would otherwise make every
+  // label access reload both vectors' data pointers.
+  Block* const slots = slots_.data();
+  const std::uint32_t* const slot_of = plan_.slot_of_wire.data();
+  const auto at = [&](Wire w) -> Block& { return slots[slot_of[w]]; };
 
   at(kConstZero) = fixed_labels[0];
   at(kConstOne) = fixed_labels[1];

@@ -1,56 +1,39 @@
-// Memory-bounded streaming evaluation.
+// Memory-bounded evaluation — the library's one evaluator.
 //
 // Sec. 3 motivates sequential GC with memory-constrained clients: "the
 // evaluator may not have enough memory to store all the labels
-// together". The standard CircuitEvaluator keeps one label per wire
-// (16 bytes x num_wires). This evaluator computes each wire's last use,
-// allocates labels into a small slot pool, and frees slots eagerly, so
-// the client's working set is the circuit's *live width*, not its wire
-// count — typically an order of magnitude smaller for MAC netlists.
-//
-// Semantics are identical to CircuitEvaluator (asserted by tests); only
-// the storage strategy differs.
+// together". Instead of one label per wire (16 bytes x num_wires), this
+// evaluator stores labels in the slot buffer of circuit::plan_label_slots
+// with nothing held: a slot is freed at its wire's last use, so the
+// client's working set is the circuit's *live width* — typically an
+// order of magnitude smaller for MAC netlists.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "circuit/netlist.hpp"
+#include "circuit/optimize.hpp"
 #include "gc/garble.hpp"
 #include "gc/scheme.hpp"
 
 namespace maxel::gc {
 
-// Static storage plan for one circuit: wire -> slot with slot reuse.
-struct EvaluationPlan {
-  std::vector<std::uint32_t> slot_of_wire;  // per wire
-  std::size_t num_slots = 0;                // peak live labels
-  std::size_t num_wires = 0;
-
-  // Working-set compression vs the dense evaluator.
-  [[nodiscard]] double compression() const {
-    return num_slots == 0 ? 0.0
-                          : static_cast<double>(num_wires) /
-                                static_cast<double>(num_slots);
-  }
-};
-
-// Builds the plan: liveness runs from each wire's definition to its last
-// use (outputs and DFF next-state wires live to the end of the round).
-EvaluationPlan plan_evaluation(const circuit::Circuit& c);
-
 class StreamingEvaluator {
  public:
   StreamingEvaluator(const circuit::Circuit& c, Scheme scheme);
 
+  // Must be called before round 0 when the circuit has DFFs.
   void set_initial_state_labels(std::vector<Block> labels);
 
+  // Evaluates one round; returns the active labels of the outputs.
   std::vector<Block> eval_round(const RoundTables& tables,
                                 const std::vector<Block>& garbler_labels,
                                 const std::vector<Block>& evaluator_labels,
                                 const std::vector<Block>& fixed_labels);
 
-  [[nodiscard]] const EvaluationPlan& plan() const { return plan_; }
+  [[nodiscard]] std::uint64_t rounds_evaluated() const { return round_; }
+  [[nodiscard]] const circuit::SlotPlan& plan() const { return plan_; }
   // Peak label memory in bytes (the client's working set).
   [[nodiscard]] std::size_t working_set_bytes() const {
     return plan_.num_slots * 16;
@@ -58,8 +41,8 @@ class StreamingEvaluator {
 
  private:
   const circuit::Circuit& circ_;
-  GateGarbler gg_;
-  EvaluationPlan plan_;
+  GateGarbler gg_;  // evaluation does not use delta; zero is fine
+  circuit::SlotPlan plan_;
   std::vector<Block> slots_;
   std::vector<Block> state_;
   std::uint64_t round_ = 0;

@@ -16,6 +16,7 @@
 #include "circuit/netlist.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/channel.hpp"
@@ -82,7 +83,7 @@ class EvaluatorParty {
   const circuit::Circuit& circ_;
   ProtocolOptions opt_;
   Channel& ch_;
-  gc::CircuitEvaluator evaluator_;
+  gc::StreamingEvaluator evaluator_;
   std::unique_ptr<ot::BaseOtReceiver> base_ot_;
   std::unique_ptr<ot::IknpReceiver> iknp_;
   ot::OtReceiver* ot_ = nullptr;

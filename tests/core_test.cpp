@@ -13,6 +13,7 @@
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "hwsim/pcie.hpp"
 
 namespace maxel::core {
@@ -160,7 +161,7 @@ TEST_P(SimWidth, EndToEndTransparentToSoftwareEvaluator) {
   const SimRun run = run_sim(b, rounds);
   ASSERT_EQ(run.outputs.size(), rounds);
 
-  gc::CircuitEvaluator evaluator(hw.circuit, gc::Scheme::kHalfGates);
+  gc::StreamingEvaluator evaluator(hw.circuit, gc::Scheme::kHalfGates);
   Prg prg(Block{b, 77});
   const std::uint64_t mask = b >= 64 ? ~0ull : ((1ull << b) - 1);
   std::uint64_t expect = 0;
@@ -247,17 +248,17 @@ TEST(Sim, TablesAreByteIdenticalToReferenceGarbler) {
   const gc::GateGarbler reference(gc::Scheme::kHalfGates, run.delta);
   for (std::uint64_t r = 0; r < rounds; ++r) {
     const auto& ro = run.outputs[r];
-    ASSERT_EQ(ro.wire_labels0.size(), hw.circuit.num_wires);
+    ASSERT_EQ(ro.all_labels0.size(), hw.circuit.num_wires);
     for (std::size_t gi = 0; gi < hw.circuit.gates.size(); ++gi) {
       const auto& g = hw.circuit.gates[gi];
       if (circuit::is_free(g.type)) continue;
       gc::GarbledTable expect;
       const Block out0 = reference.garble(
-          circuit::and_form(g.type), ro.wire_labels0[g.a], ro.wire_labels0[g.b],
+          circuit::and_form(g.type), ro.all_labels0[g.a], ro.all_labels0[g.b],
           gc::gate_tweak(static_cast<std::uint32_t>(gi), r), expect);
       const auto& got = ro.tables.tables[hw.table_position[gi]];
       ASSERT_EQ(got, expect) << "round " << r << " gate " << gi;
-      ASSERT_EQ(ro.wire_labels0[g.out], out0);
+      ASSERT_EQ(ro.all_labels0[g.out], out0);
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "sweep_env.hpp"
 
 namespace maxel::circuit {
@@ -82,7 +83,7 @@ class GarbledFp16 {
   const Circuit& circ_;
   crypto::SystemRandom rng_;
   gc::CircuitGarbler garbler_;
-  gc::CircuitEvaluator evaluator_;
+  gc::StreamingEvaluator evaluator_;
 };
 
 TEST(Fp16Reference, AgreesWithDoubleModelOnGrid) {

@@ -12,6 +12,7 @@
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
 #include "gc/scheme.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "sweep_env.hpp"
 
 namespace maxel::gc {
@@ -224,9 +225,8 @@ TEST(FreeXor, LabelInvariantHolds) {
   SystemRandom rng(Block{8, 8});
   CircuitGarbler g(c, Scheme::kHalfGates, rng);
   (void)g.garble_round();
-  const auto& l0 = g.wire_labels0();
-  EXPECT_EQ(l0[r], l0[p] ^ l0[q]);
-  EXPECT_EQ(l0[s], l0[p] ^ l0[q] ^ g.delta());
+  EXPECT_EQ(g.label0(r), g.label0(p) ^ g.label0(q));
+  EXPECT_EQ(g.label0(s), g.label0(p) ^ g.label0(q) ^ g.delta());
 }
 
 TEST(PointAndPermute, DeltaLsbIsOne) {
@@ -242,7 +242,7 @@ TEST(OutputDecode, MapAndDirectDecodeAgree) {
   CircuitGarbler g(c, Scheme::kHalfGates, rng);
   const RoundTables tables = g.garble_round();
 
-  CircuitEvaluator ev(c, Scheme::kHalfGates);
+  StreamingEvaluator ev(c, Scheme::kHalfGates);
   std::vector<Block> g_labels, e_labels;
   for (std::size_t i = 0; i < 8; ++i) {
     g_labels.push_back(g.garbler_input_label(i, (i % 2) != 0));
@@ -274,7 +274,7 @@ TEST_P(SequentialGc, MultiRoundMacMatchesReference) {
 
   SystemRandom rng(Block{31, static_cast<std::uint64_t>(scheme)});
   CircuitGarbler garbler(c, scheme, rng);
-  CircuitEvaluator evaluator(c, scheme);
+  StreamingEvaluator evaluator(c, scheme);
 
   crypto::Prg prg(Block{64, 64});
   std::uint64_t expect = 0;
@@ -322,9 +322,8 @@ TEST(SequentialGc, InitialStateLabelsEncodeInitValues) {
   CircuitGarbler g(c, Scheme::kHalfGates, rng);
   (void)g.garble_round();
   const auto init = g.initial_state_labels();
-  const auto& l0 = g.wire_labels0();
-  EXPECT_EQ(init[0], l0[c.dffs[0].q]);               // init 0 -> 0-label
-  EXPECT_EQ(init[1], l0[c.dffs[1].q] ^ g.delta());   // init 1 -> 1-label
+  EXPECT_EQ(init[0], g.label0(c.dffs[0].q));              // init 0 -> 0-label
+  EXPECT_EQ(init[1], g.label0(c.dffs[1].q) ^ g.delta());  // init 1 -> 1-label
 }
 
 TEST(SequentialGc, FreshInputLabelsEveryRound) {
@@ -375,7 +374,7 @@ TEST(SequentialGc, RandomizedMacShapesMatchReference) {
     const Circuit c = circuit::make_mac_circuit(opt);
     SystemRandom rng(Block{kSweepSeed, static_cast<std::uint64_t>(trial)});
     CircuitGarbler garbler(c, scheme, rng);
-    CircuitEvaluator evaluator(c, scheme);
+    StreamingEvaluator evaluator(c, scheme);
 
     const std::uint64_t mask = (1ull << bits) - 1;
     std::uint64_t expect = 0;
@@ -435,7 +434,7 @@ TEST(Evaluator, TableUnderrunDetected) {
   RoundTables tables = g.garble_round();
   tables.tables.pop_back();
 
-  CircuitEvaluator ev(c, Scheme::kHalfGates);
+  StreamingEvaluator ev(c, Scheme::kHalfGates);
   std::vector<Block> g_labels, e_labels;
   for (std::size_t i = 0; i < 8; ++i) {
     g_labels.push_back(g.garbler_input_label(i, false));

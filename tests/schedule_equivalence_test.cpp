@@ -3,8 +3,8 @@
 // function, so all four session modes — precomputed, streaming, v3 and
 // reusable — must decode bit-for-bit identical outputs on the scheduled
 // and unscheduled circuits over the same random input vectors. Also
-// pins the planned label layout (gc::LabelLayout::kPlanned) to the
-// dense one: same seed, byte-identical round material.
+// pins the label-slot counts circuit::plan_label_slots gives the garbler
+// and the evaluator on the fig_schedule_locality netlists.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "gc/garble.hpp"
 #include "gc/reusable.hpp"
 #include "gc/streaming_evaluator.hpp"
-#include "gc/streaming_garbler.hpp"
 #include "gc/v3.hpp"
 #include "proto/precompute.hpp"
 
@@ -97,21 +96,19 @@ std::vector<Words> run_precomputed(
   return out;
 }
 
+// Stream mode as the served stream session garbles it: one
+// garble_round_material per round, each round evaluated as it arrives.
 std::vector<Words> run_streaming(
     const Circuit& c, const std::vector<RoundInputs>& rounds,
     std::uint64_t seed) {
-  gc::StreamingGarbler sg(c, gc::Scheme::kHalfGates, rounds.size(),
-                          {.chunk_rounds = 3, .queue_chunks = 2},
-                          Block{seed, 0x57E});
+  SystemRandom rng(Block{seed, 0x57E});
+  gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng);
   gc::StreamingEvaluator ev(c, gc::Scheme::kHalfGates);
   std::vector<Words> out;
-  gc::SessionChunk chunk;
-  while (sg.next_chunk(chunk)) {
-    if (chunk.first_round == 0)
-      ev.set_initial_state_labels(chunk.initial_state_labels);
-    for (std::size_t i = 0; i < chunk.rounds.size(); ++i)
-      out.push_back(eval_material_round(chunk.rounds[i], sg.delta(),
-                                        rounds[chunk.first_round + i], ev));
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const gc::RoundMaterial m = garbler.garble_round_material();
+    if (r == 0) ev.set_initial_state_labels(garbler.initial_state_labels());
+    out.push_back(eval_material_round(m, garbler.delta(), rounds[r], ev));
   }
   return out;
 }
@@ -255,47 +252,66 @@ TEST(ScheduleEquivalence, OptimizePassPreservesNewFamilies) {
 }
 
 TEST(ScheduleEquivalence, PeakLiveWiresEqualsEvaluationPlanSlots) {
-  // circuit::peak_live_wires mirrors the evaluator's slot allocator —
-  // the bench's peak-live metric IS the working-set size, scheduled or
-  // not. The garbler plan additionally pins the protocol wires, so its
-  // slot count dominates the evaluator's.
+  // circuit::peak_live_wires is the evaluator's slot count — the bench's
+  // peak-live metric IS the working-set size, scheduled or not. The
+  // garbler additionally holds the protocol wires, so its slot count
+  // dominates the evaluator's.
+  const auto check = [](const Circuit& c) {
+    const gc::StreamingEvaluator ev(c, gc::Scheme::kHalfGates);
+    SystemRandom rng(Block{0x5107, 0});
+    const gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng);
+    EXPECT_EQ(circuit::peak_live_wires(c), ev.plan().num_slots);
+    EXPECT_GE(garbler.label_slots(), ev.plan().num_slots);
+  };
   for (const std::size_t bits : {8u, 16u, 32u}) {
     for (const bool scheduled : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "bits=" << bits << " scheduled=" << scheduled);
       Circuit c = circuit::make_mac_circuit(MacOptions{bits, bits, true});
       if (scheduled) c = circuit::schedule_for_locality(c);
-      EXPECT_EQ(circuit::peak_live_wires(c), gc::plan_evaluation(c).num_slots)
-          << "bits=" << bits << " scheduled=" << scheduled;
-      EXPECT_GE(gc::plan_garbling(c).num_slots, gc::plan_evaluation(c).num_slots)
-          << "bits=" << bits << " scheduled=" << scheduled;
+      check(c);
     }
   }
-}
 
-TEST(ScheduleEquivalence, PlannedLayoutIsByteIdenticalToDense) {
-  // The planned CircuitGarbler layout draws RNG labels in the same
-  // order and hashes the same values as the dense layout — the round
-  // material must match byte for byte, scheduled or not.
-  for (const bool scheduled : {false, true}) {
-    Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
-    if (scheduled) c = circuit::schedule_for_locality(c);
-    SystemRandom rng_dense(Block{0xE55, 1});
-    SystemRandom rng_planned(Block{0xE55, 1});
-    gc::CircuitGarbler dense(c, gc::Scheme::kHalfGates, rng_dense,
-                             gc::LabelLayout::kDense);
-    gc::CircuitGarbler planned(c, gc::Scheme::kHalfGates, rng_planned,
-                               gc::LabelLayout::kPlanned);
-    EXPECT_EQ(dense.delta(), planned.delta());
-    EXPECT_LT(planned.label_buffer_bytes(), dense.label_buffer_bytes());
-    for (int round = 0; round < 4; ++round) {
-      const gc::RoundMaterial a = dense.garble_round_material();
-      const gc::RoundMaterial b = planned.garble_round_material();
-      EXPECT_EQ(a.tables.tables, b.tables.tables) << "round " << round;
-      EXPECT_EQ(a.garbler_labels0, b.garbler_labels0);
-      EXPECT_EQ(a.evaluator_pairs, b.evaluator_pairs);
-      EXPECT_EQ(a.fixed_labels, b.fixed_labels);
-      EXPECT_EQ(a.output_map, b.output_map);
-    }
-    EXPECT_EQ(dense.initial_state_labels(), planned.initial_state_labels());
+  // The eight fig_schedule_locality netlists, with the exact slot counts
+  // of bench/baselines/BENCH_schedule_locality.json (peak_live_wires,
+  // garbler_buffer_bytes / 16, evaluator_buffer_bytes / 16). A planner
+  // change that grows either buffer fails here.
+  struct Point {
+    const char* name;
+    Circuit c;
+    std::size_t garbler_slots;
+    std::size_t evaluator_slots;
+  };
+  const auto mac = [](std::size_t bits) {
+    circuit::MacOptions opt;
+    opt.bit_width = bits;
+    return circuit::optimize(circuit::make_mac_circuit(opt));
+  };
+  const auto sched = [](const Circuit& c) {
+    return circuit::schedule_for_locality(c);
+  };
+  circuit::MacOptions mul32;
+  mul32.bit_width = 32;
+  const Circuit bristol = circuit::from_bristol(
+      circuit::to_bristol(circuit::make_multiplier_circuit(mul32)));
+  const std::vector<Point> points = {
+      {"mac-b8-unscheduled", mac(8), 62, 38},
+      {"mac-b8-scheduled", sched(mac(8)), 60, 33},
+      {"mac-b16-unscheduled", mac(16), 146, 98},
+      {"mac-b16-scheduled", sched(mac(16)), 124, 73},
+      {"mac-b32-unscheduled", mac(32), 410, 314},
+      {"mac-b32-scheduled", sched(mac(32)), 268, 169},
+      {"bristol-mul32-unscheduled", bristol, 407, 311},
+      {"bristol-mul32-scheduled", sched(bristol), 318, 224},
+  };
+  for (const auto& p : points) {
+    SCOPED_TRACE(p.name);
+    check(p.c);
+    SystemRandom rng(Block{0x5107, 1});
+    const gc::CircuitGarbler garbler(p.c, gc::Scheme::kHalfGates, rng);
+    EXPECT_EQ(garbler.label_slots(), p.garbler_slots);
+    EXPECT_EQ(circuit::peak_live_wires(p.c), p.evaluator_slots);
   }
 }
 

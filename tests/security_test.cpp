@@ -10,6 +10,7 @@
 #include "crypto/randomness_tests.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 
 namespace maxel::gc {
 namespace {
@@ -113,7 +114,7 @@ TEST(FailureInjection, CorruptedTableIsDetectedAtDecode) {
     tables.tables[k].ct[1].hi ^= 1ull << 41;
   }
 
-  CircuitEvaluator evaluator(c, Scheme::kHalfGates);
+  StreamingEvaluator evaluator(c, Scheme::kHalfGates);
   std::vector<Block> g_labels, e_labels;
   for (std::size_t i = 0; i < 8; ++i) {
     g_labels.push_back(garbler.garbler_input_label(i, i % 2 != 0));
@@ -143,7 +144,7 @@ TEST(FailureInjection, WrongRoundTablesDoNotDecode) {
   const RoundTables stale = garbler.garble_round();
   (void)garbler.garble_round();  // advance: labels now belong to round 1
 
-  CircuitEvaluator evaluator(c, Scheme::kHalfGates);
+  StreamingEvaluator evaluator(c, Scheme::kHalfGates);
   std::vector<Block> g_labels, e_labels;
   for (std::size_t i = 0; i < 4; ++i) {
     g_labels.push_back(garbler.garbler_input_label(i, false));
@@ -177,7 +178,7 @@ TEST(FailureInjection, SwappedEvaluatorLabelChangesResultConsistently) {
     g_labels.push_back(garbler.garbler_input_label(i, ((a >> i) & 1) != 0));
 
   for (const std::uint64_t b : {50ull, 150ull}) {
-    CircuitEvaluator evaluator(c, Scheme::kHalfGates);
+    StreamingEvaluator evaluator(c, Scheme::kHalfGates);
     std::vector<Block> e_labels;
     for (std::size_t i = 0; i < 8; ++i) {
       const auto [l0, l1] = garbler.evaluator_input_labels(i);

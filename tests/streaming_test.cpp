@@ -1,11 +1,12 @@
-// Streaming (memory-bounded) evaluator: plan validity, equivalence with
-// the dense evaluator on combinational and sequential circuits, working-
-// set compression on MAC netlists, and interplay with the simulator's
-// table stream (the memory-constrained client of Sec. 3).
+// Streaming (memory-bounded) evaluator: plan validity, agreement with
+// the plaintext reference on combinational and sequential circuits,
+// working-set compression on MAC netlists, and interplay with the
+// simulator's table stream (the memory-constrained client of Sec. 3).
 #include <gtest/gtest.h>
 
 #include "circuit/arith_ext.hpp"
 #include "circuit/circuits.hpp"
+#include "circuit/optimize.hpp"
 #include "core/maxelerator.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
@@ -23,7 +24,7 @@ using crypto::SystemRandom;
 
 TEST(EvaluationPlan, SlotsCoverEveryWireWithoutConflicts) {
   const Circuit c = circuit::make_multiplier_circuit(MacOptions{16, 16, true});
-  const EvaluationPlan plan = plan_evaluation(c);
+  const circuit::SlotPlan plan = circuit::plan_label_slots(c);
   ASSERT_EQ(plan.slot_of_wire.size(), c.num_wires);
   for (const auto s : plan.slot_of_wire) EXPECT_LT(s, plan.num_slots);
   EXPECT_LT(plan.num_slots, c.num_wires);  // reuse must happen
@@ -51,24 +52,30 @@ TEST(EvaluationPlan, SlotsCoverEveryWireWithoutConflicts) {
     claim(c.gates[i].out, static_cast<std::int64_t>(i));
 }
 
-TEST(StreamingEvaluator, MatchesDenseEvaluatorOnCombinational) {
+TEST(StreamingEvaluator, MatchesPlaintextOnCombinational) {
   const Circuit c = circuit::make_divider_circuit(8);
-  SystemRandom rng(Block{0x517, 1});
-  CircuitGarbler garbler(c, Scheme::kHalfGates, rng);
-  const RoundTables tables = garbler.garble_round();
-
   Prg prg(Block{0x517, 2});
-  std::vector<Block> g_labels, e_labels;
-  for (std::size_t i = 0; i < 8; ++i) {
-    g_labels.push_back(garbler.garbler_input_label(i, prg.next_bit()));
-    const auto [l0, l1] = garbler.evaluator_input_labels(i);
-    e_labels.push_back(prg.next_bit() ? l1 : l0);
+  for (int trial = 0; trial < 8; ++trial) {
+    SystemRandom rng(Block{0x517, 1 + static_cast<std::uint64_t>(trial)});
+    CircuitGarbler garbler(c, Scheme::kHalfGates, rng);
+    const RoundTables tables = garbler.garble_round();
+
+    const std::vector<bool> g_bits = prg.bits(c.garbler_inputs.size());
+    const std::vector<bool> e_bits = prg.bits(c.evaluator_inputs.size());
+    std::vector<Block> g_labels, e_labels;
+    for (std::size_t i = 0; i < g_bits.size(); ++i)
+      g_labels.push_back(garbler.garbler_input_label(i, g_bits[i]));
+    for (std::size_t i = 0; i < e_bits.size(); ++i) {
+      const auto [l0, l1] = garbler.evaluator_input_labels(i);
+      e_labels.push_back(e_bits[i] ? l1 : l0);
+    }
+    StreamingEvaluator evaluator(c, Scheme::kHalfGates);
+    const auto out = evaluator.eval_round(tables, g_labels, e_labels,
+                                          garbler.fixed_wire_labels());
+    EXPECT_EQ(decode_with_map(out, garbler.output_map()),
+              circuit::eval_plain(c, g_bits, e_bits))
+        << "trial " << trial;
   }
-  CircuitEvaluator dense(c, Scheme::kHalfGates);
-  StreamingEvaluator streaming(c, Scheme::kHalfGates);
-  const auto fixed = garbler.fixed_wire_labels();
-  EXPECT_EQ(streaming.eval_round(tables, g_labels, e_labels, fixed),
-            dense.eval_round(tables, g_labels, e_labels, fixed));
 }
 
 TEST(StreamingEvaluator, SequentialMacAcrossRounds) {
@@ -105,9 +112,9 @@ TEST(StreamingEvaluator, CompressesMacWorkingSet) {
   // The Sec. 3 point: a memory-constrained client should not need a
   // label per wire. For the 32-bit MAC, expect >= 4x compression.
   const Circuit c = circuit::make_mac_circuit(MacOptions{32, 32, true});
-  const EvaluationPlan plan = plan_evaluation(c);
-  EXPECT_GT(plan.compression(), 4.0)
-      << plan.num_slots << " slots for " << plan.num_wires << " wires";
+  const circuit::SlotPlan plan = circuit::plan_label_slots(c);
+  EXPECT_GT(c.num_wires, 4 * plan.num_slots)
+      << plan.num_slots << " slots for " << c.num_wires << " wires";
   StreamingEvaluator ev(c, Scheme::kHalfGates);
   EXPECT_EQ(ev.working_set_bytes(), plan.num_slots * 16);
   EXPECT_LT(ev.working_set_bytes(), c.num_wires * 16 / 4);

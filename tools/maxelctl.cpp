@@ -51,8 +51,9 @@
 #include "core/maxelerator.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
-#include "gc/garble.hpp"
 #include "evloop/ev_service.hpp"
+#include "gc/garble.hpp"
+#include "gc/streaming_evaluator.hpp"
 #include "net/cli.hpp"
 #include "net/service.hpp"
 #include "proto/precompute.hpp"
@@ -189,7 +190,7 @@ int cmd_simulate(const Args& a) {
   cfg.bit_width = a.bits;
   crypto::SystemRandom rng;
   core::MaxeleratorSim sim(cfg, rng);
-  gc::CircuitEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
+  gc::StreamingEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
 
   crypto::Prg data(crypto::Block{42, 42});
   const circuit::MacOptions ref{a.bits, a.bits, true};
