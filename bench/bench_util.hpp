@@ -3,6 +3,7 @@
 // modeled values so EXPERIMENTS.md can be assembled from bench output.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -37,6 +38,12 @@ inline std::string fix(double v, int prec = 2) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
   return buf;
+}
+
+// Median of a non-empty sample (the upper one for an even count).
+inline double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 // Machine-readable bench output: collects flat records and writes them

@@ -161,11 +161,6 @@ struct PoolPair {
   }
 };
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 struct ExtendRow {
   const char* point;
   double ms;
@@ -192,8 +187,9 @@ std::vector<ExtendRow> extension_rows() {
     fresh_ok = fresh_ok && fresh.back()->correlated();
     big_s.push_back(big.extend());
   }
-  return {{"extend-fresh", median(fresh_s) * 1e3, 0, fresh_ok},
-          {"extend-at-1m", median(big_s) * 1e3, kBigPool, big.correlated()}};
+  return {{"extend-fresh", bench::median(fresh_s) * 1e3, 0, fresh_ok},
+          {"extend-at-1m", bench::median(big_s) * 1e3, kBigPool,
+           big.correlated()}};
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include "crypto/randomness_tests.hpp"
 
-#include <array>
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 

@@ -509,6 +509,7 @@ bool EvBroker::write_drain(Shard& sh, EvConn& c) {
       c.session.on_peer_eof();  // record the taxonomy before closing
     return false;
   }
+  if (!ch.has_output()) c.session.on_output_drained();
   return true;
 }
 

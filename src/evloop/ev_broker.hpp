@@ -53,9 +53,9 @@
 #include "circuit/circuits.hpp"
 #include "core/gc_core_pool.hpp"
 #include "gc/v3.hpp"
+#include "net/fault.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/fault.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "svc/broker_stats.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "net/error.hpp"
 #include "proto/chunk_io.hpp"
@@ -74,7 +75,7 @@ void EvSession::fail(EvError kind, const std::string& what) {
 }
 
 void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
-  if (state_ == St::kDone || state_ == St::kFailed) return;
+  if (!running()) return;
   try {
     if (n > 0) ch_.ingest(data, n);
     advance();
@@ -90,13 +91,17 @@ void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
 }
 
 void EvSession::on_peer_eof() {
+  // A finished session whose every byte is already written is served,
+  // even if the peer's EOF is read before the owner reports the drain.
+  on_output_drained();
   if (state_ == St::kDone || state_ == St::kFailed) return;
-  fail(EvError::kPeerClosed, "peer closed mid-session");
+  fail(EvError::kPeerClosed, state_ == St::kDraining
+                                 ? "peer closed before the session drained"
+                                 : "peer closed mid-session");
 }
 
 void EvSession::on_gate_retry() {
-  if (!wants_gate_retry_ || state_ == St::kDone || state_ == St::kFailed)
-    return;
+  if (!wants_gate_retry_ || !running()) return;
   wants_gate_retry_ = false;
   try {
     advance();
@@ -111,9 +116,17 @@ void EvSession::on_gate_retry() {
   }
 }
 
+void EvSession::on_output_drained() {
+  if (state_ != St::kDraining || ch_.has_output()) return;
+  if (claim_open_) {
+    pool_->consume(claim_);
+    claim_open_ = false;
+  }
+  state_ = St::kDone;
+}
+
 void EvSession::advance() {
-  while (state_ != St::kDone && state_ != St::kFailed &&
-         !wants_gate_retry_) {
+  while (running() && !wants_gate_retry_) {
     if (ch_.available() < current_need()) break;
     step();
   }
@@ -125,11 +138,12 @@ void EvSession::advance() {
 
 std::size_t EvSession::hello_need() const {
   if (ch_.available() < net::kHelloWireSize) return net::kHelloWireSize;
-  // A bad magic rejects on the bare hello; only a well-formed version-3
-  // hello carries the extension (which the handshake drains even when
-  // v3 is disabled, so the reject verdict survives the close).
+  // A bad magic rejects on the bare hello; only a well-formed v3 hello
+  // (current or retired version) carries the extension, which the
+  // handshake drains even when it rejects, so the verdict survives the
+  // close.
   if (ch_.peek_u64(0) != net::kHelloMagic) return net::kHelloWireSize;
-  if (ch_.peek_u32(8) != net::kProtocolVersionV3) return net::kHelloWireSize;
+  if (!net::hello_has_v3_ext(ch_.peek_u32(8))) return net::kHelloWireSize;
   const std::size_t ext_base = net::kHelloWireSize + 16 + 1;
   if (ch_.available() < ext_base) return ext_base;
   if (ch_.peek_u8(net::kHelloWireSize + 16) == 1)
@@ -164,10 +178,12 @@ std::size_t EvSession::current_need() const {
                                        : 0);
     case St::kPoolExtend:
       return 128 * ((static_cast<std::size_t>(extend_count_) + 7) / 8);
-    case St::kV3Round:
-      return (n_eval_ + 7) / 8;
-    case St::kReDbits:
+    case St::kDbits:
+      // A wrong count fails on its 8 bytes, not after a body that a
+      // hostile or stale peer may never send.
+      if (ch_.available() >= 8 && ch_.peek_u64(0) != need_total_) return 8;
       return 8 + (static_cast<std::size_t>(need_total_) + 7) / 8;
+    case St::kDraining:
     case St::kDone:
     case St::kFailed:
       return 0;
@@ -243,12 +259,10 @@ void EvSession::step() {
       });
       finish_pool_setup();
       return;
-    case St::kV3Round:
-      v3_round_step();
+    case St::kDbits:
+      dbits_step();
       return;
-    case St::kReDbits:
-      re_dbits_step();
-      return;
+    case St::kDraining:
     case St::kDone:
     case St::kFailed:
       return;
@@ -484,48 +498,37 @@ void EvSession::finish_pool_setup() {
       ch_.send_bytes(ctx_->reusable->view_bytes.data(),
                      ctx_->reusable->view_bytes.size());
     });
-  ch_.flush();
-  release_gate();
-
+  // v3's seed record rides in the ticket's frame: the client's d bits
+  // are the session's only remaining read.
   if (mode_ == Mode::kV3) {
     proto::SeedExpansionRecord seed;
     seed.label_seed = v3_session_.label_seed;
     proto::send_seed_expansion(ch_, seed);
-    r_ = 0;
-    v3_send_round_frame();
-    state_ = St::kV3Round;
-  } else {
-    state_ = St::kReDbits;
   }
+  ch_.flush();
+  release_gate();
+  state_ = St::kDbits;
 }
 
-void EvSession::v3_send_round_frame() {
-  timed(stats_.transfer_seconds,
-        [this] { proto::send_v3_round(ch_, v3_session_, r_); });
-}
-
-void EvSession::v3_round_step() {
-  // The round's label OT: derandomize the pool pads by the client's
-  // choice-adjust bits.
-  timed(stats_.ot_seconds, [this] {
-    proto::answer_v3_round(ch_, v3_session_, r_, *pool_, claim_);
-  });
-  ++r_;
-  if (r_ < v3_session_.round_count())
-    v3_send_round_frame();
-  else
-    finalize(Mode::kV3);
-}
-
-void EvSession::re_dbits_step() {
+void EvSession::dbits_step() {
   const std::uint64_t n = ch_.recv_u64();
   if (n != need_total_)
     throw net::FramingError(
-        "reusable session: choice-adjust bits carries " + std::to_string(n) +
-        " bits, expected " + std::to_string(need_total_));
+        std::string(mode_name()) + " session: choice-adjust bits carries " +
+        std::to_string(n) + " bits, expected " + std::to_string(need_total_));
   std::vector<std::uint8_t> packed(
       (static_cast<std::size_t>(need_total_) + 7) / 8);
   if (!packed.empty()) ch_.recv_bytes(packed.data(), packed.size());
+
+  if (mode_ == Mode::kV3) {
+    // Every round streams out now, each frame followed by its z blocks
+    // (the label OT: the pool pads derandomized by the d bits).
+    timed(stats_.transfer_seconds, [&] {
+      proto::send_v3_body(ch_, v3_session_, *pool_, claim_, packed);
+    });
+    finalize(Mode::kV3);
+    return;
+  }
 
   // The session's label OT: derandomize the pool pads by the client's
   // choice-adjust bits, then push the garbler's masked input bits.
@@ -551,10 +554,6 @@ void EvSession::re_dbits_step() {
 }
 
 void EvSession::finalize(Mode done_mode) {
-  if (claim_open_) {
-    pool_->consume(claim_);
-    claim_open_ = false;
-  }
   stats_.bytes_sent += ch_.bytes_sent();
   stats_.bytes_received += ch_.bytes_received();
   ++stats_.sessions_served;
@@ -581,7 +580,8 @@ void EvSession::finalize(Mode done_mode) {
     stats_.v3_ot_extended += extend_count_;
   }
   session_seconds_ = seconds_since(t_session_);
-  state_ = St::kDone;
+  // The claim is consumed once the output drains (on_output_drained).
+  state_ = St::kDraining;
   ch_.flush();
 }
 

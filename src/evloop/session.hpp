@@ -18,6 +18,12 @@
 // on contention; io_mu is still taken for the brief pointer mutations
 // so V3PoolRegistry::outstanding_claims stays race-free. Every claim
 // ends in consume (success) or discard (failure/teardown).
+//
+// A session is served only once its last byte has left the channel:
+// after the protocol's final step it waits for the owner to report the
+// output drained (on_output_drained) and only then consumes its claim
+// and turns done(). A peer that hangs up, or a write that dies, before
+// that fails the session and burns the claim.
 #pragma once
 
 #include <chrono>
@@ -34,9 +40,9 @@
 #include "evloop/buffered_channel.hpp"
 #include "gc/garble.hpp"
 #include "net/demo_inputs.hpp"
+#include "net/fault.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/fault.hpp"
 #include "net/server_stats.hpp"
 #include "net/v3_service.hpp"
 #include "ot/base_ot.hpp"
@@ -92,9 +98,15 @@ class EvSession {
   void on_peer_eof();
   // Retries the pool gate (call from a timer while wants_gate_retry()).
   void on_gate_retry();
+  // The owner wrote out everything the channel held. A session whose
+  // protocol has finished commits here: its claim is consumed and it
+  // turns done(). A no-op in any other state or while output remains.
+  void on_output_drained();
 
   [[nodiscard]] BufferedChannel& channel() { return ch_; }
   [[nodiscard]] bool done() const { return state_ == St::kDone; }
+  // The protocol finished; its output still waits to be written out.
+  [[nodiscard]] bool draining() const { return state_ == St::kDraining; }
   [[nodiscard]] bool failed() const { return state_ == St::kFailed; }
   [[nodiscard]] EvError error() const { return err_; }
   [[nodiscard]] const std::string& error_text() const { return err_text_; }
@@ -122,13 +134,17 @@ class EvSession {
     kPoolBase2,   // pool base OT step 2 (v3/reusable)
     kPoolBase4,   // pool base OT step 4
     kPoolExtend,  // pool extension columns
-    kV3Round,     // v3: waiting a round's derandomization bits
-    kReDbits,     // reusable: waiting the whole-session d bits
+    kDbits,       // v3/reusable: waiting the whole-session d bits
+    kDraining,    // protocol finished; its output not yet written out
     kDone,
     kFailed,
   };
   using Clock = std::chrono::steady_clock;
 
+  [[nodiscard]] bool running() const {
+    return state_ != St::kDraining && state_ != St::kDone &&
+           state_ != St::kFailed;
+  }
   void advance();
   void step();
   [[nodiscard]] std::size_t current_need() const;
@@ -148,9 +164,9 @@ class EvSession {
   void reconcile_pool(std::uint64_t client_extended);
   void begin_pool_phases();  // base OT / extend / claim, as needed
   void finish_pool_setup();  // claim + ticket (+artifact), releases gate
-  void v3_send_round_frame();
-  void v3_round_step();
-  void re_dbits_step();
+  // kDbits: reads the client's d bits for the whole claim, then answers
+  // every v3 round, or reusable mode's z and masked garbler bits.
+  void dbits_step();
   void finalize(Mode done_mode);
   void fail(EvError kind, const std::string& what);
   void release_gate();
@@ -168,7 +184,7 @@ class EvSession {
   bool v3_ = false;
   bool iknp_ = false;
   std::size_t n_eval_ = 0;
-  std::size_t r_ = 0;  // rounds completed in the current mode's flow
+  std::size_t r_ = 0;  // precomputed/stream: rounds completed
 
   // Precomputed mode.
   std::unique_ptr<proto::PrecomputedGarblerParty> party_;

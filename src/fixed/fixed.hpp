@@ -6,8 +6,8 @@
 // a plaintext FixedVector dot product is bit-identical to the secure one.
 #pragma once
 
-#include <cstdint>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 

@@ -53,10 +53,10 @@ struct ClientConfig {
   // v3 hello (no v2 fallback; weaker garbler privacy — see
   // docs/SECURITY_MODELS.md).
   SessionMode mode = SessionMode::kPrecomputed;
-  // Preferred protocol version. 3 = slim wire + cross-session OT pool
-  // (precomputed mode only); a server that only speaks v2 rejects with
-  // kVersionMismatch and the client transparently redials with a v2
-  // hello. 2 = classic flow.
+  // Preferred protocol version. kProtocolVersionV3 = slim wire +
+  // cross-session OT pool (precomputed mode only); a server that only
+  // speaks v2 rejects with kVersionMismatch and the client
+  // transparently redials with a v2 hello. 2 = classic flow.
   std::uint32_t protocol = kProtocolVersion;
   // Cross-session client identity + OT pool. Share one instance across
   // run_client calls to amortize the base OT; when null, a fresh state

@@ -176,7 +176,7 @@ V23Handshake server_handshake_v23(proto::Channel& ch,
     // connection, and the reset can destroy the in-flight reject before
     // the client reads it — the client would see a bare peer close
     // instead of the typed version verdict it redials v2 on.
-    if (h.version == kProtocolVersionV3) {
+    if (hello_has_v3_ext(h.version)) {
       try {
         (void)recv_hello_ext_v3(ch);
       } catch (const NetError&) {
@@ -186,6 +186,8 @@ V23Handshake server_handshake_v23(proto::Channel& ch,
     }
     reject(RejectCode::kVersionMismatch,
            "server speaks version " + std::to_string(kProtocolVersion) +
+               (ex.allow_v3 ? " and " + std::to_string(kProtocolVersionV3)
+                            : std::string()) +
                ", client sent " + std::to_string(h.version));
   }
   V23Handshake out;

@@ -34,16 +34,33 @@ inline constexpr std::uint64_t kHelloMagic = 0x54454e4c4558414dull;  // "MAXELNE
 inline constexpr std::uint32_t kProtocolVersion = 2;
 // v3: slim wire format (PRG-seeded garbler labels, packed select bits)
 // plus the cross-session correlated-OT pool. A v3 hello is the same
-// 56-byte record with version=3, immediately followed by the v3
-// extension (client identity + optional resumption ticket). Servers
-// that don't speak v3 reject with kVersionMismatch; the client then
-// retries on a fresh connection with a v2 hello — old and new endpoints
-// always interoperate. This server drains the extension frame before
-// rejecting so the verdict survives the close (closing with it unread
-// would reset the connection and could destroy the in-flight reject).
+// 56-byte record with version=kProtocolVersionV3, immediately followed
+// by the v3 extension (client identity + optional resumption ticket).
+// Servers that don't speak v3 reject with kVersionMismatch; the client
+// then retries on a fresh connection with a v2 hello. This server
+// drains the extension frame before rejecting so the verdict survives
+// the close (closing with it unread would reset the connection and
+// could destroy the in-flight reject). Servers built before value 4
+// drain only a version-3 extension, so against them the fallback is
+// best effort (docs/PROTOCOL.md, version policy).
 // A bare peer close during a v3 handshake is an ordinary retryable
 // failure, never a fallback.
-inline constexpr std::uint32_t kProtocolVersionV3 = 3;
+//
+// Value 4: the session body became one round trip (the client sends the
+// whole claim's derandomization bits at once, proto/v3_session.hpp).
+// The retired value 3 named the body with one d/z exchange per round; a
+// peer still speaking it gets the typed kVersionMismatch, never a
+// deadlock on a record the other side will not send.
+inline constexpr std::uint32_t kProtocolVersionV3 = 4;
+inline constexpr std::uint32_t kRetiredProtocolVersionV3 = 3;
+
+// True for every version whose hello is trailed by the v3 extension,
+// retired values included: a server drains the extension before any
+// reject, so the verdict survives the close.
+[[nodiscard]] constexpr bool hello_has_v3_ext(std::uint32_t version) {
+  return version == kProtocolVersionV3 ||
+         version == kRetiredProtocolVersionV3;
+}
 
 enum class OtChoice : std::uint8_t { kBase = 0, kIknp = 1 };
 
@@ -132,21 +149,21 @@ struct HelloExtV3 {
 void send_hello_ext_v3(proto::Channel& ch, const HelloExtV3& ext);
 HelloExtV3 recv_hello_ext_v3(proto::Channel& ch);
 
-// Client side of a v3 handshake: sends the hello (version forced to 3,
-// mode passed through — kPrecomputed for the slim-wire flow, kReusable
-// for the reusable-artifact flow; kStream is not served over v3) plus
-// the extension, reads the verdict. Returns the negotiated rounds or
-// throws HandshakeError — kVersionMismatch means "server only speaks
-// v2"; precomputed callers fall back by reconnecting with
-// client_handshake, reusable callers surface it (there is no v2
-// equivalent of the reusable flow).
+// Client side of a v3 handshake: sends the hello (version forced to
+// kProtocolVersionV3, mode passed through — kPrecomputed for the
+// slim-wire flow, kReusable for the reusable-artifact flow; kStream is
+// not served over v3) plus the extension, reads the verdict. Returns
+// the negotiated rounds or throws HandshakeError — kVersionMismatch
+// means "server only speaks v2"; precomputed callers fall back by
+// reconnecting with client_handshake, reusable callers surface it
+// (there is no v2 equivalent of the reusable flow).
 std::uint32_t client_handshake_v3(proto::Channel& ch, ClientHello hello,
                                   const HelloExtV3& ext);
 
 // Version-negotiating server handshake: accepts v2 hellos exactly like
 // server_handshake, and v3 hellos when ex.allow_v3 (v3 serves the
 // precomputed and reusable session modes). `ext` is set iff
-// version == 3.
+// version == kProtocolVersionV3.
 struct V23Handshake {
   ClientHello hello;
   std::uint32_t version = kProtocolVersion;

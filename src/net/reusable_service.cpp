@@ -10,6 +10,7 @@
 #include "net/handshake.hpp"
 #include "proto/reusable_io.hpp"
 #include "proto/v3_records.hpp"
+#include "proto/v3_session.hpp"
 
 namespace maxel::net {
 
@@ -123,18 +124,7 @@ ReusableEvalOutcome eval_reusable_session(
   }
   out.setup_bytes = ch.bytes_sent() + ch.bytes_received();
 
-  std::vector<bool> d(static_cast<std::size_t>(need));
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    if (evaluator_bits[static_cast<std::size_t>(r)].size() != n_in)
-      throw std::invalid_argument(
-          "eval_reusable_session: round input width mismatch");
-    for (std::size_t j = 0; j < n_in; ++j)
-      d[static_cast<std::size_t>(r * n_in + j)] =
-          evaluator_bits[static_cast<std::size_t>(r)][j] !=
-          st.pool.choice(ss.start_index + r * n_in + j);
-  }
-  ch.send_bits(d);
-  ch.flush();
+  proto::send_dbits(ch, evaluator_bits, n_in, st.pool, ss.start_index);
 
   const std::vector<bool> z = recv_bits_exact(ch, need, "masked-input bits");
   const std::vector<bool> g =

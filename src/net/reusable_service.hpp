@@ -15,7 +15,8 @@
 //           [base OT + pool extend as needed] ticket [artifact view]
 //   client  d bits — one per (round, evaluator input): the true input
 //           bit XOR the pool choice bit at the claimed index
-//           (derandomized bit-OT, input-independent to the server)
+//           (derandomized bit-OT, input-independent to the server; the
+//           same record a v3 session sends, proto::send_dbits)
 //   server  z bits (pad lsb ^ d ^ input flip) + the masked garbler
 //           bits for every round
 //   client  evaluates all rounds locally — plaintext table lookups,

@@ -12,13 +12,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "circuit/netlist.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
-#include <memory>
 
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"

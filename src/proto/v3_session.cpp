@@ -120,52 +120,51 @@ PrecomputedSessionV3 garble_session_v3(
   return s;
 }
 
-void send_v3_round(Channel& ch, const PrecomputedSessionV3& session,
-                   std::size_t r) {
-  const gc::V3RoundMaterial& m = session.rounds[r];
-  V3RoundFrame frame;
-  frame.rows = m.rows;
-  frame.output_map = m.output_map;
-  send_round_frame(ch, frame);
-  ch.flush();
-}
-
-void answer_v3_round(Channel& ch, const PrecomputedSessionV3& session,
-                     std::size_t r, const ot::CorrelatedPoolSender& pool,
-                     const ot::PoolClaim& claim) {
-  const gc::V3RoundMaterial& m = session.rounds[r];
-  const std::size_t n_in = m.evaluator_pairs.size();
-  const std::uint64_t first = claim.start + r * n_in;
-  if (first + n_in > claim.start + claim.count)
-    throw std::logic_error("answer_v3_round: round overruns the claim");
-  std::vector<std::uint8_t> d((n_in + 7) / 8);
-  ch.recv_bytes(d.data(), d.size());
-  for (std::size_t j = 0; j < n_in; ++j) {
-    crypto::Block z = pool.pad(first + j) ^ m.evaluator_pairs[j].first;
-    if ((d[j / 8] >> (j % 8)) & 1u) z ^= session.delta;
-    ch.send_block(z);
+void send_dbits(Channel& ch,
+                const std::vector<std::vector<bool>>& evaluator_bits,
+                std::size_t n_inputs, const ot::CorrelatedPoolReceiver& pool,
+                std::uint64_t claim_start) {
+  std::vector<bool> d(evaluator_bits.size() * n_inputs);
+  std::size_t k = 0;
+  for (const auto& bits : evaluator_bits) {
+    if (bits.size() != n_inputs)
+      throw std::invalid_argument("send_dbits: round input width mismatch");
+    for (std::size_t j = 0; j < n_inputs; ++j, ++k)
+      d[k] = bits[j] != pool.choice(claim_start + k);
   }
+  ch.send_bits(d);
   ch.flush();
 }
 
-void serve_v3_rounds(Channel& ch, const circuit::Circuit& c,
-                     const PrecomputedSessionV3& session,
-                     ot::CorrelatedPoolSender& pool,
-                     const ot::PoolClaim& claim) {
-  const std::size_t n_in = c.evaluator_inputs.size();
-  if (claim.count != session.round_count() * n_in)
-    throw std::logic_error("serve_v3_rounds: claim size mismatch");
+void send_v3_body(Channel& ch, const PrecomputedSessionV3& session,
+                  const ot::CorrelatedPoolSender& pool,
+                  const ot::PoolClaim& claim,
+                  const std::vector<std::uint8_t>& d) {
+  std::uint64_t inputs = 0;
+  for (const gc::V3RoundMaterial& m : session.rounds)
+    inputs += m.evaluator_pairs.size();
+  if (claim.count != inputs)
+    throw std::logic_error("send_v3_body: claim size mismatch");
+  if (d.size() != (inputs + 7) / 8)
+    throw std::logic_error("send_v3_body: d bits do not cover the claim");
   if (session.pool_lineage != delta_lineage(pool.delta()))
     throw std::logic_error(
-        "serve_v3_rounds: session garbled under a different delta than the "
+        "send_v3_body: session garbled under a different delta than the "
         "pool correlation secret");
 
-  SeedExpansionRecord seed;
-  seed.label_seed = session.label_seed;
-  send_seed_expansion(ch, seed);
-  for (std::size_t r = 0; r < session.round_count(); ++r) {
-    send_v3_round(ch, session, r);
-    answer_v3_round(ch, session, r, pool, claim);
+  std::uint64_t k = 0;
+  V3RoundFrame frame;
+  for (const gc::V3RoundMaterial& m : session.rounds) {
+    frame.rows = m.rows;
+    frame.output_map = m.output_map;
+    send_round_frame(ch, frame);
+    for (const auto& labels : m.evaluator_pairs) {
+      crypto::Block z = pool.pad(claim.start + k) ^ labels.first;
+      if ((d[k / 8] >> (k % 8)) & 1u) z ^= session.delta;
+      ch.send_block(z);
+      ++k;
+    }
+    ch.flush();
   }
 }
 
@@ -174,6 +173,8 @@ std::vector<bool> eval_v3_rounds(
     const std::vector<std::vector<bool>>& evaluator_bits,
     ot::CorrelatedPoolReceiver& pool, std::uint64_t claim_start) {
   const std::size_t n_in = c.evaluator_inputs.size();
+  send_dbits(ch, evaluator_bits, n_in, pool, claim_start);
+
   const SeedExpansionRecord seed = recv_seed_expansion(ch);
   gc::V3Evaluator evaluator(c, an, seed.label_seed);
   // Corrections from the seed record apply to every round's late-bound
@@ -181,24 +182,12 @@ std::vector<bool> eval_v3_rounds(
   const std::vector<std::pair<std::uint32_t, crypto::Block>>& corrections =
       seed.corrections;
 
-  const std::size_t d_bytes = (n_in + 7) / 8;
-  std::vector<std::uint8_t> d(d_bytes);
   std::vector<crypto::Block> labels(n_in);
   std::vector<bool> decoded;
   std::uint64_t idx = claim_start;
   for (const auto& bits : evaluator_bits) {
-    if (bits.size() != n_in)
-      throw std::invalid_argument("eval_v3_rounds: evaluator bit count");
     const V3RoundFrame frame =
         recv_round_frame(ch, an.rows_per_round, c.outputs.size());
-
-    std::fill(d.begin(), d.end(), 0);
-    for (std::size_t j = 0; j < n_in; ++j)
-      if (bits[j] != pool.choice(idx + j))
-        d[j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
-    ch.send_bytes(d.data(), d.size());
-    ch.flush();
-
     for (std::size_t j = 0; j < n_in; ++j, ++idx)
       labels[j] = pool.pad(idx) ^ ch.recv_block();
 

@@ -3,22 +3,27 @@
 // cross-session correlated-OT pool (ot/pool.hpp).
 //
 // A v3 session body, after the net-layer handshake and pool
-// reconciliation, is:
+// reconciliation, is one round trip:
 //
-//   garbler -> evaluator   SeedExpansionRecord (once)
-//   per round:
-//     garbler -> evaluator V3RoundFrame (rows + packed output map)
-//     evaluator -> garbler packed derandomization bits d = c ^ r
-//     garbler -> evaluator one z-block per evaluator input:
-//                          z_j = q_idx ^ L0_j ^ (d_j ? delta : 0)
+//   garbler -> evaluator   SeedExpansionRecord (in the ticket's frame)
+//   evaluator -> garbler   packed derandomization bits for the whole
+//                          claim, d_k = c_k ^ r_k with
+//                          k = round * n_inputs + j (one send_bits record)
+//   per round, one frame each, with no read in between:
+//     garbler -> evaluator V3RoundFrame (rows + packed output map), then
+//                          one z-block per evaluator input:
+//                          z_j = q_idx ^ L0_j ^ (d_k ? delta : 0)
 //                          (the client computes t_idx ^ z_j = L0_j ^
 //                          c_j*delta, its active label)
 //
-// The per-round OT is one bit + one block per evaluator input — no
-// hashes, no pair of ciphertexts — because the pool pads already carry
-// the delta correlation and the garbling delta *is* the pool secret.
-// The session consumes claim indices strictly in order:
-// idx = claim_start + round * n_inputs + j.
+// The label OT is one bit + one block per evaluator input — no hashes,
+// no pair of ciphertexts — because the pool pads already carry the delta
+// correlation and the garbling delta *is* the pool secret. Every input
+// is fixed before the session starts, so the client commits to all of
+// them at once and the garbler streams every round without waiting. The
+// session consumes claim indices strictly in order:
+// idx = claim_start + round * n_inputs + j. Reusable mode
+// (net/reusable_service.hpp) sends the same d-bits record.
 //
 // These functions speak only proto::Channel, so the same code backs the
 // TCP server, the broker, and the loopback benches.
@@ -64,30 +69,31 @@ PrecomputedSessionV3 garble_session_v3(
     const crypto::Block& delta, const crypto::Block& label_seed,
     crypto::RandomSource& rng);
 
-// The two garbler-side steps of round r, each ending in a flush:
-// send_v3_round sends the round's V3RoundFrame; answer_v3_round reads
-// the client's derandomization bits d and answers with one z-block per
-// evaluator input, drawing the pads claim.start + r * n_in + j (a round
-// that would reach past the claim throws std::logic_error). Every server
-// of the session body (evloop::EvSession, serve_v3_rounds) runs these.
-void send_v3_round(Channel& ch, const PrecomputedSessionV3& session,
-                   std::size_t r);
-void answer_v3_round(Channel& ch, const PrecomputedSessionV3& session,
-                     std::size_t r, const ot::CorrelatedPoolSender& pool,
-                     const ot::PoolClaim& claim);
+// Client half of the session-wide d-bits step both pooled modes share:
+// sends one send_bits record holding d_k = evaluator_bits[r][j] ^
+// pool.choice(claim_start + k) for k = r * n_inputs + j, and flushes.
+// Throws std::invalid_argument if a round's width is not n_inputs.
+void send_dbits(Channel& ch,
+                const std::vector<std::vector<bool>>& evaluator_bits,
+                std::size_t n_inputs, const ot::CorrelatedPoolReceiver& pool,
+                std::uint64_t claim_start);
 
-// Serves the whole session body over ch, blocking: the seed record, then
-// both steps of every round. The claim must hold exactly
-// session.round_count() * c.evaluator_inputs.size() pool indices and
-// the pool's delta must match the session's (checked via lineage).
-// Throws on any transport error; the caller owns claim consume/discard.
-void serve_v3_rounds(Channel& ch, const circuit::Circuit& c,
-                     const PrecomputedSessionV3& session,
-                     ot::CorrelatedPoolSender& pool,
-                     const ot::PoolClaim& claim);
+// Garbler half of the body after the seed record: given the client's
+// packed d bits for the whole claim (bit k at d[k / 8] >> (k % 8)),
+// sends every round's V3RoundFrame followed by its z-blocks, one flush
+// per round, drawing the pads claim.start + k. Before sending anything
+// it checks that the claim holds exactly one index per evaluator input
+// of every round, that d covers it, and that the pool's delta matches
+// the session's (via lineage); a failed check throws std::logic_error.
+// The caller owns claim consume/discard.
+void send_v3_body(Channel& ch, const PrecomputedSessionV3& session,
+                  const ot::CorrelatedPoolSender& pool,
+                  const ot::PoolClaim& claim,
+                  const std::vector<std::uint8_t>& d);
 
-// Evaluator twin: consumes the same byte stream, drawing its input
-// labels from the pool via the derandomized exchange. evaluator_bits[r]
+// Evaluator twin: sends the d bits (send_dbits), then consumes the seed
+// record and every round, evaluating each as it lands, its input labels
+// drawn from the pool via the derandomized exchange. evaluator_bits[r]
 // holds round r's true choice bits. Returns the decoded outputs of the
 // final round. claim_start must already be watermarked via
 // CorrelatedPoolReceiver::mark_consumed.

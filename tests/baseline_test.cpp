@@ -5,9 +5,9 @@
 #include "baseline/garbledcpu.hpp"
 #include "baseline/overlay.hpp"
 #include "baseline/overlay_sim.hpp"
+#include "baseline/tinygarble.hpp"
 #include "circuit/arith_ext.hpp"
 #include "circuit/circuits.hpp"
-#include "baseline/tinygarble.hpp"
 
 namespace maxel::baseline {
 namespace {

@@ -32,6 +32,8 @@
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
+#include "evloop/session.hpp"
+#include "live_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
@@ -42,8 +44,6 @@
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
-#include "evloop/session.hpp"
-#include "live_broker.hpp"
 
 namespace maxel {
 namespace {
@@ -504,18 +504,21 @@ TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
   auto state = net::make_v3_client_state(id_rng);
 
   // Session 1: clean. Pays the base OT and the one extension batch, so
-  // the faulted session below resumes with a ~10-op setup and the fault
-  // lands squarely in the round material.
+  // the faulted session below resumes with a five-send setup and the
+  // fault lands right after its claim.
   net::ClientConfig clean = chaos_client_config(server.port(), "");
   clean.protocol = net::kProtocolVersionV3;
   clean.v3_state = state;
   const ChaosOutcome warm = run_chaos_client(clean);
   ASSERT_TRUE(warm.verified) << warm.error;
 
-  // Session 2: recv op 25 dies mid-rounds, after the resumed setup
-  // claimed and announced an index range.
+  // Session 2: send op 5, the client's d-bits record, goes out as a
+  // strict prefix and the link drops. The resumed setup has claimed and
+  // announced an index range and the server has sent the seed record,
+  // but the body never moves: the server is still reading the record
+  // when the peer hangs up, so the dead attempt fails on both ends.
   auto injector = std::make_shared<net::FaultInjector>(
-      net::FaultPlan::parse("close@recv:25"));
+      net::FaultPlan::parse("trunc@send:5"));
   std::deque<std::vector<std::uint8_t>> captures;  // one stream per attempt
 
   net::ClientConfig cfg = chaos_client_config(server.port(), "");
@@ -582,9 +585,10 @@ TEST(ChaosRecovery, KilledResumptionRollsThePoolForward) {
   clean.v3_state = state;
   const ChaosOutcome s1 = run_chaos_client(clean);
 
-  // Session 2: the link dies on an early recv — inside the resumption
-  // handshake/setup exchange, before the rounds.
-  net::ClientConfig faulty = chaos_client_config(server.port(), "close@recv:3");
+  // Session 2: the link dies on an early recv — recv op 2 reads the
+  // ticket, the end of the resumption setup, before the client sends its
+  // d bits, so the server dies waiting for them with the claim open.
+  net::ClientConfig faulty = chaos_client_config(server.port(), "close@recv:2");
   faulty.protocol = net::kProtocolVersionV3;
   faulty.v3_state = state;
   const ChaosOutcome s2 = run_chaos_client(faulty);

@@ -28,11 +28,11 @@
 
 #include "crypto/rng.hpp"
 #include "evloop/ev_broker.hpp"
+#include "live_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
 #include "net/v3_service.hpp"
-#include "live_broker.hpp"
 
 namespace maxel::evloop {
 namespace {

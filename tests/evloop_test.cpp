@@ -16,7 +16,11 @@
 //   * loadgen smoke: 2000 canned reusable sessions through a windowed
 //     single-threaded client sweep, zero failures, zero stuck claims.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -35,6 +39,7 @@
 #include "evloop/loadgen.hpp"
 #include "evloop/session.hpp"
 #include "gc/v3.hpp"
+#include "live_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
@@ -43,7 +48,6 @@
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/precompute.hpp"
-#include "live_broker.hpp"
 
 namespace maxel::evloop {
 namespace {
@@ -52,6 +56,25 @@ using Clock = std::chrono::steady_clock;
 
 using test::shuttle_serve_one;
 using test::ShuttleResult;
+
+// Client frames that reached the server after it wrote the resumption
+// ticket `t` (the end of the pool join). A pooled session body is one
+// round trip, so this is exactly one: the d-bits record.
+std::size_t client_frames_after_ticket(const ShuttleResult& res,
+                                       const proto::ResumptionTicket& t) {
+  const std::vector<std::uint8_t> wire = proto::serialize_ticket(t);
+  const auto at =
+      std::search(res.sent.begin(), res.sent.end(), wire.begin(), wire.end());
+  if (at == res.sent.end()) {
+    ADD_FAILURE() << "the ticket never crossed the wire";
+    return 0;
+  }
+  const std::size_t end =
+      static_cast<std::size_t>(at - res.sent.begin()) + wire.size();
+  return static_cast<std::size_t>(
+      std::count_if(res.client_frame_at.begin(), res.client_frame_at.end(),
+                    [end](std::size_t sent) { return sent >= end; }));
+}
 
 // ---------------------------------------------------------------------------
 // Shuttle: a lone EvSession fed one byte at a time over one connection
@@ -114,6 +137,36 @@ class EvSessionShuttleTest : public ::testing::Test {
     return ccfg;
   }
 
+  // Opens a pooled session by hand, up to its d-bits record: the v3
+  // handshake and the pool join as `state` (reusable mode asks for the
+  // artifact).
+  std::unique_ptr<net::TcpChannel> join_by_hand(std::uint16_t port,
+                                                net::SessionMode mode,
+                                                net::V3ClientState& state,
+                                                crypto::RandomSource& rng) {
+    net::TcpOptions tcp;
+    tcp.recv_timeout_ms = 10'000;
+    auto ch = net::TcpChannel::connect("127.0.0.1", port, tcp);
+    net::ClientHello hello;
+    hello.scheme = static_cast<std::uint8_t>(gc::Scheme::kHalfGates);
+    hello.ot = static_cast<std::uint8_t>(net::OtChoice::kIknp);
+    hello.mode = static_cast<std::uint8_t>(mode);
+    hello.bit_width = kBits;
+    hello.circuit_hash = net::circuit_fingerprint(circ_);
+    net::HelloExtV3 ext;
+    ext.client_id = state.client_id;
+    if (state.ticket) {
+      ext.has_ticket = true;
+      ext.ticket = *state.ticket;
+    }
+    EXPECT_EQ(net::client_handshake_v3(*ch, hello, ext), kRounds);
+    const proto::ClientArtifactOffer no_artifact{};
+    (void)net::join_pool(
+        *ch, state, kRounds * circ_.evaluator_inputs.size(), rng,
+        mode == net::SessionMode::kReusable ? &no_artifact : nullptr);
+    return ch;
+  }
+
   circuit::Circuit circ_;
   gc::V3Analysis an_;
   std::unique_ptr<net::V3PoolRegistry> reg_;
@@ -174,6 +227,9 @@ TEST_F(EvSessionShuttleTest, V3ByteAtATimeResumesPoolAcrossSessions) {
     EXPECT_TRUE(res.done) << "session " << i << ": " << res.err;
     EXPECT_EQ(res.mode, "v3");
     EXPECT_EQ(res.stats.v3_sessions_served, 1u);
+    ASSERT_TRUE(state->ticket.has_value());
+    EXPECT_EQ(client_frames_after_ticket(res, *state->ticket), 1u)
+        << "session " << i;
   }
 
   const std::uint64_t want = net::demo_mac_reference(7, kBits, kRounds);
@@ -205,6 +261,131 @@ TEST_F(EvSessionShuttleTest, ReusableByteAtATime) {
   EXPECT_EQ(res.stats.reusable_sessions_served, 1u);
   EXPECT_EQ(res.stats.reusable_artifacts_sent, 1u);
   EXPECT_EQ(reg_->outstanding_claims(), 0u);
+  ASSERT_TRUE(ccfg.v3_state->ticket.has_value());
+  EXPECT_EQ(client_frames_after_ticket(res, *ccfg.v3_state->ticket), 1u);
+}
+
+// A client that joins the pool and then sends a d-bits record with the
+// wrong count, short or long, in either pooled mode: the session fails
+// on the count with the typed FramingError (EvError::kNet), its claim is
+// discarded, and the same identity's next, clean session resumes the
+// pool and verifies.
+TEST_F(EvSessionShuttleTest, WrongCountDbitsRecordFailsTypedInBothPooledModes) {
+  const std::uint64_t need = kRounds * circ_.evaluator_inputs.size();
+  for (const net::SessionMode mode :
+       {net::SessionMode::kPrecomputed, net::SessionMode::kReusable}) {
+    const bool reusable = mode == net::SessionMode::kReusable;
+    crypto::SystemRandom rng;
+    auto state = net::make_v3_client_state(rng);
+    // A short count carries fewer bytes than a full record, so the
+    // session must judge the count before waiting for the rest.
+    for (const std::uint64_t count : {need / 2, need + 8}) {
+      SCOPED_TRACE(std::string(reusable ? "reusable" : "v3") + ", count " +
+                   std::to_string(count));
+      net::TcpListener lst(0, "127.0.0.1", net::ListenOptions{});
+      ShuttleResult res;
+      std::thread serve([&] { res = shuttle_serve_one(lst, ctx_); });
+      {
+        auto ch = join_by_hand(lst.port(), mode, *state, rng);
+        ch->send_u64(count);
+        const std::vector<std::uint8_t> packed((count + 7) / 8);
+        ch->send_bytes(packed.data(), packed.size());
+        ch->flush();
+        // The server hangs up; drain whatever it staged until then.
+        const auto drain = [&] { for (;;) (void)ch->recv_u64(); };
+        EXPECT_THROW(drain(), net::NetError);
+      }
+      serve.join();
+      EXPECT_TRUE(res.failed);
+      EXPECT_EQ(res.error, EvError::kNet);
+      EXPECT_NE(res.err.find("expected " + std::to_string(need)),
+                std::string::npos)
+          << res.err;
+      EXPECT_EQ(reg_->outstanding_claims(), 0u);
+    }
+
+    net::TcpListener lst(0, "127.0.0.1", net::ListenOptions{});
+    ShuttleResult res;
+    std::thread serve([&] { res = shuttle_serve_one(lst, ctx_); });
+    net::ClientConfig ccfg = shuttle_client(lst.port());
+    ccfg.mode = mode;
+    ccfg.protocol = net::kProtocolVersionV3;
+    ccfg.v3_state = state;
+    const net::ClientStats cs = net::run_client(ccfg);
+    serve.join();
+    EXPECT_TRUE(res.done) << res.err;
+    EXPECT_TRUE(cs.verified);
+    EXPECT_TRUE(cs.pool_resumed);
+    EXPECT_EQ(reg_->outstanding_claims(), 0u);
+  }
+}
+
+// A pooled session is served only once its output has drained. Here the
+// server stages the body but the peer is gone before a byte of it is
+// written: the session fails as a peer close and burns its claim instead
+// of consuming it. The same identity's next session drains and commits.
+TEST_F(EvSessionShuttleTest, PooledSessionCommitsOnlyOnceItsOutputDrains) {
+  const std::uint64_t need = kRounds * circ_.evaluator_inputs.size();
+  for (const net::SessionMode mode :
+       {net::SessionMode::kPrecomputed, net::SessionMode::kReusable}) {
+    SCOPED_TRACE(mode == net::SessionMode::kReusable ? "reusable" : "v3");
+    crypto::SystemRandom rng;
+    auto state = net::make_v3_client_state(rng);
+
+    net::TcpListener lst(0, "127.0.0.1", net::ListenOptions{});
+    bool staged = false;
+    bool failed = false;
+    EvError error = EvError::kNone;
+    std::thread serve([&] {
+      const int cfd = ::accept(lst.fd(), nullptr, nullptr);
+      ASSERT_GE(cfd, 0);
+      EvSession s(ctx_);
+      std::uint8_t buf[4096];
+      while (!s.done() && !s.failed()) {
+        const ssize_t n = ::recv(cfd, buf, sizeof buf, 0);
+        if (n <= 0) break;
+        s.on_bytes(buf, static_cast<std::size_t>(n));
+        if (s.draining()) {  // the body is staged; the peer hangs up
+          staged = s.channel().has_output();
+          s.on_peer_eof();
+          break;
+        }
+        if (!test::shuttle_drain(cfd, s)) break;
+      }
+      failed = s.failed();
+      error = s.error();
+      ::close(cfd);
+    });
+    {
+      auto ch = join_by_hand(lst.port(), mode, *state, rng);
+      ch->send_bits(std::vector<bool>(need));  // a well-formed d record
+      ch->flush();
+      const auto drain = [&] { for (;;) (void)ch->recv_u64(); };
+      EXPECT_THROW(drain(), net::NetError);
+    }
+    serve.join();
+    EXPECT_TRUE(staged);
+    EXPECT_TRUE(failed);
+    EXPECT_EQ(error, EvError::kPeerClosed);
+    EXPECT_EQ(reg_->outstanding_claims(), 0u);
+    const auto pool = reg_->entry_for(state->client_id)->pool;
+    EXPECT_EQ(pool->stats().discarded, need);
+    EXPECT_EQ(pool->stats().consumed, 0u);
+
+    net::TcpListener lst2(0, "127.0.0.1", net::ListenOptions{});
+    ShuttleResult res;
+    std::thread serve2([&] { res = shuttle_serve_one(lst2, ctx_, 1 << 16); });
+    net::ClientConfig ccfg = shuttle_client(lst2.port());
+    ccfg.mode = mode;
+    ccfg.protocol = net::kProtocolVersionV3;
+    ccfg.v3_state = state;
+    EXPECT_TRUE(net::run_client(ccfg).verified);
+    serve2.join();
+    EXPECT_TRUE(res.done) << res.err;
+    EXPECT_EQ(reg_->outstanding_claims(), 0u);
+    EXPECT_EQ(pool->stats().discarded, need);
+    EXPECT_EQ(pool->stats().consumed, need);
+  }
 }
 
 // Every mode's first session pays a fresh OT setup (IKNP base OTs, or a

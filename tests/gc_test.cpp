@@ -4,8 +4,8 @@
 // invariants are asserted directly at the label level.
 #include <gtest/gtest.h>
 
-#include "circuit/builder.hpp"
 #include "circuit/arith_ext.hpp"
+#include "circuit/builder.hpp"
 #include "circuit/circuits.hpp"
 #include "circuit/ml_blocks.hpp"
 #include "crypto/prg.hpp"

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "evloop/ev_broker.hpp"
 #include "evloop/session.hpp"
@@ -107,19 +108,66 @@ struct ShuttleResult {
   std::string mode;
   std::string err;
   net::ServerStats stats;
+  // The wire as the server saw it: every byte it wrote, and for each
+  // client frame, how many of those bytes were out when its last byte
+  // arrived (so a test can count the client frames after any reply).
+  std::vector<std::uint8_t> sent;
+  std::vector<std::size_t> client_frame_at;
 };
 
-inline bool shuttle_drain(int fd, evloop::BufferedChannel& ch) {
+// Writes out everything `s` staged, then reports the drain to it (as
+// the broker does); a dead write fails the session as a hang-up.
+inline bool shuttle_drain(int fd, evloop::EvSession& s,
+                          std::vector<std::uint8_t>* log = nullptr) {
+  evloop::BufferedChannel& ch = s.channel();
   while (ch.has_output()) {
     struct iovec iov[16];
     const std::size_t n = ch.gather(iov, 16);
     if (n == 0) break;
     const ssize_t w = ::writev(fd, iov, static_cast<int>(n));
-    if (w <= 0) return false;
+    if (w <= 0) {
+      s.on_peer_eof();
+      return false;
+    }
+    if (log != nullptr) {
+      std::size_t left = static_cast<std::size_t>(w);
+      for (std::size_t i = 0; i < n && left > 0; ++i) {
+        const auto* p = static_cast<const std::uint8_t*>(iov[i].iov_base);
+        const std::size_t k = std::min(left, iov[i].iov_len);
+        log->insert(log->end(), p, p + k);
+        left -= k;
+      }
+    }
     ch.mark_written(static_cast<std::size_t>(w));
   }
+  s.on_output_drained();
   return true;
 }
+
+// Splits the client's byte stream into its [u32 length][payload] frames.
+class FrameSplitter {
+ public:
+  // Consumes one byte; true when it completes a frame.
+  bool feed(std::uint8_t b) {
+    if (head_have_ < 4) {
+      head_ |= static_cast<std::uint32_t>(b) << (8 * head_have_);
+      if (++head_have_ < 4) return false;
+      left_ = head_;
+      return left_ == 0 ? reset() : false;
+    }
+    return --left_ == 0 ? reset() : false;
+  }
+
+ private:
+  bool reset() {
+    head_ = 0;
+    head_have_ = 0;
+    return true;
+  }
+  std::uint32_t head_ = 0;
+  std::size_t head_have_ = 0;
+  std::uint32_t left_ = 0;
+};
 
 inline ShuttleResult shuttle_serve_one(net::TcpListener& lst,
                                        const evloop::EvServeContext& ctx,
@@ -131,6 +179,7 @@ inline ShuttleResult shuttle_serve_one(net::TcpListener& lst,
     return res;
   }
   evloop::EvSession s(ctx);
+  FrameSplitter frames;
   std::uint8_t buf[4096];
   while (!s.done() && !s.failed()) {
     const ssize_t n = ::recv(cfd, buf, sizeof buf, 0);
@@ -138,20 +187,22 @@ inline ShuttleResult shuttle_serve_one(net::TcpListener& lst,
       s.on_peer_eof();
       break;
     }
+    for (ssize_t i = 0; i < n; ++i)
+      if (frames.feed(buf[i])) res.client_frame_at.push_back(res.sent.size());
     for (ssize_t i = 0; i < n && !s.done() && !s.failed();) {
       const std::size_t step =
           std::min(feed, static_cast<std::size_t>(n - i));
       s.on_bytes(buf + i, step);
       i += static_cast<ssize_t>(step);
-      if (!shuttle_drain(cfd, s.channel())) break;
+      if (!shuttle_drain(cfd, s, &res.sent)) break;
       // A lost pool gate would park here; a lone session wins at once.
       while (s.wants_gate_retry()) {
         s.on_gate_retry();
-        if (!shuttle_drain(cfd, s.channel())) break;
+        if (!shuttle_drain(cfd, s, &res.sent)) break;
       }
     }
   }
-  shuttle_drain(cfd, s.channel());
+  shuttle_drain(cfd, s, &res.sent);
   ::shutdown(cfd, SHUT_WR);
   char tmp[256];
   while (::recv(cfd, tmp, sizeof tmp, 0) > 0) {

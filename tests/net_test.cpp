@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "circuit/circuits.hpp"
-#include "sweep_env.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "live_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
@@ -29,7 +29,7 @@
 #include "net/v3_service.hpp"
 #include "proto/protocol.hpp"
 #include "proto/threaded_channel.hpp"
-#include "live_broker.hpp"
+#include "sweep_env.hpp"
 
 namespace maxel::net {
 namespace {
@@ -774,6 +774,38 @@ TEST(HandshakeV3, V3HelloRejectedByV2OnlyServer) {
   // Both sides see the typed version mismatch — the signal the client
   // uses to redial with a v2 hello.
   EXPECT_EQ(client_code, RejectCode::kVersionMismatch);
+  EXPECT_EQ(server_code, RejectCode::kVersionMismatch);
+}
+
+// A peer still speaking the retired per-round v3 body: its hello and
+// extension are well formed, but the version value is the retired one.
+// A v3 server must drain the extension and answer with the typed
+// version verdict, never park the stale peer in a session body the two
+// sides would run differently.
+TEST(HandshakeV3, RetiredV3VersionGetsTypedMismatch) {
+  ServerExpectation ex = demo_expectation(8);
+  ex.allow_v3 = true;
+  TcpListener lis(0, "127.0.0.1");
+  HandshakePair p = make_pair_over_loopback(lis);
+
+  RejectCode server_code = RejectCode::kOk;
+  std::thread server([&] {
+    try {
+      server_handshake_v23(*p.server, ex);
+    } catch (const HandshakeError& e) {
+      server_code = e.code();
+    }
+  });
+  ClientHello h = demo_hello(ex);
+  h.version = kRetiredProtocolVersionV3;
+  send_hello(*p.client, h);
+  HelloExtV3 ext;
+  ext.client_id = Block{3, 4};
+  send_hello_ext_v3(*p.client, ext);
+  const ServerAccept a = recv_accept(*p.client);
+  server.join();
+  EXPECT_NE(kRetiredProtocolVersionV3, kProtocolVersionV3);
+  EXPECT_EQ(a.status, RejectCode::kVersionMismatch);
   EXPECT_EQ(server_code, RejectCode::kVersionMismatch);
 }
 

@@ -80,6 +80,7 @@ class ShuttleChannel final : public proto::Channel {
             [this](const std::uint8_t* p, std::size_t k) {
               end_.ingest(p, k);
             });
+    server_.on_output_drained();
     if (end_.available() < n)
       throw std::runtime_error("shuttle: server produced too few bytes (" +
                                server_.error_text() + ")");
@@ -212,19 +213,19 @@ TEST_F(PooledTranscript, FourSessionsMatchThePinnedWire) {
 
   // Pinned: a change to any of these is a change to the wire.
   EXPECT_EQ(v3_fresh.up,
-            "bf845aecb052fa77a445e55d59b12914416ecc0a4d885b6ac005fd921fdb0554");
+            "b853cdf618e6718f91d4d7de4697e5a23bb3bac5480b22652583b0f7422a03d3");
   EXPECT_EQ(v3_fresh.down,
-            "231da14c193666bfd4729013894e1a69ee6eac0d53c3c14c39d97eff1483b28e");
+            "9c7fbbb8834ccb4ac50fda66d928d138fe90a1aa9df72ee3a896a9bcbb1630f1");
   EXPECT_EQ(v3_resume.up,
-            "aae90b08ee48b339d08c02b704aa231c3a6112b4b1df6fffff159ec5779de8d0");
+            "5f290ff1232ebbeda477126e8782fb4f8c38f8a8645a06650e99bc6f5898fd27");
   EXPECT_EQ(v3_resume.down,
-            "eaa8c7fc62cc1ac9bc06a8e49dc8ef733c5091ac9cd319da318f4a3d90042b20");
+            "67e4a2bc1635c7ce15a5fa6f6e69a83388ccc63bdd450f56fd17ee783ea35f13");
   EXPECT_EQ(re_first.up,
-            "7df83c4920a07f2319e76534f82f36ee08510720a347021b5868d7caa0cc28c8");
+            "ef935dbd0eef2341bb9d96ea1e5f94e8dafbd056595a2c36d550f8ebffbd4784");
   EXPECT_EQ(re_first.down,
             "972862cd28728f91473fd5ebf4378343946d83485a14a0b0677610bd5fb05c87");
   EXPECT_EQ(re_cached.up,
-            "fe24adb08474362b543ad159967d616cc0b4ab61229d6c9d5ad1e3ae09428b0f");
+            "46b413370a60f85a0da69c05194124e0033d2568a460ae302c3086e0718fb638");
   EXPECT_EQ(re_cached.down,
             "80124436050fe3ce1b47196b5757c8ac3b569a43bdea31d9e2f4418c4a134658");
 }

@@ -14,6 +14,7 @@
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
+#include "live_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
@@ -22,7 +23,6 @@
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "svc/session_spool.hpp"
-#include "live_broker.hpp"
 
 namespace maxel::net {
 namespace {

@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "crypto/rng.hpp"
+#include "live_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
-#include "live_broker.hpp"
 
 namespace maxel::svc {
 namespace {

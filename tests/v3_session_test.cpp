@@ -78,6 +78,22 @@ struct PoolPair {
   }
 };
 
+// Garbler side of one session body, as evloop::EvSession runs it: the
+// seed record, then the client's d bits for the whole claim, then every
+// round in one stream.
+void serve_session(proto::Channel& ch, const proto::PrecomputedSessionV3& s,
+                   const ot::CorrelatedPoolSender& pool,
+                   const ot::PoolClaim& claim) {
+  proto::SeedExpansionRecord seed;
+  seed.label_seed = s.label_seed;
+  proto::send_seed_expansion(ch, seed);
+  ch.flush();
+  ASSERT_EQ(ch.recv_u64(), claim.count);
+  std::vector<std::uint8_t> d((claim.count + 7) / 8);
+  ch.recv_bytes(d.data(), d.size());
+  proto::send_v3_body(ch, s, pool, claim, d);
+}
+
 // Runs one full v3 session over a ThreadedChannel pair and checks the
 // decoded final-round outputs against the plaintext reference.
 void run_session(const circuit::Circuit& c, PoolPair& pp, std::size_t rounds,
@@ -101,7 +117,7 @@ void run_session(const circuit::Circuit& c, PoolPair& pp, std::size_t rounds,
     decoded = proto::eval_v3_rounds(*c_ch, c, an, e_bits, pp.client,
                                     claim.start);
   });
-  proto::serve_v3_rounds(*s_ch, c, session, pp.server, claim);
+  serve_session(*s_ch, session, pp.server, claim);
   evaluator.join();
   pp.server.consume(claim);
 
@@ -164,9 +180,11 @@ TEST(V3Session, LineageMismatchIsTyped) {
   const auto session = proto::garble_session_v3(c, an, g_bits, other_delta,
                                                 rng.next_block(), rng);
   const auto claim = pp.server.claim(c.evaluator_inputs.size());
+  const std::vector<std::uint8_t> d((claim.count + 7) / 8);
   auto [s_ch, c_ch] = proto::MemoryChannel::create_pair();
-  EXPECT_THROW(proto::serve_v3_rounds(*s_ch, c, session, pp.server, claim),
+  EXPECT_THROW(proto::send_v3_body(*s_ch, session, pp.server, claim, d),
                std::logic_error);
+  EXPECT_EQ(s_ch->bytes_sent(), 0u);  // refused before any round left
   pp.server.discard(claim);
 }
 
@@ -181,10 +199,19 @@ TEST(V3Session, ClaimSizeMismatchIsTyped) {
                                                 rng.next_block(), rng);
   // Claim for one round, session has two.
   const auto claim = pp.server.claim(c.evaluator_inputs.size());
+  const std::vector<std::uint8_t> d((claim.count + 7) / 8);
   auto [s_ch, c_ch] = proto::MemoryChannel::create_pair();
-  EXPECT_THROW(proto::serve_v3_rounds(*s_ch, c, session, pp.server, claim),
+  EXPECT_THROW(proto::send_v3_body(*s_ch, session, pp.server, claim, d),
                std::logic_error);
   pp.server.discard(claim);
+
+  // A claim that fits, but d bits that cover only half of it.
+  const auto fits = pp.server.claim(2 * c.evaluator_inputs.size());
+  const std::vector<std::uint8_t> short_d((fits.count / 2 + 7) / 8);
+  EXPECT_THROW(proto::send_v3_body(*s_ch, session, pp.server, fits, short_d),
+               std::logic_error);
+  EXPECT_EQ(s_ch->bytes_sent(), 0u);
+  pp.server.discard(fits);
 }
 
 TEST(V3SessionCodec, RoundTripsAndServesIdentically) {
@@ -222,7 +249,7 @@ TEST(V3SessionCodec, RoundTripsAndServesIdentically) {
     decoded = proto::eval_v3_rounds(*c_ch, c, an, e_bits, pp.client,
                                     claim.start);
   });
-  proto::serve_v3_rounds(*s_ch, c, loaded, pp.server, claim);
+  serve_session(*s_ch, loaded, pp.server, claim);
   evaluator.join();
   pp.server.consume(claim);
   EXPECT_EQ(decoded, plain_final(c, g_bits, e_bits));
