@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of every primitive on the garbling
 // hot path: AES, the fixed-key hash, gate garbling and evaluation per
-// scheme, whole-MAC-round garbling and evaluation, base OT and IKNP
+// scheme, whole-MAC-round garbling and evaluation (v2 tables and the
+// served v3 rows), base OT and IKNP
 // extension, and the MAXelerator simulator itself — plus SHA-256 per
 // backend, the checksum every spool disk read pays.
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "crypto/sha256.hpp"
 #include "gc/garble.hpp"
 #include "gc/streaming_evaluator.hpp"
+#include "gc/v3.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/channel.hpp"
@@ -149,6 +151,50 @@ void BM_EvaluateMacRound(benchmark::State& state) {
   state.counters["ANDs"] = static_cast<double>(c.and_count());
 }
 BENCHMARK(BM_EvaluateMacRound)->Arg(8)->Arg(16)->Arg(32);
+
+// One round of the served v3 MAC (circuit::MacOptions{b, b, true}, the
+// shape the spool producer and every v3 client run) garbled by
+// gc::V3Garbler: the producer's per-round cost.
+void BM_GarbleV3MacRound(benchmark::State& state) {
+  const auto b = static_cast<std::size_t>(state.range(0));
+  const circuit::Circuit c =
+      circuit::make_mac_circuit(circuit::MacOptions{b, b, true});
+  const gc::V3Analysis an = gc::analyze_v3(c);
+  crypto::SystemRandom rng(Block{b, 6});
+  gc::V3Garbler g(c, an, crypto::random_delta(rng), rng.next_block(), rng);
+  const std::vector<bool> bits = crypto::Prg(Block{b, 7}).bits(b);
+  for (auto _ : state) {
+    auto m = g.garble_round(bits);
+    benchmark::DoNotOptimize(m);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["rows"] = static_cast<double>(an.rows_per_round);
+}
+BENCHMARK(BM_GarbleV3MacRound)->Arg(8)->Arg(16)->Arg(32);
+
+// The same round evaluated by gc::V3Evaluator, the v3 client's per-round
+// cost; as in BM_EvaluateMacRound only the first pass decodes.
+void BM_EvaluateV3MacRound(benchmark::State& state) {
+  const auto b = static_cast<std::size_t>(state.range(0));
+  const circuit::Circuit c =
+      circuit::make_mac_circuit(circuit::MacOptions{b, b, true});
+  const gc::V3Analysis an = gc::analyze_v3(c);
+  crypto::SystemRandom rng(Block{b, 8});
+  gc::V3Garbler g(c, an, crypto::random_delta(rng), rng.next_block(), rng);
+  const gc::V3RoundMaterial m = g.garble_round(std::vector<bool>(b, true));
+  const std::vector<bool> x_bits(b, false);
+  std::vector<Block> e_labels;
+  for (const auto& pair : m.evaluator_pairs) e_labels.push_back(pair.first);
+  gc::V3Evaluator ev(c, an, g.label_seed());
+  for (auto _ : state) {
+    const auto& out = ev.eval_round(m.rows, x_bits, e_labels);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["rows"] = static_cast<double>(an.rows_per_round);
+}
+BENCHMARK(BM_EvaluateV3MacRound)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_MaxeleratorSimRound(benchmark::State& state) {
   const auto b = static_cast<std::size_t>(state.range(0));

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
+#include "circuit/optimize.hpp"
 #include "crypto/rng.hpp"
 #include "gc/scheme.hpp"
 
@@ -59,12 +60,120 @@ struct RoundMaterial {
   std::vector<bool> output_map;        // point-and-permute decode colors
 };
 
-// Garbles a circuit round after round. Labels live in a slot buffer
-// laid out by circuit::plan_label_slots, holding every wire the garbler
-// answers queries about after the round (the constants, both input
-// vectors, DFF q/d wires and the outputs); the rest share recycled
-// slots, so the buffer is the circuit's live width, not its wire count.
-class CircuitGarbler {
+// How a gate is garbled: the gate engine's per-gate class table. v2
+// garbles every non-free gate kFull; gc/v3.hpp's analyze_v3 shrinks the
+// gates whose operands a party knows (the classes are described there).
+enum class GateClass : std::uint8_t {
+  kFree,
+  kFull,
+  kGenHalf,
+  kEvalHalf,
+  kKnownOut,
+};
+
+// Per-wire knowledge bits (V3Analysis::known): which party can compute
+// the wire's plaintext value.
+inline constexpr std::uint8_t kGarblerKnown = 1;
+inline constexpr std::uint8_t kEvaluatorKnown = 2;
+
+// Tweak of a seed-derived label: {2*wire, round | 2^62}, disjoint from
+// the gate tweaks (gc/v3.hpp).
+[[nodiscard]] constexpr Block v3_label_tweak(circuit::Wire w,
+                                             std::uint64_t round) {
+  return Block{2ull * w, round | 1ull << 62};
+}
+
+// The one gate engine: one loop that garbles a round and one that
+// evaluates it, each switching on the per-gate class, on a label buffer
+// laid out by circuit::plan_label_slots. The garbler side holds every
+// wire it answers label queries about after the round (the constants,
+// both input vectors, DFF q/d wires and the outputs); the evaluator side
+// holds nothing, so its buffer is the circuit's live width. The modes
+// are classes built on the engine and differ only at the round's edges:
+// they write the round-start labels, run a loop, and read the held wires.
+class GateEngine {
+ public:
+  [[nodiscard]] const circuit::SlotPlan& plan() const { return plan_; }
+  [[nodiscard]] std::size_t label_slots() const { return labels_.size(); }
+  // Label and value buffers in bytes: the round's working set.
+  [[nodiscard]] std::size_t working_set_bytes() const {
+    return labels_.size() * sizeof(Block) + values_.size();
+  }
+
+ protected:
+  // `side` is kGarblerKnown for a garbler, kEvaluatorKnown for an
+  // evaluator. `cls` is the class table and `known` its per-wire
+  // knowledge bits; the engine keeps one value byte per slot for the
+  // wires `side` knows, which half gates branch on. Both empty: the v2
+  // table, every non-free gate kFull, and no values.
+  GateEngine(const circuit::Circuit& c, const std::vector<GateClass>& cls,
+             const std::vector<std::uint8_t>& known, std::uint8_t side,
+             Scheme scheme, const Block& delta,
+             const Block& label_seed = Block::zero());
+
+  // One round between the round-start labels and its rows. Row is
+  // GarbledTable (v2: tables() of them, a half gate taking one table) or
+  // Block (v3's flat stream: rows() blocks, 2/1/0 per gate).
+  template <class Row>
+  void garble(Row* out);
+  template <class Row>
+  void evaluate(const Row* in);
+  [[nodiscard]] std::size_t tables() const { return n_full_ + n_half_; }
+  [[nodiscard]] std::size_t rows() const { return 2 * n_full_ + n_half_; }
+
+  [[nodiscard]] Block& label(circuit::Wire w) {
+    return labels_[plan_.slot_of_wire[w]];
+  }
+  [[nodiscard]] const Block& label(circuit::Wire w) const {
+    return labels_[plan_.slot_of_wire[w]];
+  }
+  [[nodiscard]] std::uint8_t& value(circuit::Wire w) {
+    return values_[plan_.slot_of_wire[w]];
+  }
+  [[nodiscard]] Block seed_label(circuit::Wire w, std::uint64_t round) const {
+    return hash_(label_seed_, v3_label_tweak(w, round));
+  }
+  [[nodiscard]] const Block& delta() const { return gg_.delta(); }
+  [[nodiscard]] const Block& label_seed() const { return label_seed_; }
+  // A garbler's output decode map (lsb of each output's 0-label) and
+  // decode of an active output label, for the last round.
+  [[nodiscard]] std::vector<bool> output_map() const;
+  [[nodiscard]] bool decode_output(std::size_t i, const Block& active) const;
+
+  // DFF hand-over: state_ holds each q wire's label for the next round,
+  // and finish_round() refills it from the d wires.
+  void load_state();
+  void finish_round();
+
+  const circuit::Circuit& circ_;
+  std::vector<Block> state_;
+  std::uint64_t round_ = 0;
+
+ private:
+  template <class Row>
+  Block garble_v3(std::size_t gi, std::uint8_t op, std::uint32_t a,
+                  std::uint32_t b, Row*& out);
+
+  // ops_ holds one byte per gate: its GateClass and two flags, kSwap
+  // (a half gate's known operand is b) and kTrack (`side` knows the
+  // output's value).
+  static constexpr std::uint8_t kClassMask = 7;
+  static constexpr std::uint8_t kSwap = 8;
+  static constexpr std::uint8_t kTrack = 16;
+
+  circuit::SlotPlan plan_;
+  std::vector<std::uint8_t> ops_;
+  std::vector<Block> labels_;
+  std::vector<std::uint8_t> values_;
+  std::size_t n_full_ = 0;
+  std::size_t n_half_ = 0;
+  GateGarbler gg_;
+  crypto::GcHash hash_;
+  Block label_seed_;
+};
+
+// Garbles a circuit round after round with fresh random input labels.
+class CircuitGarbler : public GateEngine {
  public:
   CircuitGarbler(const circuit::Circuit& c, Scheme scheme,
                  crypto::RandomSource& rng);
@@ -79,6 +188,7 @@ class CircuitGarbler {
   RoundMaterial garble_round_material();
 
   [[nodiscard]] std::uint64_t rounds_garbled() const { return round_; }
+  using GateEngine::delta;
 
   // Active label for garbler input i holding value v.
   [[nodiscard]] Block garbler_input_label(std::size_t i, bool v) const;
@@ -89,40 +199,19 @@ class CircuitGarbler {
   [[nodiscard]] std::vector<Block> fixed_wire_labels() const;
   // Active labels of the DFF state wires at round 0 (public init values).
   [[nodiscard]] std::vector<Block> initial_state_labels() const;
-  // Point-and-permute output decode map: lsb of each output's 0-label.
-  [[nodiscard]] std::vector<bool> output_map() const;
-  // Garbler-side decode of an active output label.
-  [[nodiscard]] bool decode_output(std::size_t i, const Block& active) const;
+  using GateEngine::decode_output;
+  using GateEngine::output_map;
 
-  [[nodiscard]] const Block& delta() const { return delta_; }
   // 0-label of a wire in the last garbled round. Only held wires keep
   // theirs after the round; any other wire's slot may have been reused.
-  [[nodiscard]] const Block& label0(circuit::Wire w) const {
-    return labels0_[slot_[w]];
-  }
-
-  // Size of the per-round label buffer in slots; x16 for bytes.
-  [[nodiscard]] std::size_t label_slots() const { return labels0_.size(); }
+  [[nodiscard]] const Block& label0(circuit::Wire w) const { return label(w); }
   [[nodiscard]] std::size_t label_buffer_bytes() const {
-    return labels0_.size() * sizeof(Block);
+    return working_set_bytes();
   }
 
  private:
-  [[nodiscard]] Block& l0(circuit::Wire w) { return labels0_[slot_[w]]; }
-  [[nodiscard]] const Block& l0(circuit::Wire w) const {
-    return labels0_[slot_[w]];
-  }
-
-  const circuit::Circuit& circ_;
-  Scheme scheme_;
   crypto::RandomSource& rng_;
-  Block delta_;
-  GateGarbler gg_;
-  std::vector<std::uint32_t> slot_;  // wire -> label slot
-  std::vector<Block> labels0_;       // current round, 0-labels per slot
-  std::vector<Block> next_state0_;   // d-wire 0-labels carried to next round
   std::vector<Block> initial_state_active_;
-  std::uint64_t round_ = 0;
 };
 
 // Decodes active output labels with the garbler-published color map.

@@ -1,25 +1,24 @@
-// Memory-bounded evaluation — the library's one evaluator.
+// Memory-bounded evaluation — the library's v2 evaluator.
 //
 // Sec. 3 motivates sequential GC with memory-constrained clients: "the
 // evaluator may not have enough memory to store all the labels
 // together". Instead of one label per wire (16 bytes x num_wires), this
-// evaluator stores labels in the slot buffer of circuit::plan_label_slots
-// with nothing held: a slot is freed at its wire's last use, so the
-// client's working set is the circuit's *live width* — typically an
-// order of magnitude smaller for MAC netlists.
+// evaluator runs the gate engine (gc/garble.hpp) on the slot buffer of
+// circuit::plan_label_slots with nothing held: a slot is freed at its
+// wire's last use, so the client's working set (working_set_bytes(),
+// plan()) is the circuit's *live width* — typically an order of
+// magnitude smaller for MAC netlists.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "circuit/netlist.hpp"
-#include "circuit/optimize.hpp"
 #include "gc/garble.hpp"
-#include "gc/scheme.hpp"
 
 namespace maxel::gc {
 
-class StreamingEvaluator {
+class StreamingEvaluator : public GateEngine {
  public:
   StreamingEvaluator(const circuit::Circuit& c, Scheme scheme);
 
@@ -33,19 +32,6 @@ class StreamingEvaluator {
                                 const std::vector<Block>& fixed_labels);
 
   [[nodiscard]] std::uint64_t rounds_evaluated() const { return round_; }
-  [[nodiscard]] const circuit::SlotPlan& plan() const { return plan_; }
-  // Peak label memory in bytes (the client's working set).
-  [[nodiscard]] std::size_t working_set_bytes() const {
-    return plan_.num_slots * 16;
-  }
-
- private:
-  const circuit::Circuit& circ_;
-  GateGarbler gg_;  // evaluation does not use delta; zero is fine
-  circuit::SlotPlan plan_;
-  std::vector<Block> slots_;
-  std::vector<Block> state_;
-  std::uint64_t round_ = 0;
 };
 
 }  // namespace maxel::gc

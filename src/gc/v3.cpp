@@ -1,14 +1,12 @@
 #include "gc/v3.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 namespace maxel::gc {
 
 namespace {
-
-constexpr std::uint8_t kGarblerKnown = 1;
-constexpr std::uint8_t kEvaluatorKnown = 2;
 
 [[noreturn]] void desync(const std::string& what) {
   throw std::runtime_error("v3: " + what);
@@ -66,303 +64,122 @@ V3Analysis analyze_v3(const circuit::Circuit& c,
 }
 
 // ---------------------------------------------------------------------------
-// Garbler
+// Garbler: the round's edges around GateEngine::garble.
 
 V3Garbler::V3Garbler(const circuit::Circuit& c, const V3Analysis& an,
                      const Block& delta, const Block& label_seed,
                      crypto::RandomSource& rng)
-    : circ_(c),
-      an_(an),
-      delta_(delta),
-      label_seed_(label_seed),
-      rng_(rng),
-      gg_(Scheme::kHalfGates, delta) {
-  if (!delta_.lsb())
+    : GateEngine(c, an.cls, an.known, kGarblerKnown, Scheme::kHalfGates,
+                 delta, label_seed),
+      late_(an.late),
+      rng_(rng) {
+  if (!delta.lsb())
     throw std::invalid_argument("V3Garbler: delta must have lsb 1");
-  if (an_.cls.size() != c.gates.size())
-    throw std::invalid_argument("V3Garbler: analysis/circuit mismatch");
-  labels0_.resize(c.num_wires);
-  gval_.assign(c.num_wires, 0);
-  next_state0_.resize(c.dffs.size());
-}
-
-Block V3Garbler::seed_label(circuit::Wire w, std::uint64_t round) const {
-  return hash_(label_seed_, v3_label_tweak(w, round));
+  // Round 0's DFF state is its public init value under a seed label.
+  for (std::size_t k = 0; k < c.dffs.size(); ++k)
+    state_[k] = c.dffs[k].init ? seed_label(c.dffs[k].q, 0) ^ delta
+                               : seed_label(c.dffs[k].q, 0);
 }
 
 V3RoundMaterial V3Garbler::garble_round(const std::vector<bool>& garbler_bits) {
   if (garbler_bits.size() != circ_.garbler_inputs.size())
     throw std::invalid_argument("V3Garbler: garbler bit count mismatch");
-
   V3RoundMaterial out;
-  out.rows.reserve(an_.rows_per_round);
 
-  // Plaintext simulation of the garbler-known cone.
-  gval_[circuit::kConstZero] = 0;
-  gval_[circuit::kConstOne] = 1;
-  for (std::size_t i = 0; i < circ_.garbler_inputs.size(); ++i)
-    gval_[circ_.garbler_inputs[i]] = garbler_bits[i] ? 1 : 0;
-
-  // Input/constant/state label assignment.
-  labels0_[circuit::kConstZero] = seed_label(circuit::kConstZero, round_);
-  labels0_[circuit::kConstOne] =
-      seed_label(circuit::kConstOne, round_) ^ delta_;
+  // Constants and bound garbler inputs carry seed labels and known
+  // values; late inputs and evaluator inputs draw random labels, in the
+  // pinned RNG order.
+  label(circuit::kConstZero) = seed_label(circuit::kConstZero, round_);
+  label(circuit::kConstOne) = seed_label(circuit::kConstOne, round_) ^ delta();
+  value(circuit::kConstZero) = 0;
+  value(circuit::kConstOne) = 1;
   for (std::size_t i = 0; i < circ_.garbler_inputs.size(); ++i) {
     const circuit::Wire w = circ_.garbler_inputs[i];
-    if (!an_.late.empty() && an_.late[i]) {
-      labels0_[w] = rng_.next_block();
-      out.late_labels0.push_back(labels0_[w]);
+    value(w) = garbler_bits[i] ? 1 : 0;
+    if (!late_.empty() && late_[i]) {
+      label(w) = rng_.next_block();
+      out.late_labels0.push_back(label(w));
     } else {
-      labels0_[w] = seed_label(w, round_);
-      if (garbler_bits[i]) labels0_[w] ^= delta_;
+      label(w) = seed_label(w, round_);
+      if (garbler_bits[i]) label(w) ^= delta();
     }
   }
   out.evaluator_pairs.reserve(circ_.evaluator_inputs.size());
   for (const circuit::Wire w : circ_.evaluator_inputs) {
-    labels0_[w] = rng_.next_block();
-    out.evaluator_pairs.emplace_back(labels0_[w], labels0_[w] ^ delta_);
+    label(w) = rng_.next_block();
+    out.evaluator_pairs.emplace_back(label(w), label(w) ^ delta());
   }
-  for (std::size_t k = 0; k < circ_.dffs.size(); ++k) {
-    const circuit::Dff& d = circ_.dffs[k];
-    if (round_ == 0) {
-      labels0_[d.q] = seed_label(d.q, 0);
-      if (d.init) labels0_[d.q] ^= delta_;
-    } else {
-      labels0_[d.q] = next_state0_[k];
-    }
-  }
+  load_state();
 
-  for (std::size_t gi = 0; gi < circ_.gates.size(); ++gi) {
-    const circuit::Gate& g = circ_.gates[gi];
-    switch (an_.cls[gi]) {
-      case GateClass::kFree: {
-        labels0_[g.out] = labels0_[g.a] ^ labels0_[g.b];
-        if (g.type == circuit::GateType::kXnor) labels0_[g.out] ^= delta_;
-        if ((an_.known[g.out] & kGarblerKnown) != 0)
-          gval_[g.out] = circuit::eval_gate(g.type, gval_[g.a] != 0,
-                                            gval_[g.b] != 0);
-        break;
-      }
-      case GateClass::kKnownOut: {
-        const bool v = circuit::eval_gate(g.type, gval_[g.a] != 0,
-                                          gval_[g.b] != 0);
-        gval_[g.out] = v ? 1 : 0;
-        labels0_[g.out] = seed_label(g.out, round_);
-        if (v) labels0_[g.out] ^= delta_;
-        break;
-      }
-      case GateClass::kGenHalf: {
-        const circuit::AndForm f = circuit::and_form(g.type);
-        const bool a_known = (an_.known[g.a] & kGarblerKnown) != 0;
-        const circuit::Wire kw = a_known ? g.a : g.b;
-        const circuit::Wire uw = a_known ? g.b : g.a;
-        const bool off_k = a_known ? f.alpha : f.beta;
-        const bool off_u = a_known ? f.beta : f.alpha;
-        const bool vk = gval_[kw] != 0;
-        // The gate as a function of the unknown operand's value y:
-        // f(y) = ((vk^off_k) & (y^off_u)) ^ gamma.
-        const bool f0 = ((vk != off_k) && off_u) != f.gamma;
-        const bool f1 = ((vk != off_k) && !off_u) != f.gamma;
-        const Block u0 = labels0_[uw];
-        const Block t =
-            gate_tweak(static_cast<std::uint32_t>(gi), round_);
-        const Block h0 = hash_(u0, t);
-        const Block h1 = hash_(u0 ^ delta_, t);
-        Block row = h0 ^ h1;
-        if (f0 != f1) row ^= delta_;
-        Block out0 = h0;
-        if (f0) out0 ^= delta_;
-        if (u0.lsb()) out0 ^= row;
-        out.rows.push_back(row);
-        labels0_[g.out] = out0;
-        break;
-      }
-      case GateClass::kEvalHalf: {
-        const circuit::AndForm f = circuit::and_form(g.type);
-        const bool a_known = (an_.known[g.a] & kEvaluatorKnown) != 0;
-        const circuit::Wire kw = a_known ? g.a : g.b;
-        const circuit::Wire uw = a_known ? g.b : g.a;
-        const bool off_k = a_known ? f.alpha : f.beta;
-        const bool off_u = a_known ? f.beta : f.alpha;
-        // vb0 is the known-side value that zeroes the AND factor; on
-        // that branch the output is the constant gamma.
-        const bool vb0 = off_k;
-        const Block k_vb0 = vb0 ? labels0_[kw] ^ delta_ : labels0_[kw];
-        const Block t =
-            gate_tweak(static_cast<std::uint32_t>(gi), round_);
-        Block out0 = hash_(k_vb0, t);
-        if (f.gamma) out0 ^= delta_;
-        Block row = hash_(k_vb0 ^ delta_, t) ^ labels0_[uw] ^ out0;
-        if (off_u != f.gamma) row ^= delta_;
-        out.rows.push_back(row);
-        labels0_[g.out] = out0;
-        break;
-      }
-      case GateClass::kFull: {
-        GarbledTable tab;
-        labels0_[g.out] = gg_.garble(
-            circuit::and_form(g.type), labels0_[g.a], labels0_[g.b],
-            gate_tweak(static_cast<std::uint32_t>(gi), round_), tab);
-        out.rows.push_back(tab.ct[0]);
-        out.rows.push_back(tab.ct[1]);
-        break;
-      }
-    }
-  }
-  if (out.rows.size() != an_.rows_per_round)
-    desync("garbled row count mismatch");
-
-  out.output_map.reserve(circ_.outputs.size());
-  for (const circuit::Wire w : circ_.outputs)
-    out.output_map.push_back(labels0_[w].lsb());
-  for (std::size_t k = 0; k < circ_.dffs.size(); ++k)
-    next_state0_[k] = labels0_[circ_.dffs[k].d];
-  ++round_;
+  out.rows.resize(rows());
+  garble(out.rows.data());
+  out.output_map = output_map();
+  finish_round();
   return out;
 }
 
-bool V3Garbler::decode_output(std::size_t i, const Block& active) const {
-  const Block l0 = labels0_[circ_.outputs.at(i)];
-  if (active == l0) return false;
-  if (active == (l0 ^ delta_)) return true;
-  throw std::runtime_error("V3Garbler: active output label decodes to "
-                           "neither 0- nor 1-label");
-}
-
 Block V3Garbler::late_input_label(std::size_t i, bool v) const {
-  if (an_.late.empty() || i >= an_.late.size() || !an_.late[i])
+  if (late_.empty() || i >= late_.size() || !late_[i])
     throw std::invalid_argument("V3Garbler: input not late-bound");
-  const Block l0 = labels0_[circ_.garbler_inputs[i]];
-  return v ? l0 ^ delta_ : l0;
+  const Block l0 = label(circ_.garbler_inputs[i]);
+  return v ? l0 ^ delta() : l0;
 }
 
 // ---------------------------------------------------------------------------
-// Evaluator
+// Evaluator: the round's edges around GateEngine::evaluate.
 
 V3Evaluator::V3Evaluator(const circuit::Circuit& c, const V3Analysis& an,
                          const Block& label_seed)
-    : circ_(c),
-      an_(an),
-      label_seed_(label_seed),
-      gg_(Scheme::kHalfGates, Block{}) {
-  if (an_.cls.size() != c.gates.size())
-    throw std::invalid_argument("V3Evaluator: analysis/circuit mismatch");
-  active_.resize(c.num_wires);
-  eval_.assign(c.num_wires, 0);
-  state_.resize(c.dffs.size());
+    : GateEngine(c, an.cls, an.known, kEvaluatorKnown, Scheme::kHalfGates,
+                 Block::zero(), label_seed),
+      outs_(c.outputs.size()) {
+  for (std::size_t k = 0; k < c.dffs.size(); ++k)
+    state_[k] = seed_label(c.dffs[k].q, 0);
+  for (std::size_t i = 0; i < an.late.size(); ++i)
+    if (an.late[i]) late_wires_.push_back(c.garbler_inputs[i]);
+  std::sort(late_wires_.begin(), late_wires_.end());
+  corrected_.resize(late_wires_.size());
 }
 
-Block V3Evaluator::seed_label(circuit::Wire w, std::uint64_t round) const {
-  return hash_(label_seed_, v3_label_tweak(w, round));
-}
-
-std::vector<Block> V3Evaluator::eval_round(
+const std::vector<Block>& V3Evaluator::eval_round(
     const std::vector<Block>& rows, const std::vector<bool>& evaluator_bits,
     const std::vector<Block>& evaluator_labels,
     const std::vector<std::pair<std::uint32_t, Block>>& corrections) {
   if (evaluator_bits.size() != circ_.evaluator_inputs.size() ||
       evaluator_labels.size() != circ_.evaluator_inputs.size())
     desync("evaluator input count mismatch");
-  if (rows.size() != an_.rows_per_round) desync("row count mismatch");
+  if (rows.size() != this->rows()) desync("row count mismatch");
 
-  // Plaintext simulation of the evaluator-known cone.
-  eval_[circuit::kConstZero] = 0;
-  eval_[circuit::kConstOne] = 1;
-  for (std::size_t i = 0; i < circ_.evaluator_inputs.size(); ++i)
-    eval_[circ_.evaluator_inputs[i]] = evaluator_bits[i] ? 1 : 0;
-
-  active_[circuit::kConstZero] = seed_label(circuit::kConstZero, round_);
-  active_[circuit::kConstOne] = seed_label(circuit::kConstOne, round_);
-  std::vector<bool> corrected(an_.late.empty() ? 0 : an_.late.size(), false);
-  for (std::size_t i = 0; i < circ_.garbler_inputs.size(); ++i) {
-    const circuit::Wire w = circ_.garbler_inputs[i];
-    if (an_.late.empty() || !an_.late[i]) active_[w] = seed_label(w, round_);
+  label(circuit::kConstZero) = seed_label(circuit::kConstZero, round_);
+  label(circuit::kConstOne) = seed_label(circuit::kConstOne, round_);
+  value(circuit::kConstZero) = 0;
+  value(circuit::kConstOne) = 1;
+  for (const circuit::Wire w : circ_.garbler_inputs)
+    label(w) = seed_label(w, round_);
+  for (std::size_t i = 0; i < circ_.evaluator_inputs.size(); ++i) {
+    label(circ_.evaluator_inputs[i]) = evaluator_labels[i];
+    value(circ_.evaluator_inputs[i]) = evaluator_bits[i] ? 1 : 0;
   }
-  for (std::size_t i = 0; i < circ_.evaluator_inputs.size(); ++i)
-    active_[circ_.evaluator_inputs[i]] = evaluator_labels[i];
-  for (std::size_t k = 0; k < circ_.dffs.size(); ++k)
-    active_[circ_.dffs[k].q] = round_ == 0 ? seed_label(circ_.dffs[k].q, 0)
-                                           : state_[k];
-  // Late-bound garbler inputs arrive as explicit (wire, active) pairs.
-  for (const auto& [w, label] : corrections) {
-    if (w >= circ_.num_wires) desync("correction wire out of range");
-    active_[w] = label;
-    for (std::size_t i = 0; i < corrected.size(); ++i)
-      if (circ_.garbler_inputs[i] == w && an_.late[i]) corrected[i] = true;
+  load_state();
+  // Late-bound garbler inputs arrive as explicit (wire, active) pairs,
+  // each naming a late input exactly once; they replace the seed labels.
+  std::fill(corrected_.begin(), corrected_.end(), 0);
+  for (const auto& [w, active] : corrections) {
+    const auto it = std::lower_bound(late_wires_.begin(), late_wires_.end(), w);
+    if (it == late_wires_.end() || *it != w)
+      desync("correction names a wire that is not a late-bound input");
+    if (corrected_[it - late_wires_.begin()]++ != 0)
+      desync("repeated late-input correction");
+    label(w) = active;
   }
-  for (std::size_t i = 0; i < corrected.size(); ++i)
-    if (an_.late[i] && !corrected[i]) desync("missing late-input correction");
+  if (corrections.size() != late_wires_.size())
+    desync("missing late-input correction");
 
-  std::size_t cursor = 0;
-  for (std::size_t gi = 0; gi < circ_.gates.size(); ++gi) {
-    const circuit::Gate& g = circ_.gates[gi];
-    switch (an_.cls[gi]) {
-      case GateClass::kFree: {
-        active_[g.out] = active_[g.a] ^ active_[g.b];
-        if ((an_.known[g.out] & kEvaluatorKnown) != 0)
-          eval_[g.out] = circuit::eval_gate(g.type, eval_[g.a] != 0,
-                                            eval_[g.b] != 0);
-        break;
-      }
-      case GateClass::kKnownOut: {
-        active_[g.out] = seed_label(g.out, round_);
-        if ((an_.known[g.out] & kEvaluatorKnown) != 0)
-          eval_[g.out] = circuit::eval_gate(g.type, eval_[g.a] != 0,
-                                            eval_[g.b] != 0);
-        break;
-      }
-      case GateClass::kGenHalf: {
-        if (cursor >= rows.size()) desync("row stream underrun");
-        const Block row = rows[cursor++];
-        const bool a_known = (an_.known[g.a] & kGarblerKnown) != 0;
-        const circuit::Wire uw = a_known ? g.b : g.a;
-        const Block u = active_[uw];
-        Block c = hash_(
-            u, gate_tweak(static_cast<std::uint32_t>(gi), round_));
-        if (u.lsb()) c ^= row;
-        active_[g.out] = c;
-        break;
-      }
-      case GateClass::kEvalHalf: {
-        if (cursor >= rows.size()) desync("row stream underrun");
-        const Block row = rows[cursor++];
-        const circuit::AndForm f = circuit::and_form(g.type);
-        const bool a_known = (an_.known[g.a] & kEvaluatorKnown) != 0;
-        const circuit::Wire kw = a_known ? g.a : g.b;
-        const circuit::Wire uw = a_known ? g.b : g.a;
-        const bool vb0 = a_known ? f.alpha : f.beta;
-        const bool vk = eval_[kw] != 0;
-        Block c = hash_(active_[kw],
-                        gate_tweak(static_cast<std::uint32_t>(gi), round_));
-        if (vk != vb0) c ^= row ^ active_[uw];
-        active_[g.out] = c;
-        if ((an_.known[g.out] & kEvaluatorKnown) != 0)
-          eval_[g.out] = circuit::eval_gate(g.type, eval_[g.a] != 0,
-                                            eval_[g.b] != 0);
-        break;
-      }
-      case GateClass::kFull: {
-        if (cursor + 2 > rows.size()) desync("row stream underrun");
-        GarbledTable tab;
-        tab.ct[0] = rows[cursor];
-        tab.ct[1] = rows[cursor + 1];
-        cursor += 2;
-        active_[g.out] = gg_.evaluate(
-            active_[g.a], active_[g.b], tab,
-            gate_tweak(static_cast<std::uint32_t>(gi), round_));
-        break;
-      }
-    }
-  }
-  if (cursor != rows.size()) desync("unconsumed table rows");
-
-  for (std::size_t k = 0; k < circ_.dffs.size(); ++k)
-    state_[k] = active_[circ_.dffs[k].d];
-  std::vector<Block> outs;
-  outs.reserve(circ_.outputs.size());
-  for (const circuit::Wire w : circ_.outputs) outs.push_back(active_[w]);
-  ++round_;
-  return outs;
+  evaluate(rows.data());
+  for (std::size_t i = 0; i < outs_.size(); ++i)
+    outs_[i] = label(circ_.outputs[i]);
+  finish_round();
+  return outs_;
 }
 
 }  // namespace maxel::gc

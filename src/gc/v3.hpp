@@ -45,6 +45,12 @@
 // v3 requires Scheme::kHalfGates (kFull gates are vanilla half-gates
 // tables, so a v3 session interoperates gate-for-gate with the v2
 // garbler on the full gates).
+//
+// Engine: V3Garbler and V3Evaluator own no gate loop. They run the one
+// gate engine of gc/garble.hpp on analyze_v3's class table, with one
+// value byte per label slot for the half gates' known operands, and keep
+// only the round's edges: seed-derived and random input labels, the
+// evaluator's checked corrections, and the flat row stream.
 #pragma once
 
 #include <cstdint>
@@ -58,36 +64,18 @@
 
 namespace maxel::gc {
 
-enum class GateClass : std::uint8_t {
-  kFree,      // XOR/XNOR: 0 rows
-  kFull,      // 2 rows (half gates)
-  kGenHalf,   // 1 row, garbler knows an operand
-  kEvalHalf,  // 1 row, evaluator knows an operand
-  kKnownOut,  // 0 rows, garbler knows both operands
-};
-
-// High-half bit of the label-derivation tweak domain.
-inline constexpr std::uint64_t kV3LabelDomain = 1ull << 62;
-
-[[nodiscard]] constexpr Block v3_label_tweak(circuit::Wire w,
-                                             std::uint64_t round) {
-  return Block{2ull * w, round | kV3LabelDomain};
-}
-
 // Deterministic classification shared by garbler and evaluator. Both
 // sides must compute it from the same circuit (it depends only on the
 // public structure), or evaluation desyncs on the row stream.
 struct V3Analysis {
   std::vector<GateClass> cls;        // per gate, netlist order
-  std::vector<std::uint8_t> known;   // per wire: bit0 garbler, bit1 evaluator
+  std::vector<std::uint8_t> known;   // per wire: kGarblerKnown|kEvaluatorKnown
   std::vector<bool> late;            // garbler inputs bound after garbling
   std::size_t rows_per_round = 0;    // total ciphertext blocks per round
   std::size_t n_full = 0;
   std::size_t n_gen_half = 0;
   std::size_t n_eval_half = 0;
   std::size_t n_known_out = 0;
-
-  [[nodiscard]] std::size_t row_bytes() const { return rows_per_round * 16; }
 };
 
 // `late_garbler_inputs` (optional, indexed like c.garbler_inputs) marks
@@ -109,7 +97,7 @@ struct V3RoundMaterial {
   std::vector<Block> late_labels0;
 };
 
-class V3Garbler {
+class V3Garbler : public GateEngine {
  public:
   // delta must have lsb 1 (point-and-permute). In the pooled-OT protocol
   // it equals the server's IKNP sender secret, so evaluator-input labels
@@ -123,40 +111,29 @@ class V3Garbler {
   V3RoundMaterial garble_round(const std::vector<bool>& garbler_bits);
 
   [[nodiscard]] std::uint64_t rounds_garbled() const { return round_; }
-  [[nodiscard]] const Block& delta() const { return delta_; }
-  [[nodiscard]] const Block& label_seed() const { return label_seed_; }
-  // Garbler-side decode of an active output label (last garbled round).
-  [[nodiscard]] bool decode_output(std::size_t i, const Block& active) const;
+  using GateEngine::delta;
+  using GateEngine::label_seed;
+  using GateEngine::decode_output;
   // Active label of late-bound garbler input i for value v (last round).
   [[nodiscard]] Block late_input_label(std::size_t i, bool v) const;
 
  private:
-  [[nodiscard]] Block seed_label(circuit::Wire w, std::uint64_t round) const;
-
-  const circuit::Circuit& circ_;
-  V3Analysis an_;
-  Block delta_;
-  Block label_seed_;
+  std::vector<bool> late_;
   crypto::RandomSource& rng_;
-  crypto::GcHash hash_;
-  GateGarbler gg_;                  // kFull gates: vanilla half gates
-  std::vector<Block> labels0_;      // current round, 0-labels per wire
-  std::vector<Block> next_state0_;  // DFF d-wire 0-labels for next round
-  std::vector<std::uint8_t> gval_;  // garbler-known plaintext values
-  std::uint64_t round_ = 0;
 };
 
-class V3Evaluator {
+class V3Evaluator : public GateEngine {
  public:
   V3Evaluator(const circuit::Circuit& c, const V3Analysis& an,
               const Block& label_seed);
 
-  // Evaluates one round; returns active output labels. evaluator_bits
-  // are this round's evaluator input values (drives the kEvalHalf branch
-  // choice), evaluator_labels the matching active labels from OT.
-  // `corrections` overrides the seed-derived active label of the listed
-  // wires (late-bound garbler inputs).
-  std::vector<Block> eval_round(
+  // Evaluates one round; returns active output labels, valid until the
+  // next call. evaluator_bits are this round's evaluator input values
+  // (they drive the kEvalHalf branch choice), evaluator_labels the
+  // matching active labels from OT. `corrections` carry the active label
+  // of every late-bound garbler input, each exactly once; a missing,
+  // repeated or stray one is a typed "v3: ..." runtime_error.
+  const std::vector<Block>& eval_round(
       const std::vector<Block>& rows,
       const std::vector<bool>& evaluator_bits,
       const std::vector<Block>& evaluator_labels,
@@ -165,17 +142,9 @@ class V3Evaluator {
   [[nodiscard]] std::uint64_t rounds_evaluated() const { return round_; }
 
  private:
-  [[nodiscard]] Block seed_label(circuit::Wire w, std::uint64_t round) const;
-
-  const circuit::Circuit& circ_;
-  V3Analysis an_;
-  Block label_seed_;
-  crypto::GcHash hash_;
-  GateGarbler gg_;                 // evaluation ignores delta
-  std::vector<Block> state_;       // DFF active labels carried across rounds
-  std::vector<Block> active_;      // per-round wire buffer
-  std::vector<std::uint8_t> eval_;  // evaluator-known plaintext values
-  std::uint64_t round_ = 0;
+  std::vector<circuit::Wire> late_wires_;  // late-bound inputs, sorted
+  std::vector<std::uint8_t> corrected_;    // per late wire, this round
+  std::vector<Block> outs_;
 };
 
 }  // namespace maxel::gc

@@ -191,8 +191,8 @@ std::vector<bool> eval_v3_rounds(
     for (std::size_t j = 0; j < n_in; ++j, ++idx)
       labels[j] = pool.pad(idx) ^ ch.recv_block();
 
-    const auto out = evaluator.eval_round(frame.rows, bits, labels,
-                                          corrections);
+    const auto& out =
+        evaluator.eval_round(frame.rows, bits, labels, corrections);
     decoded = gc::decode_with_map(out, frame.output_map);
   }
   return decoded;

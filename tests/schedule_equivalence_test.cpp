@@ -2,12 +2,14 @@
 // reordered netlist (circuit::schedule_for_locality) computes the same
 // function, so all four session modes — precomputed, streaming, v3 and
 // reusable — must decode bit-for-bit identical outputs on the scheduled
-// and unscheduled circuits over the same random input vectors. Also
-// pins the label-slot counts circuit::plan_label_slots gives the garbler
-// and the evaluator on the fig_schedule_locality netlists.
+// and unscheduled circuits over the same random input vectors (v3 also
+// with late-bound garbler inputs). Also pins the label-slot counts
+// circuit::plan_label_slots gives the garblers and the evaluators on the
+// fig_schedule_locality netlists and the served MAC.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/bristol.hpp"
@@ -113,11 +115,16 @@ std::vector<Words> run_streaming(
   return out;
 }
 
+// With `late_bound`, every second garbler input is bound after garbling
+// and its active label travels as a correction, as the serve path ships
+// late inputs.
 std::vector<Words> run_v3(const Circuit& c,
                           const std::vector<RoundInputs>& rounds,
-                          std::uint64_t seed) {
+                          std::uint64_t seed, bool late_bound = false) {
   SystemRandom rng(Block{seed, 0x13});
-  const gc::V3Analysis an = gc::analyze_v3(c);
+  std::vector<bool> late(late_bound ? c.garbler_inputs.size() : 0, false);
+  for (std::size_t i = 0; i < late.size(); i += 2) late[i] = true;
+  const gc::V3Analysis an = gc::analyze_v3(c, late);
   Block delta = rng.next_block();
   delta.lo |= 1;
   const Block label_seed = rng.next_block();
@@ -130,8 +137,14 @@ std::vector<Words> run_v3(const Circuit& c,
     for (std::size_t i = 0; i < r.evaluator_bits.size(); ++i)
       e_labels.push_back(r.evaluator_bits[i] ? m.evaluator_pairs[i].second
                                              : m.evaluator_pairs[i].first);
+    std::vector<std::pair<std::uint32_t, Block>> corrections;
+    for (std::size_t i = 0; i < late.size(); ++i)
+      if (late[i])
+        corrections.emplace_back(
+            c.garbler_inputs[i],
+            garbler.late_input_label(i, r.garbler_bits[i]));
     const auto labels = evaluator.eval_round(m.rows, r.evaluator_bits,
-                                             e_labels);
+                                             e_labels, corrections);
     out.push_back(from_bits(gc::decode_with_map(labels, m.output_map)));
   }
   return out;
@@ -178,6 +191,8 @@ void check_all_modes(const Circuit& c, std::size_t n_rounds,
   EXPECT_EQ(run_streaming(s, rounds, seed), expect) << "stream/sched";
   EXPECT_EQ(run_v3(c, rounds, seed), expect) << "v3/unsched";
   EXPECT_EQ(run_v3(s, rounds, seed), expect) << "v3/sched";
+  EXPECT_EQ(run_v3(c, rounds, seed, true), expect) << "v3-late/unsched";
+  EXPECT_EQ(run_v3(s, rounds, seed, true), expect) << "v3-late/sched";
   EXPECT_EQ(run_reusable(c, rounds, seed), expect) << "reusable/unsched";
   EXPECT_EQ(run_reusable(s, rounds, seed), expect) << "reusable/sched";
 }
@@ -255,14 +270,25 @@ TEST(ScheduleEquivalence, PeakLiveWiresEqualsEvaluationPlanSlots) {
   // circuit::peak_live_wires is the evaluator's slot count — the bench's
   // peak-live metric IS the working-set size, scheduled or not. The
   // garbler additionally holds the protocol wires, so its slot count
-  // dominates the evaluator's.
+  // dominates the evaluator's. v3 runs the same engine on the same
+  // plans, plus one value byte per slot.
   const auto check = [](const Circuit& c) {
     const gc::StreamingEvaluator ev(c, gc::Scheme::kHalfGates);
     SystemRandom rng(Block{0x5107, 0});
     const gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng);
     EXPECT_EQ(circuit::peak_live_wires(c), ev.plan().num_slots);
     EXPECT_GE(garbler.label_slots(), ev.plan().num_slots);
+    const gc::V3Analysis an = gc::analyze_v3(c);
+    const gc::V3Evaluator v3_ev(c, an, Block{});
+    const gc::V3Garbler v3_garbler(c, an, Block{1, 0}, Block{}, rng);
+    EXPECT_EQ(v3_ev.label_slots(), ev.plan().num_slots);
+    EXPECT_EQ(v3_garbler.label_slots(), garbler.label_slots());
+    EXPECT_EQ(v3_ev.working_set_bytes(), v3_ev.label_slots() * 17);
+    EXPECT_EQ(v3_garbler.working_set_bytes(), v3_garbler.label_slots() * 17);
   };
+  // The served MAC (unscheduled): v3 evaluator and garbler slot counts.
+  const std::size_t served_evaluator_slots[] = {43, 111, 343};
+  const std::size_t served_garbler_slots[] = {67, 159, 439};
   for (const std::size_t bits : {8u, 16u, 32u}) {
     for (const bool scheduled : {false, true}) {
       SCOPED_TRACE(testing::Message()
@@ -270,6 +296,14 @@ TEST(ScheduleEquivalence, PeakLiveWiresEqualsEvaluationPlanSlots) {
       Circuit c = circuit::make_mac_circuit(MacOptions{bits, bits, true});
       if (scheduled) c = circuit::schedule_for_locality(c);
       check(c);
+      if (scheduled) continue;
+      const std::size_t k = bits == 8 ? 0 : bits == 16 ? 1 : 2;
+      const gc::V3Analysis an = gc::analyze_v3(c);
+      SystemRandom rng(Block{0x5107, 2});
+      EXPECT_EQ(gc::V3Evaluator(c, an, Block{}).label_slots(),
+                served_evaluator_slots[k]);
+      EXPECT_EQ(gc::V3Garbler(c, an, Block{1, 0}, Block{}, rng).label_slots(),
+                served_garbler_slots[k]);
     }
   }
 

@@ -201,6 +201,54 @@ TEST(V3LateBinding, MissingCorrectionIsTyped) {
       std::runtime_error);
 }
 
+TEST(V3LateBinding, CorrectionForANonLateWireIsTyped) {
+  // Corrections come from the server's seed record. Each must name a
+  // late-bound garbler input, and name it once: anything else would be
+  // written into a slot another wire owns.
+  const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
+  SystemRandom rng(Block{0x5A, 0x5B});
+  std::vector<bool> late(c.garbler_inputs.size(), false);
+  for (std::size_t i = 0; i < late.size(); i += 2) late[i] = true;
+  const V3Analysis an = analyze_v3(c, late);
+  V3Garbler g(c, an, make_delta(rng), rng.next_block(), rng);
+  V3Evaluator e(c, an, g.label_seed());
+  const std::vector<bool> a_bits(c.garbler_inputs.size(), true);
+  const std::vector<bool> x_bits(c.evaluator_inputs.size(), false);
+  const V3RoundMaterial m = g.garble_round(a_bits);
+  std::vector<Block> e_labels;
+  for (const auto& [l0, l1] : m.evaluator_pairs) {
+    (void)l1;
+    e_labels.push_back(l0);
+  }
+  std::vector<std::pair<std::uint32_t, Block>> good;
+  for (std::size_t i = 0; i < late.size(); ++i)
+    if (late[i])
+      good.emplace_back(c.garbler_inputs[i], g.late_input_label(i, true));
+
+  const auto with = [&](std::uint32_t wire) {
+    auto bad = good;
+    bad.emplace_back(wire, Block{7, 7});
+    return bad;
+  };
+  const std::uint32_t stray[] = {
+      c.garbler_inputs[1],           // a garbler input bound at garble time
+      c.evaluator_inputs[0],         // an evaluator input
+      c.gates.back().out,            // a gate output
+      c.garbler_inputs[0],           // a late input named twice
+      c.num_wires + 5,               // no wire at all
+  };
+  for (const std::uint32_t w : stray) {
+    SCOPED_TRACE(testing::Message() << "wire " << w);
+    EXPECT_THROW((void)e.eval_round(m.rows, x_bits, e_labels, with(w)),
+                 std::runtime_error);
+  }
+  // The rejected rounds left the evaluator on round 0.
+  const auto out = e.eval_round(m.rows, x_bits, e_labels, good);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_EQ(g.decode_output(i, out[i]),
+              circuit::eval_plain(c, a_bits, x_bits)[i]);
+}
+
 TEST(V3Desync, TruncatedOrPaddedRowStreamIsTyped) {
   const circuit::Circuit c = circuit::make_millionaires_circuit(8);
   SystemRandom rng(Block{0x33, 0x44});
