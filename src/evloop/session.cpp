@@ -182,7 +182,7 @@ std::size_t EvSession::current_need() const {
       // A wrong count fails on its 8 bytes, not after a body that a
       // hostile or stale peer may never send.
       if (ch_.available() >= 8 && ch_.peek_u64(0) != need_total_) return 8;
-      return 8 + (static_cast<std::size_t>(need_total_) + 7) / 8;
+      return 8 + proto::packed_bytes(static_cast<std::size_t>(need_total_));
     case St::kDraining:
     case St::kDone:
     case St::kFailed:
@@ -511,20 +511,15 @@ void EvSession::finish_pool_setup() {
 }
 
 void EvSession::dbits_step() {
-  const std::uint64_t n = ch_.recv_u64();
-  if (n != need_total_)
-    throw net::FramingError(
-        std::string(mode_name()) + " session: choice-adjust bits carries " +
-        std::to_string(n) + " bits, expected " + std::to_string(need_total_));
-  std::vector<std::uint8_t> packed(
-      (static_cast<std::size_t>(need_total_) + 7) / 8);
-  if (!packed.empty()) ch_.recv_bytes(packed.data(), packed.size());
+  const std::vector<bool> d = ch_.recv_bits<net::FramingError>(
+      need_total_,
+      (std::string(mode_name()) + " session: choice-adjust bits").c_str());
 
   if (mode_ == Mode::kV3) {
     // Every round streams out now, each frame followed by its z blocks
     // (the label OT: the pool pads derandomized by the d bits).
     timed(stats_.transfer_seconds, [&] {
-      proto::send_v3_body(ch_, v3_session_, *pool_, claim_, packed);
+      proto::send_v3_body(ch_, v3_session_, *pool_, claim_, d);
     });
     finalize(Mode::kV3);
     return;
@@ -537,9 +532,9 @@ void EvSession::dbits_step() {
         ctx_->reusable->artifact.view.n_evaluator_inputs;
     std::vector<bool> z(static_cast<std::size_t>(need_total_));
     for (std::uint64_t k = 0; k < need_total_; ++k) {
-      const bool d = (packed[static_cast<std::size_t>(k / 8)] >> (k % 8)) & 1u;
       z[static_cast<std::size_t>(k)] =
-          ((pool_->pad(claim_.start + k).lsb() != 0) != d) !=
+          ((pool_->pad(claim_.start + k).lsb() != 0) !=
+           d[static_cast<std::size_t>(k)]) !=
           static_cast<bool>(ctx_->reusable->artifact
                                 .evaluator_flips[static_cast<std::size_t>(
                                     k % n_in)]);

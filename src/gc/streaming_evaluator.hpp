@@ -32,6 +32,8 @@ class StreamingEvaluator : public GateEngine {
                                 const std::vector<Block>& fixed_labels);
 
   [[nodiscard]] std::uint64_t rounds_evaluated() const { return round_; }
+  // Garbled tables one round carries: the count a receiver checks.
+  using GateEngine::tables;
 };
 
 }  // namespace maxel::gc

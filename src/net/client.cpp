@@ -18,6 +18,7 @@
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/chunk_io.hpp"
+#include "proto/protocol.hpp"
 
 namespace maxel::net {
 
@@ -133,19 +134,17 @@ std::vector<bool> v2_body(Attempt& a) {
   // One round's label OT and evaluation, the same in both deliveries.
   std::vector<bool> decoded;
   std::uint32_t done = 0;
-  const auto ot_and_eval = [&](const gc::RoundTables& tables,
-                               const std::vector<crypto::Block>& garbler_labels,
-                               const std::vector<crypto::Block>& fixed_labels,
-                               const std::vector<bool>& output_map) {
+  const auto ot_and_eval = [&](const proto::WireChunk::Round& round) {
     auto t0 = Clock::now();
     ot->recv_phase1(a.e_bits[done]);
     const std::vector<crypto::Block> my_labels = ot->recv_phase2();
     stats.ot_seconds += seconds_since(t0);
 
     t0 = Clock::now();
-    const auto out_labels = evaluator.eval_round(tables, garbler_labels,
-                                                 my_labels, fixed_labels);
-    decoded = gc::decode_with_map(out_labels, output_map);
+    const auto out_labels =
+        evaluator.eval_round(round.tables, round.garbler_labels, my_labels,
+                             round.fixed_labels);
+    decoded = gc::decode_with_map(out_labels, round.output_map);
     stats.eval_seconds += seconds_since(t0);
     ++done;
   };
@@ -165,30 +164,19 @@ std::vector<bool> v2_body(Attempt& a) {
         throw NetError("stream chunk: rounds out of order or overrun");
       if (done == 0)
         evaluator.set_initial_state_labels(wc.initial_state_labels);
-      for (const auto& wr : wc.rounds)
-        ot_and_eval(wr.tables, wr.garbler_labels, wr.fixed_labels,
-                    wr.output_map);
+      for (const auto& wr : wc.rounds) ot_and_eval(wr);
       ++stats.chunks_received;
     }
   } else {
-    std::vector<std::uint8_t> table_buf;
     while (done < stats.rounds) {
-      // Round material, same wire order GarblerParty/PrecomputedGarblerParty
-      // send it: tables, garbler labels, fixed labels, initial state
-      // (round 0 only), output decode map.
+      // Round material in the wire order every v2 garbler sends it;
+      // each count must be the one this circuit implies.
       const auto t0 = Clock::now();
-      const std::size_t n_tables = a.ch.recv_u64();
-      table_buf.resize(n_tables * gc::bytes_per_and(cfg.scheme));
-      a.ch.recv_bytes(table_buf.data(), table_buf.size());
-      const gc::RoundTables tables =
-          gc::tables_from_bytes(table_buf.data(), n_tables, cfg.scheme);
-      const std::vector<crypto::Block> garbler_labels = a.ch.recv_blocks();
-      const std::vector<crypto::Block> fixed_labels = a.ch.recv_blocks();
-      if (done == 0) evaluator.set_initial_state_labels(a.ch.recv_blocks());
-      const std::vector<bool> output_map = a.ch.recv_bits();
+      const proto::WireChunk::Round round =
+          proto::recv_v2_round(a.ch, a.circ, cfg.scheme, evaluator);
       stats.transfer_seconds += seconds_since(t0);
       if (done == 0) stats.first_table_seconds = seconds_since(a.t_total);
-      ot_and_eval(tables, garbler_labels, fixed_labels, output_map);
+      ot_and_eval(round);
     }
   }
 

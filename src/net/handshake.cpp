@@ -1,109 +1,102 @@
 #include "net/handshake.hpp"
 
-#include <cstring>
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "proto/codec.hpp"
 
 namespace maxel::net {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  const std::size_t off = buf.size();
-  buf.resize(off + 4);
-  std::memcpy(buf.data() + off, &v, 4);
-}
-
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  const std::size_t off = buf.size();
-  buf.resize(off + 8);
-  std::memcpy(buf.data() + off, &v, 8);
-}
+using Reader = proto::ByteReader<FramingError>;
 
 }  // namespace
 
 std::array<std::uint8_t, 32> circuit_fingerprint(const circuit::Circuit& c) {
   std::vector<std::uint8_t> enc;
   enc.reserve(64 + 13 * c.gates.size());
-  put_u64(enc, 0x4d584e4554463031ull);  // domain tag "MXNETF01"
-  put_u32(enc, c.num_wires);
+  proto::ByteWriter w(enc);
+  w.u64(0x4d584e4554463031ull);  // domain tag "MXNETF01"
+  w.u32(c.num_wires);
   const auto put_wires = [&](const std::vector<circuit::Wire>& ws) {
-    put_u64(enc, ws.size());
-    for (const circuit::Wire w : ws) put_u32(enc, w);
+    w.u64(ws.size());
+    for (const circuit::Wire x : ws) w.u32(x);
   };
   put_wires(c.garbler_inputs);
   put_wires(c.evaluator_inputs);
   put_wires(c.outputs);
-  put_u64(enc, c.gates.size());
+  w.u64(c.gates.size());
   for (const auto& g : c.gates) {
-    enc.push_back(static_cast<std::uint8_t>(g.type));
-    put_u32(enc, g.a);
-    put_u32(enc, g.b);
-    put_u32(enc, g.out);
+    w.u8(static_cast<std::uint8_t>(g.type));
+    w.u32(g.a);
+    w.u32(g.b);
+    w.u32(g.out);
   }
-  put_u64(enc, c.dffs.size());
+  w.u64(c.dffs.size());
   for (const auto& d : c.dffs) {
-    put_u32(enc, d.q);
-    put_u32(enc, d.d);
-    enc.push_back(d.init ? 1 : 0);
+    w.u32(d.q);
+    w.u32(d.d);
+    w.u8(d.init ? 1 : 0);
   }
   return crypto::Sha256::hash(enc.data(), enc.size());
 }
 
 void send_hello(proto::Channel& ch, const ClientHello& h) {
-  std::uint8_t buf[kHelloWireSize];
-  std::size_t off = 0;
-  std::memcpy(buf + off, &h.magic, 8); off += 8;
-  std::memcpy(buf + off, &h.version, 4); off += 4;
-  buf[off++] = h.scheme;
-  buf[off++] = h.ot;
-  buf[off++] = h.mode;  // v1 reserved byte; always 0 (precomputed) pre-v2
-  buf[off++] = 0;       // reserved
-  std::memcpy(buf + off, &h.bit_width, 4); off += 4;
-  std::memcpy(buf + off, &h.rounds, 4); off += 4;
-  std::memcpy(buf + off, h.circuit_hash.data(), 32); off += 32;
-  ch.send_bytes(buf, off);
+  std::vector<std::uint8_t> buf;
+  buf.reserve(kHelloWireSize);
+  proto::ByteWriter w(buf);
+  w.u64(h.magic);
+  w.u32(h.version);
+  w.u8(h.scheme);
+  w.u8(h.ot);
+  w.u8(h.mode);  // v1 reserved byte; always 0 (precomputed) pre-v2
+  w.u8(0);       // reserved
+  w.u32(h.bit_width);
+  w.u32(h.rounds);
+  w.bytes(h.circuit_hash.data(), h.circuit_hash.size());
+  ch.send_bytes(buf.data(), buf.size());
   ch.flush();
 }
 
 ClientHello recv_hello(proto::Channel& ch) {
   std::uint8_t buf[kHelloWireSize];
   ch.recv_bytes(buf, kHelloWireSize);
+  Reader rd(buf, kHelloWireSize, "hello");
   ClientHello h;
-  std::size_t off = 0;
-  std::memcpy(&h.magic, buf + off, 8); off += 8;
-  std::memcpy(&h.version, buf + off, 4); off += 4;
-  h.scheme = buf[off++];
-  h.ot = buf[off++];
-  h.mode = buf[off++];
-  off += 1;  // reserved
-  std::memcpy(&h.bit_width, buf + off, 4); off += 4;
-  std::memcpy(&h.rounds, buf + off, 4); off += 4;
-  std::memcpy(h.circuit_hash.data(), buf + off, 32);
+  h.magic = rd.u64("magic");
+  h.version = rd.u32("version");
+  h.scheme = rd.u8("scheme");
+  h.ot = rd.u8("ot");
+  h.mode = rd.u8("mode");
+  (void)rd.u8("reserved");
+  h.bit_width = rd.u32("bit width");
+  h.rounds = rd.u32("rounds");
+  h.circuit_hash = rd.digest("circuit hash");
+  rd.done("hello");
   return h;
 }
 
 void send_accept(proto::Channel& ch, const ServerAccept& a) {
   std::vector<std::uint8_t> buf;
-  put_u32(buf, static_cast<std::uint32_t>(a.status));
-  put_u32(buf, a.rounds);
-  put_u32(buf, static_cast<std::uint32_t>(a.message.size()));
-  buf.insert(buf.end(), a.message.begin(), a.message.end());
+  proto::ByteWriter w(buf);
+  w.u32(static_cast<std::uint32_t>(a.status));
+  w.u32(a.rounds);
+  w.u32(static_cast<std::uint32_t>(a.message.size()));
+  w.bytes(a.message.data(), a.message.size());
   ch.send_bytes(buf.data(), buf.size());
   ch.flush();
 }
 
 ServerAccept recv_accept(proto::Channel& ch) {
   std::uint8_t head[12];
-  ch.recv_bytes(head, 12);
+  ch.recv_bytes(head, sizeof(head));
+  Reader rd(head, sizeof(head), "accept");
   ServerAccept a;
-  std::uint32_t status = 0, len = 0;
-  std::memcpy(&status, head, 4);
-  std::memcpy(&a.rounds, head + 4, 4);
-  std::memcpy(&len, head + 8, 4);
+  a.status = static_cast<RejectCode>(rd.u32("status"));
+  a.rounds = rd.u32("rounds");
+  const std::uint32_t len = rd.u32("message length");
   if (len > 4096) throw FramingError("oversized accept message");
-  a.status = static_cast<RejectCode>(status);
   a.message.resize(len);
   if (len > 0)
     ch.recv_bytes(reinterpret_cast<std::uint8_t*>(a.message.data()), len);

@@ -14,29 +14,6 @@
 
 namespace maxel::net {
 
-namespace {
-
-// recv_bits trusts the wire's count prefix, so the session flows never
-// use it directly: the expected bit count is always known from the
-// negotiated round/input geometry, and a peer announcing anything else
-// is a framing violation, not a reason to allocate.
-std::vector<bool> recv_bits_exact(proto::Channel& ch, std::uint64_t expect,
-                                  const char* what) {
-  const std::uint64_t n = ch.recv_u64();
-  if (n != expect)
-    throw FramingError(std::string("reusable session: ") + what +
-                       " carries " + std::to_string(n) + " bits, expected " +
-                       std::to_string(expect));
-  std::vector<std::uint8_t> packed((n + 7) / 8);
-  if (!packed.empty()) ch.recv_bytes(packed.data(), packed.size());
-  std::vector<bool> bits(n);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    bits[i] = (packed[i / 8] >> (i % 8)) & 1u;
-  return bits;
-}
-
-}  // namespace
-
 gc::ReusableCircuit garble_reusable(const circuit::Circuit& c,
                                     std::uint32_t bit_width,
                                     crypto::RandomSource& rng) {
@@ -126,9 +103,12 @@ ReusableEvalOutcome eval_reusable_session(
 
   proto::send_dbits(ch, evaluator_bits, n_in, st.pool, ss.start_index);
 
-  const std::vector<bool> z = recv_bits_exact(ch, need, "masked-input bits");
-  const std::vector<bool> g =
-      recv_bits_exact(ch, rounds * n_g, "masked garbler bits");
+  // Both bit counts follow from the negotiated geometry: a peer naming
+  // any other count is a framing violation, not a reason to allocate.
+  const std::vector<bool> z = ch.recv_bits<FramingError>(
+      need, "reusable session: masked-input bits");
+  const std::vector<bool> g = ch.recv_bits<FramingError>(
+      rounds * n_g, "reusable session: masked garbler bits");
 
   gc::ReusableEvaluator ev(circ, *st.reusable_view);
   std::vector<bool> masked_e(n_in), masked_g(n_g);

@@ -15,14 +15,28 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/block.hpp"
+#include "proto/codec.hpp"
 
 namespace maxel::proto {
 
 using crypto::Block;
+
+// A count-prefixed channel record the receiver refuses: a count above
+// kMaxChannelCount or other than the one it expects, or a set padding
+// bit.
+class WireFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// Hard cap on the count of one recv_blocks()/recv_bits() record, far
+// above any real round (a 64-bit dot-product round holds ~1e4 labels).
+inline constexpr std::uint64_t kMaxChannelCount = 1u << 24;
 
 class Channel {
  public:
@@ -60,23 +74,21 @@ class Channel {
   // syscall and one per 16 bytes. The byte stream is identical to the
   // per-block encoding (u64 count, then 16 bytes per block).
   void send_blocks(const std::vector<Block>& v) {
-    std::vector<std::uint8_t> buf(8 + 16 * v.size());
-    const std::uint64_t n = v.size();
-    std::memcpy(buf.data(), &n, 8);
-    for (std::size_t i = 0; i < v.size(); ++i)
-      v[i].to_bytes(buf.data() + 8 + 16 * i);
+    std::vector<std::uint8_t> buf;
+    buf.reserve(8 + 16 * v.size());
+    ByteWriter(buf).blocks(v);
     send_bytes(buf.data(), buf.size());
   }
+  // A count above kMaxChannelCount throws WireFormatError before
+  // anything is allocated.
   std::vector<Block> recv_blocks() {
-    const std::uint64_t n = recv_u64();
-    std::vector<Block> v(n);
-    if (n != 0) {
-      std::vector<std::uint8_t> buf(16 * n);
-      recv_bytes(buf.data(), buf.size());
-      for (std::size_t i = 0; i < n; ++i)
-        v[i] = Block::from_bytes(buf.data() + 16 * i);
-    }
-    return v;
+    return recv_blocks_of<WireFormatError>(recv_count(), "block record");
+  }
+  // The same record when the receiver already knows its count: any other
+  // count throws Error before a byte of payload is allocated or read.
+  template <class Error = WireFormatError>
+  std::vector<Block> recv_blocks(std::uint64_t expect, const char* what) {
+    return recv_blocks_of<Error>(expect_count<Error>(expect, what), what);
   }
 
   void send_u64(std::uint64_t v) {
@@ -92,22 +104,31 @@ class Channel {
     return v;
   }
 
+  // A u64 count prefix the receiver already knows: any other value
+  // throws Error.
+  template <class Error = WireFormatError>
+  std::uint64_t expect_count(std::uint64_t expect, const char* what) {
+    const std::uint64_t n = recv_u64();
+    if (n != expect)
+      throw Error(std::string(what) + " carries " + std::to_string(n) +
+                  ", expected " + std::to_string(expect));
+    return n;
+  }
+
+  // u64 count, then the bits packed lsb-first (proto/codec.hpp).
   void send_bits(const std::vector<bool>& bits) {
-    std::vector<std::uint8_t> buf(8 + (bits.size() + 7) / 8, 0);
-    const std::uint64_t n = bits.size();
-    std::memcpy(buf.data(), &n, 8);
-    for (std::size_t i = 0; i < bits.size(); ++i)
-      if (bits[i]) buf[8 + i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    std::vector<std::uint8_t> buf;
+    buf.reserve(8 + packed_bytes(bits.size()));
+    ByteWriter(buf).counted_bits(bits);
     send_bytes(buf.data(), buf.size());
   }
+  // Capped like recv_blocks(); a set padding bit throws WireFormatError.
   std::vector<bool> recv_bits() {
-    const std::uint64_t n = recv_u64();
-    std::vector<std::uint8_t> packed((n + 7) / 8);
-    if (!packed.empty()) recv_bytes(packed.data(), packed.size());
-    std::vector<bool> bits(n);
-    for (std::size_t i = 0; i < n; ++i)
-      bits[i] = (packed[i / 8] >> (i % 8)) & 1u;
-    return bits;
+    return recv_bits_of<WireFormatError>(recv_count(), "bit record");
+  }
+  template <class Error = WireFormatError>
+  std::vector<bool> recv_bits(std::uint64_t expect, const char* what) {
+    return recv_bits_of<Error>(expect_count<Error>(expect, what), what);
   }
 
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -119,6 +140,31 @@ class Channel {
   virtual void raw_recv(std::uint8_t* data, std::size_t n) = 0;
 
  private:
+  std::uint64_t recv_count() {
+    const std::uint64_t n = recv_u64();
+    if (n > kMaxChannelCount)
+      throw WireFormatError("channel: implausible count " + std::to_string(n) +
+                            " (cap " + std::to_string(kMaxChannelCount) +
+                            ")");
+    return n;
+  }
+  template <class Error>
+  std::vector<Block> recv_blocks_of(std::uint64_t n, const char* what) {
+    std::vector<std::uint8_t> buf(16 * static_cast<std::size_t>(n));
+    if (n != 0) recv_bytes(buf.data(), buf.size());
+    ByteReader<Error> rd(buf.data(), buf.size(), what);
+    std::vector<Block> v(static_cast<std::size_t>(n));
+    for (auto& b : v) b = rd.block(what);
+    return v;
+  }
+  template <class Error>
+  std::vector<bool> recv_bits_of(std::uint64_t n, const char* what) {
+    std::vector<std::uint8_t> buf(packed_bytes(static_cast<std::size_t>(n)));
+    if (n != 0) recv_bytes(buf.data(), buf.size());
+    return ByteReader<Error>(buf.data(), buf.size(), what)
+        .bits(static_cast<std::size_t>(n), what);
+  }
+
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
 };

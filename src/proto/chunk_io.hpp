@@ -18,11 +18,11 @@
 //              prefixed), output_map (u64-count-prefixed, bit-packed)
 //   initial_state_labels (count-prefixed; empty except on chunk 0)
 //
-// Parsing is hostile-input safe in the session_io mold: every count
-// prefix is validated against a hard cap AND against the bytes actually
-// remaining before anything is reserved, so a truncated or bit-flipped
-// chunk surfaces as ChunkFormatError — never an OOM-sized allocation,
-// a crash, or a hang.
+// Parsing follows the rules of proto/codec.hpp: every count prefix is
+// validated against a hard cap AND against the bytes actually remaining
+// before anything is reserved, padding bits must be zero and trailing
+// bytes are refused, so a truncated or bit-flipped chunk surfaces as
+// ChunkFormatError — never an OOM-sized allocation, a crash, or a hang.
 #pragma once
 
 #include <cstdint>

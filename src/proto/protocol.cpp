@@ -60,6 +60,24 @@ void GarblerParty::finish_ot() {
   ot_->send_phase2(pairs);
 }
 
+WireChunk::Round recv_v2_round(Channel& ch, const circuit::Circuit& c,
+                               gc::Scheme scheme, gc::StreamingEvaluator& ev) {
+  WireChunk::Round r;
+  const std::size_t n_tables = ev.tables();
+  ch.expect_count(n_tables, "v2 round: table count");
+  std::vector<std::uint8_t> buf(n_tables * gc::bytes_per_and(scheme));
+  if (!buf.empty()) ch.recv_bytes(buf.data(), buf.size());
+  r.tables = gc::tables_from_bytes(buf.data(), n_tables, scheme);
+  r.garbler_labels =
+      ch.recv_blocks(c.garbler_inputs.size(), "v2 round: garbler labels");
+  r.fixed_labels = ch.recv_blocks(2, "v2 round: fixed labels");
+  if (ev.rounds_evaluated() == 0)
+    ev.set_initial_state_labels(
+        ch.recv_blocks(c.dffs.size(), "v2 round: state labels"));
+  r.output_map = ch.recv_bits(c.outputs.size(), "v2 round: output map");
+  return r;
+}
+
 EvaluatorParty::EvaluatorParty(const circuit::Circuit& c,
                                const ProtocolOptions& opt, Channel& ch,
                                crypto::RandomSource& rng)
@@ -90,28 +108,15 @@ void EvaluatorParty::receive_and_choose(
   if (evaluator_bits.size() != circ_.evaluator_inputs.size())
     throw std::invalid_argument("receive_and_choose: input arity mismatch");
 
-  const std::size_t n_tables = ch_.recv_u64();
-  std::vector<std::uint8_t> buf(n_tables *
-                                gc::bytes_per_and(opt_.scheme));
-  ch_.recv_bytes(buf.data(), buf.size());
-  tables_ = gc::tables_from_bytes(buf.data(), n_tables, opt_.scheme);
-
-  garbler_labels_ = ch_.recv_blocks();
-  fixed_labels_ = ch_.recv_blocks();
-  if (!state_initialized_) {
-    evaluator_.set_initial_state_labels(ch_.recv_blocks());
-    state_initialized_ = true;
-  }
-  output_map_ = ch_.recv_bits();
-
+  round_ = recv_v2_round(ch_, circ_, opt_.scheme, evaluator_);
   ot_->recv_phase1(evaluator_bits);
 }
 
 std::vector<bool> EvaluatorParty::evaluate_round() {
   const std::vector<Block> e_labels = ot_->recv_phase2();
-  const auto out_labels =
-      evaluator_.eval_round(tables_, garbler_labels_, e_labels, fixed_labels_);
-  return gc::decode_with_map(out_labels, output_map_);
+  const auto out_labels = evaluator_.eval_round(
+      round_.tables, round_.garbler_labels, e_labels, round_.fixed_labels);
+  return gc::decode_with_map(out_labels, round_.output_map);
 }
 
 TwoPartyProtocol::TwoPartyProtocol(const circuit::Circuit& c,

@@ -20,6 +20,7 @@
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/channel.hpp"
+#include "proto/chunk_io.hpp"
 
 namespace maxel::proto {
 
@@ -58,6 +59,17 @@ class GarblerParty {
   ot::OtSender* ot_ = nullptr;
 };
 
+// Receives one v2 round as every v2 garbler sends it (GarblerParty,
+// PrecomputedGarblerParty and the served precomputed mode): u64 table
+// count and the tables, the active garbler labels, the two constant
+// labels, the DFF state labels before round 0 only (send_blocks records)
+// and the output map (a send_bits record). Every count must be the one
+// the evaluator derives from circuit `c`; any other throws
+// WireFormatError before its payload is allocated. Round 0's state
+// labels go straight into `ev`.
+WireChunk::Round recv_v2_round(Channel& ch, const circuit::Circuit& c,
+                               gc::Scheme scheme, gc::StreamingEvaluator& ev);
+
 class EvaluatorParty {
  public:
   EvaluatorParty(const circuit::Circuit& c, const ProtocolOptions& opt,
@@ -88,12 +100,7 @@ class EvaluatorParty {
   std::unique_ptr<ot::IknpReceiver> iknp_;
   ot::OtReceiver* ot_ = nullptr;
 
-  // Per-round received material.
-  gc::RoundTables tables_;
-  std::vector<crypto::Block> garbler_labels_;
-  std::vector<crypto::Block> fixed_labels_;
-  std::vector<bool> output_map_;
-  bool state_initialized_ = false;
+  WireChunk::Round round_;  // the received round material
 };
 
 struct ProtocolResult {

@@ -16,11 +16,10 @@
 //     ... | garbler_flips packed | evaluator_flips packed
 //
 // parse_reusable_view refuses flag-1 blobs (secrets must never reach
-// the wire to a client); parse_reusable demands flag 1. Parsing is
-// hostile-input safe in the chunk_io mold: every count is validated
-// against a hard cap and against the bytes actually present before
-// anything is allocated, packed-bit padding must be zero, and trailing
-// bytes are rejected. Malformed input surfaces as ReusableFormatError.
+// the wire to a client); parse_reusable demands flag 1. Parsing follows
+// the rules of proto/codec.hpp (caps and bytes left checked before any
+// allocation, zero padding, no trailing bytes); malformed input
+// surfaces as ReusableFormatError.
 //
 // A reusable session reconciles its OT pool with the v3 setup records
 // (proto/v3_records.hpp) and staples one fixed-size offer record after

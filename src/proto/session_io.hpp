@@ -10,9 +10,10 @@
 //              u64-count-prefixed), output_map (bit-packed)
 //   initial_state_labels (count-prefixed)
 //
-// Loading is hostile-input safe: every count prefix is validated
-// against a hard cap and against the bytes actually left before anything
-// is reserved, so a truncated or bit-flipped file surfaces as
+// Parsing follows the rules of proto/codec.hpp: every count prefix is
+// validated against a hard cap and against the bytes actually left
+// before anything is reserved, padding bits must be zero and trailing
+// bytes are refused, so a truncated or bit-flipped file surfaces as
 // SessionFormatError — never an OOM-sized allocation or bad_alloc.
 // These are the files svc::SessionSpool parks on disk; the spool
 // additionally checksums them (see serialize_session) so corruption is
@@ -24,9 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "proto/precompute.hpp"
@@ -42,7 +41,7 @@ class SessionFormatError : public std::runtime_error {
 };
 
 // Hard caps a count prefix must pass before any allocation. They bound
-// what one corrupt u64 can make load_session reserve: generously above
+// what one corrupt u64 can make parse_session reserve: generously above
 // any real MAC-service session (a 64-bit dot-product session is ~1e4
 // tables/round), far below an allocation that could hurt the host.
 inline constexpr std::uint64_t kMaxSessionRounds = 1u << 20;
@@ -54,14 +53,5 @@ inline constexpr std::uint64_t kMaxSessionCount = 1u << 26;  // per-vector
 // them in one atomic rename step.
 std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s);
 PrecomputedSession parse_session(const std::uint8_t* data, std::size_t n);
-
-// Stream wrappers over the byte codec; load_session reads `is` to its
-// end.
-void save_session(const PrecomputedSession& s, std::ostream& os);
-PrecomputedSession load_session(std::istream& is);
-
-// Convenience file helpers; throw std::runtime_error on I/O failure.
-void save_session_file(const PrecomputedSession& s, const std::string& path);
-PrecomputedSession load_session_file(const std::string& path);
 
 }  // namespace maxel::proto

@@ -31,9 +31,10 @@
 //     Both pooled modes send these same records; reusable mode staples
 //     an artifact-offer record (proto/reusable_io.hpp) after each.
 //
-// Parsing is hostile-input safe in the chunk_io mold: every count is
-// validated against a hard cap and the bytes actually present before
-// anything is allocated; malformed bytes surface as V3FormatError.
+// Parsing follows the rules of proto/codec.hpp: every count is validated
+// against a hard cap and the bytes actually present before anything is
+// allocated, padding bits must be zero and trailing bytes are refused;
+// malformed bytes surface as V3FormatError.
 #pragma once
 
 #include <cstdint>
@@ -77,19 +78,27 @@ struct V3RoundFrame {
 
   [[nodiscard]] static std::size_t wire_size(std::size_t n_rows,
                                              std::size_t n_outputs) {
-    return 4 + 16 * n_rows + 4 + (n_outputs + 7) / 8;
+    return 4 + 16 * n_rows + 4 + packed_bytes(n_outputs);
   }
 };
 
 std::vector<std::uint8_t> serialize_round_frame(const V3RoundFrame& f);
 // expected_* come from the shared circuit analysis; a frame disagreeing
-// with them is rejected by value before any allocation.
+// with them is rejected by value before any allocation. The first form
+// parses into `f`, reusing its storage.
+void parse_round_frame(const std::uint8_t* data, std::size_t n,
+                       std::size_t expected_rows,
+                       std::size_t expected_outputs, V3RoundFrame& f);
 V3RoundFrame parse_round_frame(const std::uint8_t* data, std::size_t n,
                                std::size_t expected_rows,
                                std::size_t expected_outputs);
 void send_round_frame(Channel& ch, const V3RoundFrame& f);
-V3RoundFrame recv_round_frame(Channel& ch, std::size_t expected_rows,
-                              std::size_t expected_outputs);
+// Receives one frame into `buf` and parses it into `f`, both reused
+// from round to round, so a session's rounds allocate nothing once the
+// first has sized them.
+void recv_round_frame(Channel& ch, std::size_t expected_rows,
+                      std::size_t expected_outputs,
+                      std::vector<std::uint8_t>& buf, V3RoundFrame& f);
 
 struct ResumptionTicket {
   std::uint64_t pool_id = 0;

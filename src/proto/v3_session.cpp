@@ -1,98 +1,17 @@
 #include "proto/v3_session.hpp"
 
-#include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "crypto/gc_hash.hpp"
+#include "proto/codec.hpp"
 
 namespace maxel::proto {
 namespace {
 
 constexpr char kSessionV3Magic[8] = {'M', 'X', 'S', 'E', 'S', 'S', '3', '\0'};
 constexpr std::uint64_t kMaxV3SessionRounds = 1u << 20;
-
-[[noreturn]] void bad(const std::string& what) {
-  throw V3FormatError("parse_session_v3: " + what);
-}
-
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  const std::size_t off = buf.size();
-  buf.resize(off + 8);
-  std::memcpy(buf.data() + off, &v, 8);
-}
-
-void put_block(std::vector<std::uint8_t>& buf, const crypto::Block& b) {
-  const std::size_t off = buf.size();
-  buf.resize(off + 16);
-  b.to_bytes(buf.data() + off);
-}
-
-void put_blocks(std::vector<std::uint8_t>& buf,
-                const std::vector<crypto::Block>& v) {
-  put_u64(buf, v.size());
-  for (const auto& b : v) put_block(buf, b);
-}
-
-void put_bits(std::vector<std::uint8_t>& buf, const std::vector<bool>& bits) {
-  put_u64(buf, bits.size());
-  const std::size_t off = buf.size();
-  buf.resize(off + (bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    if (bits[i]) buf[off + i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-}
-
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t left;
-
-  void need(std::size_t n, const char* what) {
-    if (left < n) bad(std::string("truncated ") + what);
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v;
-    std::memcpy(&v, p, 8);
-    p += 8;
-    left -= 8;
-    return v;
-  }
-  crypto::Block block(const char* what) {
-    need(16, what);
-    const crypto::Block b = crypto::Block::from_bytes(p);
-    p += 16;
-    left -= 16;
-    return b;
-  }
-  std::uint64_t count(std::uint64_t cap, std::size_t elem_bytes,
-                      const char* what) {
-    const std::uint64_t n = u64(what);
-    if (n > cap)
-      bad(std::string("implausible ") + what + " count " + std::to_string(n));
-    if (elem_bytes != 0 && n > left / elem_bytes)
-      bad(std::string(what) + " count exceeds remaining bytes");
-    return n;
-  }
-  std::vector<crypto::Block> blocks(const char* what) {
-    const std::uint64_t n = count(kMaxV3Rows, 16, what);
-    std::vector<crypto::Block> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(block(what));
-    return v;
-  }
-  std::vector<bool> bits(const char* what) {
-    const std::uint64_t n = count(kMaxV3Outputs, 0, what);
-    const std::size_t packed = static_cast<std::size_t>((n + 7) / 8);
-    need(packed, what);
-    std::vector<bool> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-      v.push_back((p[i / 8] >> (i % 8)) & 1u);
-    p += packed;
-    left -= packed;
-    return v;
-  }
-};
+// Smallest encoding of one round: four u64 count prefixes.
+constexpr std::size_t kMinRoundBytes = 4 * 8;
 
 }  // namespace
 
@@ -138,14 +57,13 @@ void send_dbits(Channel& ch,
 
 void send_v3_body(Channel& ch, const PrecomputedSessionV3& session,
                   const ot::CorrelatedPoolSender& pool,
-                  const ot::PoolClaim& claim,
-                  const std::vector<std::uint8_t>& d) {
+                  const ot::PoolClaim& claim, const std::vector<bool>& d) {
   std::uint64_t inputs = 0;
   for (const gc::V3RoundMaterial& m : session.rounds)
     inputs += m.evaluator_pairs.size();
   if (claim.count != inputs)
     throw std::logic_error("send_v3_body: claim size mismatch");
-  if (d.size() != (inputs + 7) / 8)
+  if (d.size() != inputs)
     throw std::logic_error("send_v3_body: d bits do not cover the claim");
   if (session.pool_lineage != delta_lineage(pool.delta()))
     throw std::logic_error(
@@ -160,7 +78,7 @@ void send_v3_body(Channel& ch, const PrecomputedSessionV3& session,
     send_round_frame(ch, frame);
     for (const auto& labels : m.evaluator_pairs) {
       crypto::Block z = pool.pad(claim.start + k) ^ labels.first;
-      if ((d[k / 8] >> (k % 8)) & 1u) z ^= session.delta;
+      if (d[k]) z ^= session.delta;
       ch.send_block(z);
       ++k;
     }
@@ -184,10 +102,12 @@ std::vector<bool> eval_v3_rounds(
 
   std::vector<crypto::Block> labels(n_in);
   std::vector<bool> decoded;
+  std::vector<std::uint8_t> frame_bytes;
+  V3RoundFrame frame;
   std::uint64_t idx = claim_start;
   for (const auto& bits : evaluator_bits) {
-    const V3RoundFrame frame =
-        recv_round_frame(ch, an.rows_per_round, c.outputs.size());
+    recv_round_frame(ch, an.rows_per_round, c.outputs.size(), frame_bytes,
+                     frame);
     for (std::size_t j = 0; j < n_in; ++j, ++idx)
       labels[j] = pool.pad(idx) ^ ch.recv_block();
 
@@ -206,54 +126,51 @@ std::vector<std::uint8_t> serialize_session_v3(const PrecomputedSessionV3& s) {
                       r.late_labels0.size()) +
                 r.output_map.size() / 8 + 40;
   buf.reserve(estimate);
-  buf.insert(buf.end(), kSessionV3Magic, kSessionV3Magic + 8);
-  put_block(buf, s.delta);
-  put_block(buf, s.label_seed);
-  put_u64(buf, s.pool_lineage);
-  put_u64(buf, s.rounds.size());
+  ByteWriter w(buf);
+  w.bytes(kSessionV3Magic, 8);
+  w.block(s.delta);
+  w.block(s.label_seed);
+  w.u64(s.pool_lineage);
+  w.u64(s.rounds.size());
   for (const auto& r : s.rounds) {
-    put_blocks(buf, r.rows);
-    put_u64(buf, r.evaluator_pairs.size());
-    for (const auto& [l0, l1] : r.evaluator_pairs) {
-      (void)l1;  // always l0 ^ delta; reconstructed on load
-      put_block(buf, l0);
-    }
-    put_bits(buf, r.output_map);
-    put_blocks(buf, r.late_labels0);
+    w.blocks(r.rows);
+    // The 1-labels are always l0 ^ delta, reconstructed on load.
+    w.u64(r.evaluator_pairs.size());
+    for (const auto& pair : r.evaluator_pairs) w.block(pair.first);
+    w.counted_bits(r.output_map);
+    w.blocks(r.late_labels0);
   }
   return buf;
 }
 
 PrecomputedSessionV3 parse_session_v3(const std::uint8_t* data,
                                       std::size_t n) {
-  Reader rd{data, n};
-  rd.need(8, "session magic");
-  if (std::memcmp(rd.p, kSessionV3Magic, 8) != 0) bad("bad session magic");
-  rd.p += 8;
-  rd.left -= 8;
+  ByteReader<V3FormatError> rd(data, n, "parse_session_v3");
+  rd.magic(kSessionV3Magic, "session");
   PrecomputedSessionV3 s;
   s.delta = rd.block("delta");
-  if ((s.delta.lo & 1u) == 0) bad("delta lsb is 0");
+  if ((s.delta.lo & 1u) == 0) rd.fail("delta lsb is 0");
   s.label_seed = rd.block("label seed");
   s.pool_lineage = rd.u64("pool lineage");
   if (s.pool_lineage != delta_lineage(s.delta))
-    bad("pool lineage does not match delta");
-  const std::uint64_t rounds = rd.count(kMaxV3SessionRounds, 1, "round");
+    rd.fail("pool lineage does not match delta");
+  const std::uint64_t rounds =
+      rd.count(kMaxV3SessionRounds, kMinRoundBytes, "round");
   s.rounds.reserve(rounds);
   for (std::uint64_t r = 0; r < rounds; ++r) {
     gc::V3RoundMaterial m;
-    m.rows = rd.blocks("ciphertext row");
+    m.rows = rd.blocks(kMaxV3Rows, "ciphertext row");
     const std::uint64_t pairs = rd.count(kMaxV3Rows, 16, "evaluator label");
     m.evaluator_pairs.reserve(pairs);
     for (std::uint64_t i = 0; i < pairs; ++i) {
       const crypto::Block l0 = rd.block("evaluator label");
       m.evaluator_pairs.emplace_back(l0, l0 ^ s.delta);
     }
-    m.output_map = rd.bits("output map");
-    m.late_labels0 = rd.blocks("late label");
+    m.output_map = rd.counted_bits(kMaxV3Outputs, "output map");
+    m.late_labels0 = rd.blocks(kMaxV3Rows, "late label");
     s.rounds.push_back(std::move(m));
   }
-  if (rd.left != 0) bad("trailing bytes");
+  rd.done("session");
   return s;
 }
 

@@ -79,7 +79,7 @@ void send_dbits(Channel& ch,
                 std::uint64_t claim_start);
 
 // Garbler half of the body after the seed record: given the client's
-// packed d bits for the whole claim (bit k at d[k / 8] >> (k % 8)),
+// d bits for the whole claim (d[k] for claim index claim.start + k),
 // sends every round's V3RoundFrame followed by its z-blocks, one flush
 // per round, drawing the pads claim.start + k. Before sending anything
 // it checks that the claim holds exactly one index per evaluator input
@@ -88,8 +88,7 @@ void send_dbits(Channel& ch,
 // The caller owns claim consume/discard.
 void send_v3_body(Channel& ch, const PrecomputedSessionV3& session,
                   const ot::CorrelatedPoolSender& pool,
-                  const ot::PoolClaim& claim,
-                  const std::vector<std::uint8_t>& d);
+                  const ot::PoolClaim& claim, const std::vector<bool>& d);
 
 // Evaluator twin: sends the d bits (send_dbits), then consumes the seed
 // record and every round, evaluating each as it lands, its input labels
@@ -107,7 +106,7 @@ std::vector<bool> eval_v3_rounds(
 // pool_lineage u64 | n_rounds u64 | per round: rows (count-prefixed),
 // evaluator 0-labels (count-prefixed; the 1-labels are L0 ^ delta and
 // never stored), output_map (count-prefixed packed bits), late 0-labels
-// (count-prefixed). Hostile-input safe like the other codecs; throws
+// (count-prefixed). Parsed by the rules of proto/codec.hpp; throws
 // V3FormatError on anything malformed.
 std::vector<std::uint8_t> serialize_session_v3(const PrecomputedSessionV3& s);
 PrecomputedSessionV3 parse_session_v3(const std::uint8_t* data,

@@ -12,6 +12,7 @@
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "gc/garble.hpp"
 #include "proto/channel.hpp"
 #include "proto/chunk_io.hpp"
@@ -73,6 +74,21 @@ TEST(ChunkIo, RoundTripIsExact) {
   expect_chunks_equal(wc, back);
 }
 
+// The MXCHNK1 byte layout is pinned: a seeded chunk must encode to the
+// exact bytes (length and SHA-256) below, and re-encode identically
+// after a parse.
+TEST(ChunkIo, SerializedFormatIsPinned) {
+  const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
+  const WireChunk wc = make_chunk(c, 3, 0xC4A1);
+  const std::vector<std::uint8_t> bytes = serialize_chunk(wc);
+  EXPECT_EQ(bytes.size(), 11588u);
+  EXPECT_EQ(
+      crypto::Sha256::hex(crypto::Sha256::hash(bytes.data(), bytes.size())),
+      "daf5817311cc88a74d0b76fa8bf62677b70d3ccb081e93be4cc6281534387924");
+  const WireChunk back = parse_chunk(bytes.data(), bytes.size());
+  EXPECT_EQ(serialize_chunk(back), bytes);
+}
+
 TEST(ChunkIo, MidSessionChunkCarriesNoStateLabels) {
   const circuit::Circuit c = circuit::make_millionaires_circuit(8);
   const WireChunk wc = make_chunk(c, 2, 2, /*first_round=*/16);
@@ -82,6 +98,21 @@ TEST(ChunkIo, MidSessionChunkCarriesNoStateLabels) {
   const WireChunk back = parse_chunk(bytes.data(), bytes.size());
   EXPECT_EQ(back.first_round, 16u);
   expect_chunks_equal(wc, back);
+}
+
+// The output map's padding bits must be zero (proto/codec.hpp): the
+// millionaires circuit has one output, so seven bits of its packed byte
+// are padding.
+TEST(ChunkIo, NonzeroOutputMapPaddingIsRejected) {
+  const circuit::Circuit c = circuit::make_millionaires_circuit(8);
+  const WireChunk wc = make_chunk(c, 1, 4, /*first_round=*/16);
+  ASSERT_EQ(wc.rounds[0].output_map.size(), 1u);
+  ASSERT_TRUE(wc.initial_state_labels.empty());
+  std::vector<std::uint8_t> bytes = serialize_chunk(wc);
+  // The packed map byte sits right before the empty state-label count.
+  bytes[bytes.size() - 8 - 1] |= 0x80;
+  EXPECT_THROW((void)parse_chunk(bytes.data(), bytes.size()),
+               ChunkFormatError);
 }
 
 TEST(ChunkIo, ChannelFramingMatchesByteCodec) {

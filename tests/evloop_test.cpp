@@ -87,25 +87,29 @@ class EvSessionShuttleTest : public ::testing::Test {
   static constexpr std::size_t kBits = 8;
   static constexpr std::size_t kRounds = 6;
 
-  void SetUp() override {
-    circ_ = circuit::make_mac_circuit(circuit::MacOptions{kBits, kBits, true});
+  void SetUp() override { build(kBits); }
+
+  // Serves the b-bit MAC: every test runs at kBits, except where a
+  // record needs a width that is not a multiple of 8.
+  void build(std::size_t bits) {
+    circ_ = circuit::make_mac_circuit(circuit::MacOptions{bits, bits, true});
     an_ = gc::analyze_v3(circ_);
     reg_ = std::make_unique<net::V3PoolRegistry>(
         crypto::SystemRandom().next_block());
-    net::DemoInputStream a_inputs(7, net::kGarblerStream, kBits);
+    net::DemoInputStream a_inputs(7, net::kGarblerStream, bits);
     g_bits_.resize(kRounds);
     for (auto& row : g_bits_) row = a_inputs.next_bits();
 
     ctx_.circ = &circ_;
     ctx_.expect.scheme = gc::Scheme::kHalfGates;
-    ctx_.expect.bit_width = kBits;
+    ctx_.expect.bit_width = static_cast<std::uint32_t>(bits);
     ctx_.expect.circuit_hash = net::circuit_fingerprint(circ_);
     ctx_.expect.rounds_per_session = kRounds;
     ctx_.expect.allow_stream = true;
     ctx_.expect.allow_v3 = true;
     ctx_.expect.allow_reusable = true;
     ctx_.reg = reg_.get();
-    ctx_.bits = kBits;
+    ctx_.bits = bits;
     ctx_.rounds = kRounds;
     ctx_.demo_seed = 7;
     ctx_.scheme = gc::Scheme::kHalfGates;
@@ -122,7 +126,10 @@ class EvSessionShuttleTest : public ::testing::Test {
     };
     crypto::SystemRandom garble_rng;
     rctx_ = net::make_reusable_context(
-        circ_, net::garble_reusable(circ_, kBits, garble_rng), kRounds, 7);
+        circ_,
+        net::garble_reusable(circ_, static_cast<std::uint32_t>(bits),
+                             garble_rng),
+        kRounds, 7);
     ctx_.reusable = &*rctx_;
   }
 
@@ -151,7 +158,7 @@ class EvSessionShuttleTest : public ::testing::Test {
     hello.scheme = static_cast<std::uint8_t>(gc::Scheme::kHalfGates);
     hello.ot = static_cast<std::uint8_t>(net::OtChoice::kIknp);
     hello.mode = static_cast<std::uint8_t>(mode);
-    hello.bit_width = kBits;
+    hello.bit_width = ctx_.expect.bit_width;
     hello.circuit_hash = net::circuit_fingerprint(circ_);
     net::HelloExtV3 ext;
     ext.client_id = state.client_id;
@@ -316,6 +323,40 @@ TEST_F(EvSessionShuttleTest, WrongCountDbitsRecordFailsTypedInBothPooledModes) {
     EXPECT_TRUE(res.done) << res.err;
     EXPECT_TRUE(cs.verified);
     EXPECT_TRUE(cs.pool_resumed);
+    EXPECT_EQ(reg_->outstanding_claims(), 0u);
+  }
+}
+
+// The d-bits record follows the codec's padding rule. At b = 5 a session
+// needs 30 bits, so its last byte carries two padding bits; a set one is
+// a typed reject before any round goes out.
+TEST_F(EvSessionShuttleTest, NonzeroDbitsPaddingFailsTypedInBothPooledModes) {
+  build(5);
+  const std::uint64_t need = kRounds * circ_.evaluator_inputs.size();
+  ASSERT_NE(need % 8, 0u);
+  for (const net::SessionMode mode :
+       {net::SessionMode::kPrecomputed, net::SessionMode::kReusable}) {
+    const bool reusable = mode == net::SessionMode::kReusable;
+    SCOPED_TRACE(reusable ? "reusable" : "v3");
+    crypto::SystemRandom rng;
+    auto state = net::make_v3_client_state(rng);
+    net::TcpListener lst(0, "127.0.0.1", net::ListenOptions{});
+    ShuttleResult res;
+    std::thread serve([&] { res = shuttle_serve_one(lst, ctx_); });
+    {
+      auto ch = join_by_hand(lst.port(), mode, *state, rng);
+      ch->send_u64(need);
+      std::vector<std::uint8_t> packed((need + 7) / 8);
+      packed.back() = static_cast<std::uint8_t>(0x80);  // a padding bit
+      ch->send_bytes(packed.data(), packed.size());
+      ch->flush();
+      const auto drain = [&] { for (;;) (void)ch->recv_u64(); };
+      EXPECT_THROW(drain(), net::NetError);
+    }
+    serve.join();
+    EXPECT_TRUE(res.failed);
+    EXPECT_EQ(res.error, EvError::kNet);
+    EXPECT_NE(res.err.find("nonzero padding"), std::string::npos) << res.err;
     EXPECT_EQ(reg_->outstanding_claims(), 0u);
   }
 }

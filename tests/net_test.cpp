@@ -19,6 +19,7 @@
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "hostile_round.hpp"
 #include "live_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
@@ -723,6 +724,41 @@ TEST(NetService, UnresponsiveServerYieldsTimeoutNotHang) {
           .count();
   EXPECT_LT(elapsed, 5.0);
   acceptor.join();
+}
+
+// The live client in precomputed mode knows every count of a round from
+// its circuit: a count prefix one above it, or one no allocation could
+// hold, fails the session with a typed error naming the expected count,
+// before anything is allocated for it.
+TEST(NetClient, V2RoundCountsMustMatchTheCircuit) {
+  const circuit::Circuit c =
+      circuit::make_mac_circuit(circuit::MacOptions{8, 8, true});
+  const auto counts = test::v2_counts(c, gc::Scheme::kHalfGates);
+  for (const test::V2Field f : test::kV2Fields) {
+    for (const std::uint64_t lie :
+         test::lies_for(c, gc::Scheme::kHalfGates, f)) {
+      SCOPED_TRACE("field " + std::to_string(static_cast<int>(f)) +
+                   ", count " + std::to_string(lie));
+      auto [server, client] = proto::MemoryChannel::create_pair();
+      send_accept(*server, ServerAccept{RejectCode::kOk, 4, ""});
+      test::stage_lying_round(*server, c, gc::Scheme::kHalfGates, f, lie);
+      auto handed = std::make_shared<std::unique_ptr<proto::Channel>>(
+          std::move(client));
+      ClientConfig cfg = quiet_client_config(0, 8);
+      cfg.ot = OtChoice::kBase;
+      cfg.channel_factory = [handed] { return std::move(*handed); };
+      try {
+        (void)run_client(cfg);
+        ADD_FAILURE() << "the lying round was accepted";
+      } catch (const CorruptionError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "expected " +
+                      std::to_string(counts[static_cast<int>(f)])),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

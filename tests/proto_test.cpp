@@ -3,9 +3,12 @@
 // sequential, under both OT modes and all garbling schemes.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuit/builder.hpp"
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
+#include "hostile_round.hpp"
 #include "proto/protocol.hpp"
 
 namespace maxel::proto {
@@ -135,6 +138,39 @@ TEST(TwoParty, MixedPartyXor) {
   TwoPartyProtocol protocol(c);
   RoundInputs r{to_bits(0xA5, 8), to_bits(0x3C, 8)};
   EXPECT_EQ(circuit::from_bits(protocol.run({r}).outputs), 0xA5u ^ 0x3Cu);
+}
+
+// The evaluator knows every count of a round from its circuit: a count
+// prefix one above it, or one no allocation could hold, is a typed
+// reject before anything is allocated for it.
+TEST(EvaluatorParty, RoundCountsMustMatchTheCircuit) {
+  const Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
+  ProtocolOptions opt;
+  opt.ot = OtMode::kBase;
+  for (const test::V2Field f : test::kV2Fields) {
+    for (const std::uint64_t lie : test::lies_for(c, opt.scheme, f)) {
+      SCOPED_TRACE("field " + std::to_string(static_cast<int>(f)) +
+                   ", count " + std::to_string(lie));
+      auto [g_ch, e_ch] = MemoryChannel::create_pair();
+      test::stage_lying_round(*g_ch, c, opt.scheme, f, lie);
+      crypto::SystemRandom rng(Block{1, 2});
+      EvaluatorParty evaluator(c, opt, *e_ch, rng);
+      EXPECT_THROW(evaluator.receive_and_choose(to_bits(3, 8)),
+                   WireFormatError);
+    }
+  }
+}
+
+// recv_blocks()/recv_bits() with no expected count refuse a count above
+// kMaxChannelCount before allocating.
+TEST(Channel, UncheckedRecordsAreCapped) {
+  for (const std::uint64_t lie : {std::uint64_t{1} << 60, ~std::uint64_t{0}}) {
+    auto [tx, rx] = MemoryChannel::create_pair();
+    tx->send_u64(lie);
+    EXPECT_THROW((void)rx->recv_blocks(), WireFormatError) << lie;
+    tx->send_u64(lie);
+    EXPECT_THROW((void)rx->recv_bits(), WireFormatError) << lie;
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
 #include "proto/v3_records.hpp"
@@ -54,6 +55,20 @@ TEST(ReusableIo, ArtifactRoundtripsBothFramings) {
   EXPECT_EQ(full.view.tables, rc.view.tables);
   EXPECT_EQ(full.garbler_flips, rc.garbler_flips);
   EXPECT_EQ(full.evaluator_flips, rc.evaluator_flips);
+}
+
+// The full MXREUS1 layout (the spool-persisted artifact) is pinned: the
+// seeded artifact must encode to the exact bytes (length and SHA-256)
+// below, and re-encode identically after a parse.
+TEST(ReusableIo, SerializedFormatIsPinned) {
+  const auto rc = sample_artifact();
+  const auto bytes = proto::serialize_reusable(rc);
+  EXPECT_EQ(bytes.size(), 155u);
+  EXPECT_EQ(
+      crypto::Sha256::hex(crypto::Sha256::hash(bytes.data(), bytes.size())),
+      "4a07e2acd2b019ee842f77bc1bd703b3d206ca121a1a41f3d5d2e5e8601f0dca");
+  const auto back = proto::parse_reusable(bytes.data(), bytes.size());
+  EXPECT_EQ(proto::serialize_reusable(back), bytes);
 }
 
 TEST(ReusableIo, FramingFlagsAreMutuallyExclusive) {

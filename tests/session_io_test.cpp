@@ -2,9 +2,11 @@
 // end-to-end run, and malformed-stream rejection.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <sstream>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "circuit/circuits.hpp"
@@ -36,9 +38,8 @@ TEST(SessionIo, RoundTripIsExact) {
   const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
   const PrecomputedSession s = make_session(c, 4, 1);
 
-  std::stringstream buf;
-  save_session(s, buf);
-  const PrecomputedSession t = load_session(buf);
+  const std::vector<std::uint8_t> bytes = serialize_session(s);
+  const PrecomputedSession t = parse_session(bytes.data(), bytes.size());
 
   EXPECT_EQ(t.scheme, s.scheme);
   EXPECT_EQ(t.delta, s.delta);
@@ -56,9 +57,9 @@ TEST(SessionIo, RoundTripIsExact) {
 TEST(SessionIo, ReloadedSessionServesCorrectly) {
   const MacOptions mac{8, 8, true};
   const circuit::Circuit c = circuit::make_mac_circuit(mac);
-  std::stringstream buf;
-  save_session(make_session(c, 5, 2), buf);
-  PrecomputedSession reloaded = load_session(buf);
+  const std::vector<std::uint8_t> bytes =
+      serialize_session(make_session(c, 5, 2));
+  PrecomputedSession reloaded = parse_session(bytes.data(), bytes.size());
 
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   SystemRandom g_rng(Block{3, 1});
@@ -83,41 +84,42 @@ TEST(SessionIo, ReloadedSessionServesCorrectly) {
   EXPECT_EQ(circuit::from_bits(out), expect);
 }
 
+// The spool's path: the serialized bytes go to a file and come back.
 TEST(SessionIo, FileRoundTrip) {
   const circuit::Circuit c = circuit::make_millionaires_circuit(8);
   const PrecomputedSession s = make_session(c, 1, 5);
-  const std::string path = "/tmp/maxel_session_test.bin";
-  save_session_file(s, path);
-  const PrecomputedSession t = load_session_file(path);
+  const std::string path = ::testing::TempDir() + "maxel_session_test.bin";
+  const std::vector<std::uint8_t> bytes = serialize_session(s);
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(os.good());
+  }
+  std::ifstream is(path, std::ios::binary);
+  const std::vector<std::uint8_t> read{std::istreambuf_iterator<char>(is),
+                                       std::istreambuf_iterator<char>()};
+  std::remove(path.c_str());
+  const PrecomputedSession t = parse_session(read.data(), read.size());
   EXPECT_EQ(t.delta, s.delta);
   EXPECT_EQ(t.rounds.size(), 1u);
 }
 
-TEST(SessionIo, SerializeParseMatchesStreamCodec) {
+TEST(SessionIo, ReserializeIsByteIdentical) {
   const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
   const PrecomputedSession s = make_session(c, 3, 9);
 
-  std::stringstream buf;
-  save_session(s, buf);
-  const std::string via_stream = buf.str();
   const std::vector<std::uint8_t> via_bytes = serialize_session(s);
-  ASSERT_EQ(via_bytes.size(), via_stream.size());
-  EXPECT_TRUE(std::equal(via_bytes.begin(), via_bytes.end(),
-                         via_stream.begin(),
-                         [](std::uint8_t a, char b) {
-                           return a == static_cast<std::uint8_t>(b);
-                         }));
-
   const PrecomputedSession t = parse_session(via_bytes.data(),
                                              via_bytes.size());
   EXPECT_EQ(t.delta, s.delta);
   EXPECT_EQ(t.rounds.size(), s.rounds.size());
+  EXPECT_EQ(serialize_session(t), via_bytes);
 }
 
 // The byte layout is pinned: a seeded session must encode to the exact
-// bytes (length and SHA-256) the stream-based codec produced before the
-// byte codec became the primary one, and re-encode identically after a
-// parse.
+// bytes (length and SHA-256) the MXSESS1 files on disk hold, and
+// re-encode identically after a parse.
 TEST(SessionIo, SerializedFormatIsPinned) {
   const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
   SystemRandom rng(Block{0x5E55, 0x10});
@@ -133,18 +135,31 @@ TEST(SessionIo, SerializedFormatIsPinned) {
 }
 
 TEST(SessionIo, RejectsCorruptStreams) {
-  EXPECT_THROW((void)load_session_file("/nonexistent/nope.bin"),
+  const std::string bad_magic = "NOTASESSIONxxxxxxxxxxxxxxxxx";
+  EXPECT_THROW((void)parse_session(
+                   reinterpret_cast<const std::uint8_t*>(bad_magic.data()),
+                   bad_magic.size()),
                std::runtime_error);
 
-  std::stringstream bad_magic("NOTASESSIONxxxxxxxxxxxxxxxxx");
-  EXPECT_THROW((void)load_session(bad_magic), std::runtime_error);
-
   const circuit::Circuit c = circuit::make_millionaires_circuit(4);
-  std::stringstream buf;
-  save_session(make_session(c, 1, 6), buf);
-  const std::string full = buf.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW((void)load_session(truncated), std::runtime_error);
+  const PrecomputedSession s = make_session(c, 1, 6);
+  const std::vector<std::uint8_t> full = serialize_session(s);
+  EXPECT_THROW((void)parse_session(full.data(), full.size() / 2),
+               std::runtime_error);
+
+  // Trailing bytes after the record are refused.
+  std::vector<std::uint8_t> trailing = full;
+  trailing.push_back(0);
+  EXPECT_THROW((void)parse_session(trailing.data(), trailing.size()),
+               SessionFormatError);
+
+  // So is a set padding bit in the one-output map, whose packed byte
+  // sits right before the state labels.
+  ASSERT_EQ(s.rounds[0].output_map.size(), 1u);
+  std::vector<std::uint8_t> padded = full;
+  padded[full.size() - 8 - 16 * s.initial_state_labels.size() - 1] |= 0x80;
+  EXPECT_THROW((void)parse_session(padded.data(), padded.size()),
+               SessionFormatError);
 }
 
 // ---------------------------------------------------------------------------

@@ -97,7 +97,9 @@ TEST(V3Records, ChannelFramingMatchesByteCodecs) {
 
   const V3RoundFrame f = make_frame(3, 64, 24);
   send_round_frame(*tx, f);
-  const V3RoundFrame f2 = recv_round_frame(*rx, 64, 24);
+  std::vector<std::uint8_t> buf;
+  V3RoundFrame f2;
+  recv_round_frame(*rx, 64, 24, buf, f2);
   EXPECT_EQ(serialize_round_frame(f2), serialize_round_frame(f));
 
   const ResumptionTicket t = make_ticket(4);
@@ -147,6 +149,16 @@ TEST(V3Records, FrameCountMismatchesAreTyped) {
   EXPECT_THROW(
       (void)parse_round_frame(bytes.data(), bytes.size(), kMaxV3Rows + 1, 8),
       V3FormatError);
+}
+
+// Five output bits leave three padding bits in the frame's last byte;
+// a set one is refused.
+TEST(V3Records, NonzeroOutputMapPaddingIsRejected) {
+  auto bytes = serialize_round_frame(make_frame(7, 4, 5));
+  ASSERT_NO_THROW((void)parse_round_frame(bytes.data(), bytes.size(), 4, 5));
+  bytes.back() |= 0x80;
+  EXPECT_THROW((void)parse_round_frame(bytes.data(), bytes.size(), 4, 5),
+               V3FormatError);
 }
 
 TEST(V3Records, ServerSetupValidatesByValue) {

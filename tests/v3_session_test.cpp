@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,10 +14,12 @@
 #include "circuit/netlist.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
 #include "proto/threaded_channel.hpp"
 #include "proto/v3_session.hpp"
+#include "sweep_env.hpp"
 
 namespace maxel {
 namespace {
@@ -88,9 +91,7 @@ void serve_session(proto::Channel& ch, const proto::PrecomputedSessionV3& s,
   seed.label_seed = s.label_seed;
   proto::send_seed_expansion(ch, seed);
   ch.flush();
-  ASSERT_EQ(ch.recv_u64(), claim.count);
-  std::vector<std::uint8_t> d((claim.count + 7) / 8);
-  ch.recv_bytes(d.data(), d.size());
+  const std::vector<bool> d = ch.recv_bits(claim.count, "d bits");
   proto::send_v3_body(ch, s, pool, claim, d);
 }
 
@@ -180,7 +181,7 @@ TEST(V3Session, LineageMismatchIsTyped) {
   const auto session = proto::garble_session_v3(c, an, g_bits, other_delta,
                                                 rng.next_block(), rng);
   const auto claim = pp.server.claim(c.evaluator_inputs.size());
-  const std::vector<std::uint8_t> d((claim.count + 7) / 8);
+  const std::vector<bool> d(claim.count);
   auto [s_ch, c_ch] = proto::MemoryChannel::create_pair();
   EXPECT_THROW(proto::send_v3_body(*s_ch, session, pp.server, claim, d),
                std::logic_error);
@@ -199,7 +200,7 @@ TEST(V3Session, ClaimSizeMismatchIsTyped) {
                                                 rng.next_block(), rng);
   // Claim for one round, session has two.
   const auto claim = pp.server.claim(c.evaluator_inputs.size());
-  const std::vector<std::uint8_t> d((claim.count + 7) / 8);
+  const std::vector<bool> d(claim.count);
   auto [s_ch, c_ch] = proto::MemoryChannel::create_pair();
   EXPECT_THROW(proto::send_v3_body(*s_ch, session, pp.server, claim, d),
                std::logic_error);
@@ -207,7 +208,7 @@ TEST(V3Session, ClaimSizeMismatchIsTyped) {
 
   // A claim that fits, but d bits that cover only half of it.
   const auto fits = pp.server.claim(2 * c.evaluator_inputs.size());
-  const std::vector<std::uint8_t> short_d((fits.count / 2 + 7) / 8);
+  const std::vector<bool> short_d(fits.count / 2);
   EXPECT_THROW(proto::send_v3_body(*s_ch, session, pp.server, fits, short_d),
                std::logic_error);
   EXPECT_EQ(s_ch->bytes_sent(), 0u);
@@ -255,6 +256,27 @@ TEST(V3SessionCodec, RoundTripsAndServesIdentically) {
   EXPECT_EQ(decoded, plain_final(c, g_bits, e_bits));
 }
 
+// The MXSESS3 byte layout (the spool's v3 disk format) is pinned: a
+// seeded session must encode to the exact bytes (length and SHA-256)
+// below, and re-encode identically after a parse.
+TEST(V3SessionCodec, SerializedFormatIsPinned) {
+  const auto c = circuit::make_mac_circuit(MacOptions{8, 8, true});
+  const gc::V3Analysis an = gc::analyze_v3(c);
+  SystemRandom rng(Block{0x5E53, 3});
+  const Block delta = make_delta(rng);
+  crypto::Prg in_prg(Block{0x5E53, 0x5e55});
+  const auto g_bits = random_bits(in_prg, 3, c.garbler_inputs.size());
+  const auto session =
+      proto::garble_session_v3(c, an, g_bits, delta, rng.next_block(), rng);
+  const auto bytes = proto::serialize_session_v3(session);
+  EXPECT_EQ(bytes.size(), 7307u);
+  EXPECT_EQ(
+      crypto::Sha256::hex(crypto::Sha256::hash(bytes.data(), bytes.size())),
+      "9c705d57a8f346e612dc951586eabb3ca8896cf73256563f3f3c6312c56e0d5b");
+  const auto back = proto::parse_session_v3(bytes.data(), bytes.size());
+  EXPECT_EQ(proto::serialize_session_v3(back), bytes);
+}
+
 TEST(V3SessionCodec, EveryTruncationFailsTyped) {
   const auto c = circuit::make_mac_circuit(MacOptions{8, 8, true});
   const gc::V3Analysis an = gc::analyze_v3(c);
@@ -273,6 +295,27 @@ TEST(V3SessionCodec, EveryTruncationFailsTyped) {
   auto padded = bytes;
   padded.push_back(0);
   EXPECT_THROW(proto::parse_session_v3(padded.data(), padded.size()),
+               proto::V3FormatError);
+}
+
+// A set padding bit in an output map is refused: the millionaires
+// circuit has one output, so seven bits of its packed byte are padding.
+TEST(V3SessionCodec, NonzeroOutputMapPaddingIsRejected) {
+  const auto c = circuit::make_millionaires_circuit(8);
+  const gc::V3Analysis an = gc::analyze_v3(c);
+  SystemRandom rng(Block{12, 21});
+  const Block delta = make_delta(rng);
+  crypto::Prg in_prg(Block{12, 0x5e55});
+  const auto g_bits = random_bits(in_prg, 1, c.garbler_inputs.size());
+  const auto session =
+      proto::garble_session_v3(c, an, g_bits, delta, rng.next_block(), rng);
+  ASSERT_EQ(session.rounds[0].output_map.size(), 1u);
+  auto bytes = proto::serialize_session_v3(session);
+  ASSERT_NO_THROW((void)proto::parse_session_v3(bytes.data(), bytes.size()));
+  // The packed map byte sits right before the late-label count.
+  bytes[bytes.size() - 8 - 16 * session.rounds[0].late_labels0.size() - 1] |=
+      0x80;
+  EXPECT_THROW((void)proto::parse_session_v3(bytes.data(), bytes.size()),
                proto::V3FormatError);
 }
 
@@ -298,8 +341,11 @@ TEST(V3SessionCodec, MutationsNeverCrashAndLineageIsChecked) {
         << "delta byte " << off;
   }
 
-  crypto::Prg prg(Block{10, 0xfa11});
-  for (int trial = 0; trial < 200; ++trial) {
+  const std::uint64_t fuzz_seed = test::sweep_seed(10);
+  SCOPED_TRACE("fuzz_seed=" + std::to_string(fuzz_seed));
+  crypto::Prg prg(Block{fuzz_seed, 0xfa11});
+  const int n_trials = test::sweep_trials(200);
+  for (int trial = 0; trial < n_trials; ++trial) {
     auto m = bytes;
     const std::size_t hits = 1 + prg.next_below(4);
     for (std::size_t h = 0; h < hits; ++h)

@@ -42,6 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "baseline/tinygarble.hpp"
 #include "circuit/arith_ext.hpp"
@@ -247,7 +248,15 @@ int cmd_bank(const Args& a) {
   const std::string prefix = a.out.empty() ? "maxel_session" : a.out;
   for (std::size_t i = 0; i < a.sessions; ++i) {
     const std::string path = prefix + "_" + std::to_string(i) + ".bin";
-    proto::save_session_file(bank.take_session(), path);
+    const std::vector<std::uint8_t> bytes =
+        proto::serialize_session(bank.take_session());
+    std::ofstream os(path, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+    if (!os) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return 1;
+    }
     std::printf("wrote %s\n", path.c_str());
   }
   std::printf("%zu sessions x %zu rounds (b=%zu), %.1f KB total stored\n",
