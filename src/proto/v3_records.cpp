@@ -72,12 +72,18 @@ SeedExpansionRecord recv_seed_expansion(Channel& ch) {
 std::vector<std::uint8_t> serialize_round_frame(const V3RoundFrame& f) {
   std::vector<std::uint8_t> buf;
   buf.reserve(V3RoundFrame::wire_size(f.rows.size(), f.output_map.size()));
-  ByteWriter w(buf);
-  w.u32(static_cast<std::uint32_t>(f.rows.size()));
-  for (const auto& b : f.rows) w.block(b);
-  w.u32(static_cast<std::uint32_t>(f.output_map.size()));
-  w.bits(f.output_map);
+  write_round_frame(buf, f.rows, f.output_map);
   return buf;
+}
+
+void write_round_frame(std::vector<std::uint8_t>& buf,
+                       const std::vector<crypto::Block>& rows,
+                       const std::vector<bool>& output_map) {
+  ByteWriter w(buf);
+  w.u32(static_cast<std::uint32_t>(rows.size()));
+  for (const auto& b : rows) w.block(b);
+  w.u32(static_cast<std::uint32_t>(output_map.size()));
+  w.bits(output_map);
 }
 
 void parse_round_frame(const std::uint8_t* data, std::size_t n,

@@ -83,6 +83,12 @@ struct V3RoundFrame {
 };
 
 std::vector<std::uint8_t> serialize_round_frame(const V3RoundFrame& f);
+// Appends the frame of `rows` and `output_map` to `buf`, byte for byte
+// what serialize_round_frame writes, straight from the caller's storage:
+// a sender writes every round of a session through one reused buffer.
+void write_round_frame(std::vector<std::uint8_t>& buf,
+                       const std::vector<crypto::Block>& rows,
+                       const std::vector<bool>& output_map);
 // expected_* come from the shared circuit analysis; a frame disagreeing
 // with them is rejected by value before any allocation. The first form
 // parses into `f`, reusing its storage.

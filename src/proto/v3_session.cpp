@@ -70,12 +70,14 @@ void send_v3_body(Channel& ch, const PrecomputedSessionV3& session,
         "send_v3_body: session garbled under a different delta than the "
         "pool correlation secret");
 
+  // Each round's frame is written straight from its material into one
+  // buffer reused for the whole session.
+  std::vector<std::uint8_t> frame;
   std::uint64_t k = 0;
-  V3RoundFrame frame;
   for (const gc::V3RoundMaterial& m : session.rounds) {
-    frame.rows = m.rows;
-    frame.output_map = m.output_map;
-    send_round_frame(ch, frame);
+    frame.clear();
+    write_round_frame(frame, m.rows, m.output_map);
+    ch.send_bytes(frame.data(), frame.size());
     for (const auto& labels : m.evaluator_pairs) {
       crypto::Block z = pool.pad(claim.start + k) ^ labels.first;
       if (d[k]) z ^= session.delta;

@@ -9,13 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 #include <vector>
 
 #include "crypto/sha256.hpp"
-#include "proto/reusable_io.hpp"
 #include "proto/session_io.hpp"
 
 namespace maxel::svc {
@@ -24,65 +22,49 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kIndexName = "spool.idx";
-constexpr const char* kIndexMagic = "MXSPOOL1";
+// The reusable lane's evaluation counters, one "<file name> <count>"
+// line per artifact, written when a spool closes.
+constexpr const char* kCountersName = "reusable.counts";
+
+// Per lane (SessionSpool::Lane order): the name's prefix and extension.
+constexpr const char* kPrefix[] = {"sess-", "v3ss-", "reus-"};
+constexpr const char* kExt[] = {".mxs", ".mx3", ".mxr"};
+constexpr std::size_t kPrefixLen = 5, kExtLen = 4;
+constexpr std::size_t kHexU64 = 16, kHexSha = 64;
+constexpr std::size_t kMaxKey = 64;
 
 std::string sha_hex(const std::uint8_t* data, std::size_t n) {
   return crypto::Sha256::hex(crypto::Sha256::hash(data, n));
 }
 
-// sess-<12-digit seq>.mxs (v2) / v3ss-<12-digit seq>.mx3 (v3 lane); the
-// zero-padded sequence keeps lexicographic order equal to creation
-// order within a lane, so "oldest first" is a plain sort.
-std::string session_file_name(std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "sess-%012llu.mxs",
-                static_cast<unsigned long long>(seq));
-  return buf;
+void append_hex(std::string& out, std::uint64_t v) {
+  char buf[kHexU64 + 1];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  out.append(buf, kHexU64);
 }
 
-std::string session_v3_file_name(std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "v3ss-%012llu.mx3",
-                static_cast<unsigned long long>(seq));
-  return buf;
+bool is_lower_hex(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
 }
 
-std::string reusable_file_name(std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "reus-%012llu.mxr",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-bool is_v3_name(const std::string& name) {
-  return name.rfind("v3ss-", 0) == 0;
-}
-
-bool is_reusable_name(const std::string& name) {
-  return name.rfind("reus-", 0) == 0;
-}
-
-// Parses the sequence number back out of a file name (any lane);
-// ~0 on mismatch.
-std::uint64_t parse_seq(const std::string& name) {
-  if (name.size() != 21) return ~0ull;
-  if (name.rfind("sess-", 0) == 0) {
-    if (name.substr(17) != ".mxs") return ~0ull;
-  } else if (is_v3_name(name)) {
-    if (name.substr(17) != ".mx3") return ~0ull;
-  } else if (is_reusable_name(name)) {
-    if (name.substr(17) != ".mxr") return ~0ull;
-  } else {
-    return ~0ull;
+// Exactly kHexU64 lowercase hex digits at s[at..].
+bool parse_hex(const std::string& s, std::size_t at, std::uint64_t& v) {
+  if (s.size() < at + kHexU64) return false;
+  v = 0;
+  for (std::size_t i = at; i < at + kHexU64; ++i) {
+    const char c = s[i];
+    if (!is_lower_hex(c)) return false;
+    v = v << 4 | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
   }
-  std::uint64_t seq = 0;
-  for (std::size_t i = 5; i < 17; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return ~0ull;
-    seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return seq;
+  return true;
+}
+
+bool is_key(const std::string& key) {
+  return !key.empty() && key.size() <= kMaxKey &&
+         std::all_of(key.begin(), key.end(), [](char c) {
+           return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || c == '-';
+         });
 }
 
 void remove_all_children(const fs::path& dir, std::uint64_t* count = nullptr) {
@@ -107,7 +89,7 @@ bool read_exact(const fs::path& path, std::uint64_t bytes,
     if (r > 0) got += static_cast<std::size_t>(r);
     if (r < 0 && errno == EINTR) r = 1;
   }
-  // One more byte would mean the file outgrew its indexed size.
+  // One more byte would mean the file outgrew the size in its name.
   std::uint8_t extra = 0;
   do r = ::read(fd, &extra, 1);
   while (r < 0 && errno == EINTR);
@@ -115,26 +97,29 @@ bool read_exact(const fs::path& path, std::uint64_t bytes,
   return got == out.size() && r == 0;
 }
 
-void write_file(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  if (!os)
-    throw std::runtime_error("SessionSpool: cannot write " +
-                             path.filename().string());
+// Writes tmp/<name> and renames it to `dest`, so `dest` only ever holds
+// a complete file.
+void publish(const fs::path& root, const std::string& name,
+             const std::uint8_t* data, std::size_t n, const fs::path& dest) {
+  const fs::path tmp = root / "tmp" / name;
+  {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char*>(data),
+             static_cast<std::streamsize>(n));
+    if (!os)
+      throw std::runtime_error("SessionSpool: cannot write " + name);
+  }
+  fs::rename(tmp, dest);
 }
 
 // What differs between the two single-use lanes; everything else is
 // one put and one take.
 template <class Session>
-struct Lane;
+struct LaneOps;
 
 template <>
-struct Lane<proto::PrecomputedSession> {
-  static constexpr bool kV3 = false;
-  static std::string file_name(std::uint64_t seq) {
-    return session_file_name(seq);
-  }
+struct LaneOps<proto::PrecomputedSession> {
+  static constexpr std::size_t kLane = 0;  // SessionSpool::kV2
   static std::vector<std::uint8_t> serialize(
       const proto::PrecomputedSession& s) {
     return proto::serialize_session(s);
@@ -142,17 +127,15 @@ struct Lane<proto::PrecomputedSession> {
   static proto::PrecomputedSession parse(const std::vector<std::uint8_t>& b) {
     return proto::parse_session(b.data(), b.size());
   }
+  static std::uint64_t lineage(const proto::PrecomputedSession&) { return 0; }
   static std::size_t& ready(SpoolStats& st) { return st.sessions_ready; }
   static std::uint64_t& spooled(SpoolStats& st) { return st.sessions_spooled; }
   static std::uint64_t& claimed(SpoolStats& st) { return st.sessions_claimed; }
 };
 
 template <>
-struct Lane<proto::PrecomputedSessionV3> {
-  static constexpr bool kV3 = true;
-  static std::string file_name(std::uint64_t seq) {
-    return session_v3_file_name(seq);
-  }
+struct LaneOps<proto::PrecomputedSessionV3> {
+  static constexpr std::size_t kLane = 1;  // SessionSpool::kV3
   static std::vector<std::uint8_t> serialize(
       const proto::PrecomputedSessionV3& s) {
     return proto::serialize_session_v3(s);
@@ -160,6 +143,9 @@ struct Lane<proto::PrecomputedSessionV3> {
   static proto::PrecomputedSessionV3 parse(
       const std::vector<std::uint8_t>& b) {
     return proto::parse_session_v3(b.data(), b.size());
+  }
+  static std::uint64_t lineage(const proto::PrecomputedSessionV3& s) {
+    return s.pool_lineage;
   }
   static std::size_t& ready(SpoolStats& st) { return st.sessions_ready_v3; }
   static std::uint64_t& spooled(SpoolStats& st) { return st.v3_spooled; }
@@ -182,13 +168,65 @@ std::string reusable_artifact_key(
   return key;
 }
 
+// <prefix><seq>-<bytes>-[<lineage>-|<key>-]<sha256><ext>
+std::string SessionSpool::name_of(std::size_t lane, std::uint64_t seq,
+                                  const Entry& e) {
+  std::string n = kPrefix[lane];
+  append_hex(n, seq);
+  n += '-';
+  append_hex(n, e.bytes);
+  n += '-';
+  if (lane == kV3) {
+    append_hex(n, e.lineage);
+    n += '-';
+  } else if (lane == kReusable) {
+    n += e.key;
+    n += '-';
+  }
+  n += e.sha256_hex;
+  n += kExt[lane];
+  return n;
+}
+
+bool SessionSpool::parse_name(const std::string& name, std::size_t& lane,
+                              std::uint64_t& seq, Entry& e) {
+  constexpr std::size_t kSeqAt = kPrefixLen, kBytesAt = kSeqAt + kHexU64 + 1,
+                        kTagAt = kBytesAt + kHexU64 + 1;
+  if (name.size() < kTagAt + kHexSha + kExtLen) return false;
+  for (lane = 0; lane < kLanes; ++lane)
+    if (name.compare(0, kPrefixLen, kPrefix[lane]) == 0 &&
+        name.compare(name.size() - kExtLen, kExtLen, kExt[lane]) == 0)
+      break;
+  if (lane == kLanes) return false;
+  const std::size_t sha_at = name.size() - kExtLen - kHexSha;
+  if (!parse_hex(name, kSeqAt, seq) || name[kSeqAt + kHexU64] != '-' ||
+      !parse_hex(name, kBytesAt, e.bytes) || name[kBytesAt + kHexU64] != '-' ||
+      !std::all_of(name.begin() + static_cast<std::ptrdiff_t>(sha_at),
+                   name.end() - kExtLen, is_lower_hex))
+    return false;
+  // Between the byte count and the checksum: nothing (v2), the lineage
+  // (v3) or the key (reusable), each followed by a dash.
+  const std::size_t tag_len = sha_at - kTagAt;
+  if (lane == kV2) {
+    if (tag_len != 0) return false;
+  } else {
+    if (tag_len < 2 || name[sha_at - 1] != '-') return false;
+    if (lane == kV3) {
+      if (tag_len != kHexU64 + 1 || !parse_hex(name, kTagAt, e.lineage))
+        return false;
+    } else {
+      e.key = name.substr(kTagAt, tag_len - 1);
+      if (!is_key(e.key)) return false;
+    }
+  }
+  e.name = name;
+  e.sha256_hex = name.substr(sha_at, kHexSha);
+  return true;
+}
+
 SessionSpool::SessionSpool(const SpoolConfig& cfg) : cfg_(cfg) {
   if (cfg_.dir.empty())
     throw std::invalid_argument("SessionSpool: empty spool directory");
-  open_or_rebuild();
-}
-
-void SessionSpool::open_or_rebuild() {
   const fs::path root(cfg_.dir);
   fs::create_directories(root / "ready");
   fs::create_directories(root / "claimed");
@@ -198,161 +236,60 @@ void SessionSpool::open_or_rebuild() {
   // its labels are burned either way. Destroy, never re-serve.
   remove_all_children(root / "claimed", &stats_.purged_on_open);
   remove_all_children(root / "tmp");
+  // An older build's index: the names below now carry what it held.
+  std::error_code ec;
+  if (fs::remove(root / "spool.idx", ec)) ++stats_.purged_on_open;
 
-  // Try the checksummed index first.
-  bool index_ok = false;
-  {
-    std::ifstream is(root / kIndexName);
-    if (is) {
-      std::ostringstream body;
-      std::string line, sum_line;
-      bool magic_ok = false;
-      while (std::getline(is, line)) {
-        if (!magic_ok) {
-          magic_ok = line == kIndexMagic;
-          if (!magic_ok) break;
-          body << line << "\n";
-          continue;
-        }
-        if (line.rfind("SUM ", 0) == 0) {
-          sum_line = line.substr(4);
-          break;
-        }
-        body << line << "\n";
-      }
-      const std::string content = body.str();
-      if (magic_ok && !sum_line.empty() &&
-          sum_line == sha_hex(reinterpret_cast<const std::uint8_t*>(
-                                  content.data()),
-                              content.size())) {
-        index_ok = true;
-        std::istringstream lines(content);
-        std::string l;
-        std::getline(lines, l);  // magic
-        while (std::getline(lines, l)) {
-          std::istringstream f(l);
-          Entry e;
-          if (!(f >> e.name >> e.bytes >> e.sha256_hex)) {
-            index_ok = false;
-            break;
-          }
-          e.v3 = is_v3_name(e.name);
-          e.reusable = is_reusable_name(e.name);
-          // v3 lines carry a fourth column: the pool lineage the
-          // session was garbled under. Reusable lines carry the cache
-          // key and the persisted evaluations-served counter.
-          if (e.v3 && !(f >> e.lineage)) {
-            index_ok = false;
-            break;
-          }
-          if (e.reusable && !(f >> e.key >> e.evals)) {
-            index_ok = false;
-            break;
-          }
-          index_.push_back(std::move(e));
-        }
-        if (!index_ok) index_.clear();
-      }
+  // The names are the index. Whatever does not parse (an older build's
+  // sess-<seq>.mxs, a stray file) is only a cache of something that can
+  // be garbled again: remove it.
+  std::vector<std::string> names;
+  for (const auto& f : fs::directory_iterator(root / "ready"))
+    names.push_back(f.path().filename().string());
+  std::sort(names.begin(), names.end());
+  for (const auto& name : names) {
+    std::size_t lane = 0;
+    std::uint64_t seq = 0;
+    Entry e;
+    if (!parse_name(name, lane, seq, e)) {
+      fs::remove_all(root / "ready" / name, ec);
+      ++stats_.purged_on_open;
+      continue;
     }
-  }
-
-  // Reconcile against ready/ — the directory is ground truth for which
-  // sessions exist; the index contributes the checksums. Entries whose
-  // file vanished are dropped; files the index missed are (re)hashed.
-  std::deque<Entry> reconciled;
-  std::vector<std::string> on_disk;
-  for (const auto& e : fs::directory_iterator(root / "ready"))
-    if (e.is_regular_file() && parse_seq(e.path().filename().string()) != ~0ull)
-      on_disk.push_back(e.path().filename().string());
-  std::sort(on_disk.begin(), on_disk.end());
-  for (const auto& name : on_disk) {
-    next_seq_ = std::max(next_seq_.load(), parse_seq(name) + 1);
-    const auto it = std::find_if(index_.begin(), index_.end(),
-                                 [&](const Entry& e) { return e.name == name; });
-    if (index_ok && it != index_.end()) {
-      reconciled.push_back(*it);
-    } else {
-      const fs::path path = root / "ready" / name;
-      std::error_code size_ec;
-      const std::uint64_t size = fs::file_size(path, size_ec);
-      std::vector<std::uint8_t> b;
-      if (size_ec || !read_exact(path, size, b)) continue;
-      Entry e;
-      e.name = name;
-      e.bytes = b.size();
-      e.sha256_hex = sha_hex(b.data(), b.size());
-      if (is_v3_name(name)) {
-        // The lineage column was lost with the index; recover it from
-        // the file itself, or destroy a file that no longer parses.
-        try {
-          e.lineage = proto::parse_session_v3(b.data(), b.size()).pool_lineage;
-          e.v3 = true;
-        } catch (const std::exception&) {
-          std::error_code ec;
-          fs::remove(root / "ready" / name, ec);
-          continue;
-        }
-      } else if (is_reusable_name(name)) {
-        // The key (and, lost with the index, the evaluation counter)
-        // is recovered from the artifact itself; a blob that no longer
-        // parses is destroyed rather than ever offered to a broker.
-        try {
-          const gc::ReusableCircuit rc =
-              proto::parse_reusable(b.data(), b.size());
-          e.key =
-              reusable_artifact_key(rc.view.fingerprint, rc.view.bit_width);
-          e.reusable = true;
-          e.evals = 0;
-        } catch (const std::exception&) {
-          std::error_code ec;
-          fs::remove(root / "ready" / name, ec);
-          continue;
-        }
-      }
-      reconciled.push_back(std::move(e));
-    }
-  }
-  index_ = std::move(reconciled);
-  stats_.sessions_ready = 0;
-  stats_.sessions_ready_v3 = 0;
-  stats_.reusable_ready = 0;
-  stats_.reusable_evaluations = 0;
-  stats_.bytes_on_disk = 0;
-  for (const auto& e : index_) {
+    next_seq_ = std::max(next_seq_.load(), seq + 1);
     stats_.bytes_on_disk += e.bytes;
-    if (e.v3) {
-      ++stats_.sessions_ready_v3;
-    } else if (e.reusable) {
-      ++stats_.reusable_ready;
-      stats_.reusable_evaluations += e.evals;
-    } else {
-      ++stats_.sessions_ready;
-    }
+    files_[lane].push_back(std::move(e));
   }
-  write_index_locked();
+
+  // The counters file names each artifact it counts; a line whose
+  // artifact is gone is stale and ignored. Missing or unreadable: zero.
+  std::ifstream is(root / kCountersName);
+  std::string name;
+  std::uint64_t evals = 0;
+  while (is >> name >> evals)
+    for (Entry& e : files_[kReusable])
+      if (e.name == name) e.evals = evals;
+
+  stats_.sessions_ready = files_[kV2].size();
+  stats_.sessions_ready_v3 = files_[kV3].size();
+  stats_.reusable_ready = files_[kReusable].size();
+  for (const Entry& e : files_[kReusable])
+    stats_.reusable_evaluations += e.evals;
 }
 
-void SessionSpool::write_index_locked() {
-  const fs::path root(cfg_.dir);
-  std::ostringstream body;
-  body << kIndexMagic << "\n";
-  for (const auto& e : index_) {
-    body << e.name << " " << e.bytes << " " << e.sha256_hex;
-    if (e.v3) body << " " << e.lineage;
-    if (e.reusable) body << " " << e.key << " " << e.evals;
-    body << "\n";
+SessionSpool::~SessionSpool() {
+  if (!counters_dirty_) return;
+  try {
+    std::string body;
+    for (const Entry& e : files_[kReusable])
+      body += e.name + " " + std::to_string(e.evals) + "\n";
+    const fs::path root(cfg_.dir);
+    publish(root, kCountersName,
+            reinterpret_cast<const std::uint8_t*>(body.data()), body.size(),
+            root / kCountersName);
+  } catch (const std::exception&) {
+    // Telemetry only: a failed write costs the counts since open.
   }
-  const std::string content = body.str();
-  const fs::path tmp = root / "tmp" / "spool.idx.tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os << content << "SUM "
-       << sha_hex(reinterpret_cast<const std::uint8_t*>(content.data()),
-                  content.size())
-       << "\n";
-    if (!os) throw std::runtime_error("SessionSpool: cannot write index");
-  }
-  fs::rename(tmp, root / kIndexName);
 }
 
 bool SessionSpool::claim_locked(const Entry& e) {
@@ -364,34 +301,32 @@ bool SessionSpool::claim_locked(const Entry& e) {
 
 template <class Session>
 void SessionSpool::put_lane(Session s, std::deque<Cached<Session>>& cache) {
-  using L = Lane<Session>;
+  using L = LaneOps<Session>;
   const std::vector<std::uint8_t> bytes = L::serialize(s);
-  Entry entry;
-  entry.name = L::file_name(next_seq_++);
-  entry.bytes = bytes.size();
-  entry.sha256_hex = sha_hex(bytes.data(), bytes.size());
-  entry.v3 = L::kV3;
-  if constexpr (L::kV3) entry.lineage = s.pool_lineage;
+  Entry e;
+  e.bytes = bytes.size();
+  e.sha256_hex = sha_hex(bytes.data(), bytes.size());
+  e.lineage = L::lineage(s);
+  e.name = name_of(L::kLane, next_seq_++, e);
   const fs::path root(cfg_.dir);
-  write_file(root / "tmp" / entry.name, bytes);
   // The rename is the commit point: ready/ only ever holds complete
-  // files, and a take only sees the file once it is indexed below.
-  fs::rename(root / "tmp" / entry.name, root / "ready" / entry.name);
+  // files, and a take only sees the file once it is listed below.
+  publish(root, e.name, bytes.data(), bytes.size(), root / "ready" / e.name);
 
   const std::lock_guard<std::mutex> lock(mu_);
   ++L::spooled(stats_);
   ++L::ready(stats_);
-  stats_.bytes_on_disk += entry.bytes;
+  stats_.bytes_on_disk += e.bytes;
   if (cache.size() < cfg_.ram_cache_sessions)
-    cache.push_back(Cached<Session>{entry.name, std::move(s)});
-  index_.push_back(std::move(entry));
-  write_index_locked();
+    cache.push_back(Cached<Session>{e.name, std::move(s)});
+  files_[L::kLane].push_back(std::move(e));
 }
 
 template <class Session>
 std::optional<Session> SessionSpool::take_lane(
     std::deque<Cached<Session>>& cache, std::uint64_t expected_lineage) {
-  using L = Lane<Session>;
+  using L = LaneOps<Session>;
+  std::deque<Entry>& files = files_[L::kLane];
   const fs::path root(cfg_.dir);
   for (;;) {
     Entry e;
@@ -400,31 +335,27 @@ std::optional<Session> SessionSpool::take_lane(
     {
       const std::lock_guard<std::mutex> lock(mu_);
       // A cached session first, else the lane's oldest file on disk.
-      auto it = index_.end();
+      auto it = files.begin();
       if (!cache.empty()) {
         const std::string name = std::move(cache.front().name);
         hit = std::move(cache.front().session);
         cache.pop_front();
-        it = std::find_if(index_.begin(), index_.end(),
+        it = std::find_if(files.begin(), files.end(),
                           [&](const Entry& x) { return x.name == name; });
-        if (it == index_.end()) continue;  // unindexed: never claimable
-      } else {
-        it = std::find_if(index_.begin(), index_.end(), [](const Entry& x) {
-          return x.v3 == L::kV3 && !x.reusable;
-        });
-        if (it == index_.end()) return std::nullopt;
+        if (it == files.end()) continue;  // unlisted: never claimable
+      } else if (files.empty()) {
+        return std::nullopt;
       }
       e = std::move(*it);
-      index_.erase(it);
+      files.erase(it);
       --L::ready(stats_);
+      stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
       // Somebody else (another process sharing the directory) may have
       // won the rename, or the file vanished; either way it is not ours.
       if (!claim_locked(e)) continue;
-      stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
-      write_index_locked();
       // Garbled under a pool delta this process does not hold (e.g. a
       // previous broker's registry): unservable, so burn it.
-      burn = L::kV3 && e.lineage != expected_lineage;
+      burn = L::kLane == kV3 && e.lineage != expected_lineage;
       if (burn) {
         ++stats_.v3_lineage_discarded;
       } else if (hit) {
@@ -478,55 +409,53 @@ std::optional<proto::PrecomputedSessionV3> SessionSpool::take_v3(
   return take_lane(cache_v3_, expected_lineage);
 }
 
+std::deque<SessionSpool::Entry>::iterator SessionSpool::drop_reusable_locked(
+    std::deque<Entry>::iterator it) {
+  std::error_code ec;
+  fs::remove(fs::path(cfg_.dir) / "ready" / it->name, ec);
+  stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, it->bytes);
+  stats_.reusable_evaluations -=
+      std::min(stats_.reusable_evaluations, it->evals);
+  --stats_.reusable_ready;
+  return files_[kReusable].erase(it);
+}
+
 void SessionSpool::put_reusable(const std::string& key,
                                 const std::vector<std::uint8_t>& bytes) {
-  if (key.empty() || key.find_first_of(" \t\n") != std::string::npos)
+  if (!is_key(key))
     throw std::invalid_argument("SessionSpool: bad reusable key");
   Entry e;
-  e.name = reusable_file_name(next_seq_++);
   e.bytes = bytes.size();
   e.sha256_hex = sha_hex(bytes.data(), bytes.size());
-  e.reusable = true;
   e.key = key;
+  e.name = name_of(kReusable, next_seq_++, e);
   const fs::path root(cfg_.dir);
-  write_file(root / "tmp" / e.name, bytes);
-  fs::rename(root / "tmp" / e.name, root / "ready" / e.name);
+  publish(root, e.name, bytes.data(), bytes.size(), root / "ready" / e.name);
 
   const std::lock_guard<std::mutex> lock(mu_);
   // One resident artifact per key: a repeated put replaces (re-garble
   // after corruption, operator-forced refresh) and the evaluation
   // counter restarts with the new artifact's lineage.
-  for (auto it = index_.begin(); it != index_.end();) {
-    if (it->reusable && it->key == key) {
-      std::error_code ec;
-      fs::remove(root / "ready" / it->name, ec);
-      stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, it->bytes);
-      stats_.reusable_evaluations -=
-          std::min(stats_.reusable_evaluations, it->evals);
-      --stats_.reusable_ready;
-      it = index_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  index_.push_back(std::move(e));
+  auto& files = files_[kReusable];
+  for (auto it = files.begin(); it != files.end();)
+    it = it->key == key ? drop_reusable_locked(it) : std::next(it);
+  files.push_back(std::move(e));
   ++stats_.reusable_spooled;
   ++stats_.reusable_ready;
   stats_.bytes_on_disk += bytes.size();
-  write_index_locked();
 }
 
 std::optional<std::vector<std::uint8_t>> SessionSpool::fetch_reusable(
     const std::string& key) {
   const fs::path root(cfg_.dir);
+  auto& files = files_[kReusable];
   for (;;) {
     Entry e;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = std::find_if(
-          index_.begin(), index_.end(),
-          [&](const Entry& x) { return x.reusable && x.key == key; });
-      if (it == index_.end()) return std::nullopt;
+      const auto it = std::find_if(files.begin(), files.end(),
+                                   [&](const Entry& x) { return x.key == key; });
+      if (it == files.end()) return std::nullopt;
       e = *it;
     }
     std::vector<std::uint8_t> bytes;
@@ -536,21 +465,14 @@ std::optional<std::vector<std::uint8_t>> SessionSpool::fetch_reusable(
       return bytes;
 
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it =
-        std::find_if(index_.begin(), index_.end(),
-                     [&](const Entry& x) { return x.name == e.name; });
-    if (it == index_.end()) continue;  // replaced or purged meanwhile
+    const auto it = std::find_if(
+        files.begin(), files.end(),
+        [&](const Entry& x) { return x.name == e.name; });
+    if (it == files.end()) continue;  // replaced or purged meanwhile
     // Bit rot or tampering: destroy the blob so it can never be served,
     // and let the caller re-garble under the same key.
-    std::error_code ec;
-    fs::remove(root / "ready" / it->name, ec);
-    stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, it->bytes);
-    stats_.reusable_evaluations -=
-        std::min(stats_.reusable_evaluations, it->evals);
-    --stats_.reusable_ready;
+    drop_reusable_locked(it);
     ++stats_.reusable_corrupt_discarded;
-    index_.erase(it);
-    write_index_locked();
     return std::nullopt;
   }
 }
@@ -558,44 +480,30 @@ std::optional<std::vector<std::uint8_t>> SessionSpool::fetch_reusable(
 void SessionSpool::add_reusable_evaluations(const std::string& key,
                                             std::uint64_t rounds) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = std::find_if(
-      index_.begin(), index_.end(),
-      [&](const Entry& e) { return e.reusable && e.key == key; });
-  if (it == index_.end()) return;  // artifact purged under us: drop the count
+  auto& files = files_[kReusable];
+  const auto it = std::find_if(files.begin(), files.end(),
+                               [&](const Entry& e) { return e.key == key; });
+  if (it == files.end()) return;  // artifact purged under us: drop the count
   it->evals += rounds;
   stats_.reusable_evaluations += rounds;
-  write_index_locked();
+  counters_dirty_ = true;
 }
 
 std::size_t SessionSpool::purge_reusable() {
   const std::lock_guard<std::mutex> lock(mu_);
-  const fs::path root(cfg_.dir);
-  std::size_t removed = 0;
-  for (auto it = index_.begin(); it != index_.end();) {
-    if (it->reusable) {
-      std::error_code ec;
-      fs::remove(root / "ready" / it->name, ec);
-      stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, it->bytes);
-      ++stats_.reusable_purged;
-      ++removed;
-      it = index_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  stats_.reusable_ready = 0;
-  stats_.reusable_evaluations = 0;
-  write_index_locked();
+  auto& files = files_[kReusable];
+  const std::size_t removed = files.size();
+  while (!files.empty()) drop_reusable_locked(files.begin());
+  stats_.reusable_purged += removed;
   return removed;
 }
 
 std::vector<ReusableSpoolEntry> SessionSpool::reusable_entries() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<ReusableSpoolEntry> out;
-  for (const auto& e : index_)
-    if (e.reusable)
-      out.push_back(
-          ReusableSpoolEntry{e.name, e.key, e.bytes, e.sha256_hex, e.evals});
+  for (const auto& e : files_[kReusable])
+    out.push_back(
+        ReusableSpoolEntry{e.name, e.key, e.bytes, e.sha256_hex, e.evals});
   return out;
 }
 

@@ -7,16 +7,26 @@
 //
 // On-disk layout under the spool directory (see docs/PROTOCOL.md):
 //
-//   ready/sess-<seq>.mxs    session_io-format files, available to serve
-//   ready/v3ss-<seq>.mx3    protocol-v3 lane (v3_session codec); the
-//                           index records each file's OT-pool lineage
-//   ready/reus-<seq>.mxr    reusable-circuit lane (reusable_io full
-//                           framing, secrets included); the index
-//                           records each artifact's cache key and the
-//                           MAC evaluations served off it
-//   claimed/sess-<seq>.mxs  claimed by a worker; purged on open()
+//   ready/sess-<seq>-<bytes>-<sha256>.mxs
+//       session_io-format files, available to serve
+//   ready/v3ss-<seq>-<bytes>-<lineage>-<sha256>.mx3
+//       protocol-v3 lane (v3_session codec), named with its OT-pool
+//       lineage
+//   ready/reus-<seq>-<bytes>-<key>-<sha256>.mxr
+//       reusable-circuit lane (reusable_io full framing, secrets
+//       included), named with its cache key
+//   claimed/<name>          claimed by a worker; purged on open()
 //   tmp/                    staging for atomic writes
-//   spool.idx               checksummed index of ready/ (text, see below)
+//   reusable.counts         MAC evaluations served per reusable artifact,
+//                           written when the spool closes
+//
+// The directory is its own index: a file's name carries everything the
+// spool knows about it. <seq>, <bytes> and <lineage> are 16 lowercase
+// hex digits, so one lane's names sort oldest first, and <sha256> is the
+// checksum of the file's bytes. open() lists ready/ and reads no file;
+// a name that does not parse (an older build's layout, say) is removed
+// and counted in purged_on_open. Content-addressed names also keep two
+// processes that share a directory from ever naming two files alike.
 //
 // The reusable lane breaks the single-use mold on purpose: a reusable
 // artifact is garbled once per (circuit fingerprint, bit width) key and
@@ -37,12 +47,10 @@
 //     partially streamed to a client before the crash, so its labels
 //     are burned; destroying it is the only safe choice.
 //
-// The index maps each ready file to its SHA-256 and byte count, so a
-// take detects bit-rot/tampering before a worker streams garbage
-// tables: every read of a session file takes exactly the indexed byte
-// count (a short or long file fails like a checksum mismatch) and is
-// checksummed. The index itself carries a trailing checksum line and is
-// rebuilt by scanning ready/ when missing or corrupt.
+// Every read of a session or artifact file takes exactly the byte count
+// in its name (a short or long file fails like a checksum mismatch) and
+// checks the SHA-256 in its name, so a take detects bit rot or
+// tampering before a worker streams garbage tables.
 //
 // RAM first: each single-use lane (v2 and v3) keeps up to
 // ram_cache_sessions of its freshly put sessions in memory, and a take
@@ -52,11 +60,16 @@
 // unchanged; it just reads, hashes and parses nothing. The v3 lineage
 // check applies to cached sessions too.
 //
-// Locking: mu_ guards the index, the caches and the ledger. It is held
-// for index bookkeeping (including the small index rewrite) and the
-// claim rename only — never across writing, reading, checksumming or
-// parsing a session or artifact file — so a put never waits behind a
-// take's disk read and a take never waits behind a put's write.
+// Per-operation writes: a put writes only its own file, and a take,
+// burn, fetch, discard or purge only renames or unlinks its own file.
+// The reusable evaluation counters live in memory and reach the disk
+// once, when the spool closes.
+//
+// Locking: mu_ guards the file lists, the caches and the ledger. It is
+// held for that bookkeeping and the claim rename only — never across
+// writing, reading, checksumming or parsing a session or artifact file
+// — so a put never waits behind a take's disk read and a take never
+// waits behind a put's write.
 #pragma once
 
 #include <array>
@@ -100,8 +113,9 @@ struct SpoolStats {
   std::uint64_t reusable_spooled = 0;      // put_reusable() since open
   std::uint64_t reusable_purged = 0;       // purge_reusable() victims
   std::uint64_t reusable_corrupt_discarded = 0;  // failed fetch checksum
-  // MAC evaluations served across all resident artifacts — persisted in
-  // the index, so the count survives broker restarts with the artifact.
+  // MAC evaluations served across all resident artifacts — written to
+  // reusable.counts when the spool closes, so the count survives broker
+  // restarts with the artifact.
   std::uint64_t reusable_evaluations = 0;
 
   // One JSON object — the `maxelctl spool` STATS line, and the "spool"
@@ -119,22 +133,25 @@ struct ReusableSpoolEntry {
 };
 
 // Canonical reusable cache key: the first 8 bytes of the circuit
-// fingerprint in lowercase hex, a dash, the bit width — one token, so
-// it embeds safely in the whitespace-separated index.
+// fingerprint in lowercase hex, a dash, the bit width — one token of
+// [0-9a-z-], so it embeds in the artifact's file name.
 std::string reusable_artifact_key(
     const std::array<std::uint8_t, 32>& fingerprint, std::size_t bits);
 
 class SessionSpool {
  public:
-  // Opens (creating directories as needed) and reconciles: purges
-  // claimed/ and tmp/, loads or rebuilds the index against ready/.
+  // Opens (creating directories as needed): purges claimed/ and tmp/,
+  // lists ready/ and removes every name that does not parse.
   explicit SessionSpool(const SpoolConfig& cfg);
+  // Closes: writes the reusable evaluation counters if any changed.
+  // Never throws; a failed write loses those counts, nothing else.
+  ~SessionSpool();
 
   SessionSpool(const SessionSpool&) = delete;
   SessionSpool& operator=(const SessionSpool&) = delete;
 
   // Serializes, checksums, stages to tmp/ and renames into ready/;
-  // updates the index and (space permitting) the lane's RAM cache,
+  // updates the ledger and (space permitting) the lane's RAM cache,
   // which keeps the session moved in here.
   void put(proto::PrecomputedSession s);
 
@@ -146,8 +163,8 @@ class SessionSpool {
   std::optional<proto::PrecomputedSession> take();
 
   // Protocol-v3 lane. v3 sessions are only servable from the OT pool
-  // whose garbling delta they were garbled under, so the index records
-  // each file's pool lineage (proto::delta_lineage) and take_v3 burns —
+  // whose garbling delta they were garbled under, so each file's name
+  // records its pool lineage (proto::delta_lineage) and take_v3 burns —
   // claims and destroys, never serves — any session whose lineage does
   // not match the caller's registry. The same single-use claim
   // discipline, RAM cache and take order as the v2 lane apply.
@@ -160,8 +177,9 @@ class SessionSpool {
   // counter restarted) by a repeated put_reusable. fetch_reusable reads
   // without claiming — the file stays in ready/ for the next process —
   // and destroys a blob whose checksum no longer matches, returning
-  // nullopt so the caller re-garbles. add_reusable_evaluations persists
-  // the served-rounds counter through the index.
+  // nullopt so the caller re-garbles. A key is 1 to 64 characters of
+  // [0-9a-z-]; put_reusable throws std::invalid_argument on any other.
+  // add_reusable_evaluations counts served rounds in memory only.
   void put_reusable(const std::string& key,
                     const std::vector<std::uint8_t>& bytes);
   std::optional<std::vector<std::uint8_t>> fetch_reusable(
@@ -177,15 +195,16 @@ class SessionSpool {
   [[nodiscard]] const std::string& dir() const { return cfg_.dir; }
 
  private:
+  enum Lane : std::size_t { kV2, kV3, kReusable, kLanes };
+
+  // One ready/ file, as its name spells it out.
   struct Entry {
-    std::string name;       // file name within ready/
+    std::string name;  // file name within ready/
     std::uint64_t bytes = 0;
     std::string sha256_hex;
-    bool v3 = false;            // lane: v3 files carry a lineage column
-    std::uint64_t lineage = 0;  // pool lineage (v3 only)
-    bool reusable = false;      // lane: reus files carry key + evals
-    std::string key;            // reusable cache key
-    std::uint64_t evals = 0;    // MAC evaluations served (reusable only)
+    std::uint64_t lineage = 0;  // pool lineage (v3 lane)
+    std::string key;            // cache key (reusable lane)
+    std::uint64_t evals = 0;    // MAC evaluations served (reusable lane)
   };
 
   template <class Session>
@@ -194,9 +213,19 @@ class SessionSpool {
     Session session;
   };
 
-  void open_or_rebuild();
-  void write_index_locked();
+  // The name grammar: name_of spells an entry of `lane` with sequence
+  // number `seq`; parse_name reads all three back, false unless the
+  // name matches the grammar exactly.
+  static std::string name_of(std::size_t lane, std::uint64_t seq,
+                             const Entry& e);
+  static bool parse_name(const std::string& name, std::size_t& lane,
+                         std::uint64_t& seq, Entry& e);
+
   bool claim_locked(const Entry& e);  // ready/ -> claimed/, true if won
+  // Unlinks a reusable artifact and takes it off the ledger; returns
+  // the next entry.
+  std::deque<Entry>::iterator drop_reusable_locked(
+      std::deque<Entry>::iterator it);
 
   // The one put and the one take behind both single-use lanes.
   template <class Session>
@@ -207,7 +236,8 @@ class SessionSpool {
 
   SpoolConfig cfg_;
   mutable std::mutex mu_;
-  std::deque<Entry> index_;  // oldest first
+  std::deque<Entry> files_[kLanes];  // per lane, oldest first
+  bool counters_dirty_ = false;      // evaluations added since open
   // One RAM cache per single-use lane, oldest first.
   std::deque<Cached<proto::PrecomputedSession>> cache_;
   std::deque<Cached<proto::PrecomputedSessionV3>> cache_v3_;

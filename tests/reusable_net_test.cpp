@@ -388,20 +388,23 @@ TEST_F(ReusableBrokerTest, ArtifactSurvivesBrokerRestart) {
   ASSERT_TRUE(state->reusable_view.has_value());
   const auto cached_sha = state->reusable_sha;
 
-  test::LiveBroker broker2(broker_config(bits, rounds, 1));
-  const ClientStats st2 =
-      run_client(broker_client(broker2.port(), bits, state));
-  broker2.join();
-  EXPECT_TRUE(st2.verified);
-  EXPECT_EQ(st2.output_value, demo_mac_reference(7, bits, rounds));
+  {
+    test::LiveBroker broker2(broker_config(bits, rounds, 1));
+    const ClientStats st2 =
+        run_client(broker_client(broker2.port(), bits, state));
+    broker2.join();
+    EXPECT_TRUE(st2.verified);
+    EXPECT_EQ(st2.output_value, demo_mac_reference(7, bits, rounds));
 
-  const svc::BrokerStats bs2 = broker2->stats();
-  EXPECT_EQ(bs2.server.reusable_garbles, 0u);      // reloaded, not re-garbled
-  EXPECT_EQ(bs2.server.reusable_artifacts_sent, 0u);  // cache confirmed
-  EXPECT_EQ(state->reusable_sha, cached_sha);
-  // Both processes' sessions accumulate on the persisted counter.
-  EXPECT_EQ(bs2.spool.reusable_evaluations, 2 * rounds);
+    const svc::BrokerStats bs2 = broker2->stats();
+    EXPECT_EQ(bs2.server.reusable_garbles, 0u);  // reloaded, not re-garbled
+    EXPECT_EQ(bs2.server.reusable_artifacts_sent, 0u);  // cache confirmed
+    EXPECT_EQ(state->reusable_sha, cached_sha);
+    // Both processes' sessions accumulate on the persisted counter.
+    EXPECT_EQ(bs2.spool.reusable_evaluations, 2 * rounds);
+  }
 
+  // The counter reaches the disk when a broker's spool closes.
   svc::SessionSpool spool(svc::SpoolConfig{spool_.path(), 0, true});
   const auto entries = spool.reusable_entries();
   ASSERT_EQ(entries.size(), 1u);

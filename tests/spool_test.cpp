@@ -1,14 +1,18 @@
 // SessionSpool invariants: atomic claim-rename single-use (the property
-// that makes restarting a broker safe), kill/restart reconciliation,
-// checksummed index self-healing, bit-rot detection, and the RAM cache
-// fronting the disk. Plus MetricsRegistry unit coverage.
+// that makes restarting a broker safe), kill/restart from the directory
+// alone, bit-rot detection against the checksum in each file's name, two
+// spools sharing one directory, and the RAM cache fronting the disk.
+// Plus MetricsRegistry unit coverage.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -66,6 +70,34 @@ class SpoolTest : public ::testing::Test {
 
   SpoolConfig config(std::size_t cache = 0) {
     return SpoolConfig{dir_.string(), cache, true};
+  }
+
+  // The one file of a lane ("sess-", "v3ss-", "reus-") in ready/.
+  fs::path ready_file(const std::string& prefix) const {
+    fs::path found;
+    for (const auto& e : fs::directory_iterator(dir_ / "ready"))
+      if (e.path().filename().string().rfind(prefix, 0) == 0) {
+        EXPECT_TRUE(found.empty()) << "two " << prefix << " files";
+        found = e.path();
+      }
+    EXPECT_FALSE(found.empty()) << "no " << prefix << " file";
+    return found;
+  }
+
+  // Every path under the spool directory, with its inode and mtime: a
+  // rewrite shows as a new inode even within one mtime tick.
+  std::map<std::string, std::array<long long, 3>> listing() const {
+    std::map<std::string, std::array<long long, 3>> out;
+    const auto add = [&](const fs::path& p) {
+      struct stat st{};
+      EXPECT_EQ(::stat(p.c_str(), &st), 0) << p;
+      out[p.string()] = {static_cast<long long>(st.st_ino),
+                         static_cast<long long>(st.st_mtim.tv_sec),
+                         static_cast<long long>(st.st_mtim.tv_nsec)};
+    };
+    add(dir_);
+    for (const auto& e : fs::recursive_directory_iterator(dir_)) add(e.path());
+    return out;
   }
 
   fs::path dir_;
@@ -128,45 +160,99 @@ TEST_F(SpoolTest, PurgesClaimedLeftoversOnOpen) {
   }
   // Simulate a crash mid-serve: the claim rename happened but the
   // process died before the unlink.
-  fs::rename(dir_ / "ready" / "sess-000000000000.mxs",
-             dir_ / "claimed" / "sess-000000000000.mxs");
+  const fs::path claimed = dir_ / "claimed" / ready_file("sess-").filename();
+  fs::rename(ready_file("sess-"), claimed);
 
   SessionSpool reopened(config());
   // The half-served session's labels are burned; it must never be
   // re-offered.
   EXPECT_EQ(reopened.ready(), 0u);
   EXPECT_GE(reopened.stats().purged_on_open, 1u);
-  EXPECT_FALSE(fs::exists(dir_ / "claimed" / "sess-000000000000.mxs"));
+  EXPECT_FALSE(fs::exists(claimed));
 }
 
-TEST_F(SpoolTest, RebuildsIndexWhenMissingOrCorrupt) {
+// The directory is the index: a reopen restores every lane from the
+// file names alone — v2, v3 with its lineage, reusable with its key.
+TEST_F(SpoolTest, ReopenFromTheDirectoryAloneRestoresEveryLane) {
+  const proto::PrecomputedSessionV3 s3 = make_v3_session(4, Block{0x3, 0x4});
+  const std::vector<std::uint8_t> blob(40, 0x5A);
+  std::uint64_t bytes = 0;
   {
-    SessionSpool spool(config());
+    SessionSpool spool(config(/*cache=*/2));
     spool.put(make_session(7));
-    spool.put(make_session(8));
-  }
-  // Index deleted: rebuilt by scanning ready/.
-  fs::remove(dir_ / "spool.idx");
-  {
-    SessionSpool spool(config());
-    EXPECT_EQ(spool.ready(), 2u);
-    EXPECT_TRUE(spool.take().has_value());
-  }
-  // Index corrupted (checksum line mangled): also rebuilt.
-  {
-    std::ofstream os(dir_ / "spool.idx", std::ios::app);
-    os << "garbage\n";
+    spool.put_v3(s3);
+    spool.put_reusable("abcd-8", blob);
+    bytes = spool.stats().bytes_on_disk;
   }
   SessionSpool spool(config());
+  EXPECT_EQ(spool.stats().purged_on_open, 0u);
+  EXPECT_EQ(spool.stats().bytes_on_disk, bytes);
+  EXPECT_EQ(spool.ready(), 1u);
+  EXPECT_EQ(spool.ready_v3(), 1u);
+  ASSERT_TRUE(spool.take().has_value());
+  // Served, not burned: the lineage came back with the name.
+  const auto got = spool.take_v3(s3.pool_lineage);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(proto::serialize_session_v3(*got), proto::serialize_session_v3(s3));
+  EXPECT_EQ(spool.stats().v3_lineage_discarded, 0u);
+  const auto entries = spool.reusable_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].key, "abcd-8");
+  EXPECT_EQ(entries[0].bytes, blob.size());
+  EXPECT_EQ(spool.fetch_reusable("abcd-8"), blob);
+  EXPECT_EQ(spool.stats().bytes_on_disk, blob.size());
+}
+
+// An older build's layout (spool.idx plus sess-<seq>.mxs) holds only
+// caches: opening it removes and counts every such file.
+TEST_F(SpoolTest, OldLayoutDirectoryIsPurgedOnOpen) {
+  fs::create_directories(dir_ / "ready");
+  const auto bytes = proto::serialize_session(make_session(6));
+  for (const char* name : {"sess-000000000000.mxs", "sess-000000000001.mxs"}) {
+    std::ofstream os(dir_ / "ready" / name, std::ios::binary);
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  }
+  {
+    std::ofstream os(dir_ / "spool.idx");
+    os << "MXSPOOL1\nsess-000000000000.mxs " << bytes.size() << " 00\n";
+  }
+  SessionSpool spool(config());
+  EXPECT_EQ(spool.ready(), 0u);
+  EXPECT_EQ(spool.stats().purged_on_open, 3u);
+  EXPECT_EQ(spool.stats().bytes_on_disk, 0u);
+  EXPECT_FALSE(spool.take().has_value());
+  EXPECT_TRUE(fs::is_empty(dir_ / "ready"));
+  EXPECT_FALSE(fs::exists(dir_ / "spool.idx"));
+}
+
+// The name parser is strict: fixed widths and lowercase hex. A near
+// miss of a valid name is removed on open, never served.
+TEST_F(SpoolTest, NamesOutsideTheGrammarArePurgedOnOpen) {
+  {
+    SessionSpool spool(config());
+    spool.put(make_session(5));
+  }
+  const fs::path f = ready_file("sess-");
+  const std::string name = f.filename().string();
+  std::string upper = name;
+  for (std::size_t i = name.size() - 68; i < name.size() - 4; ++i)
+    upper[i] = static_cast<char>(std::toupper(upper[i]));
+  for (const std::string& bad :
+       {upper, name.substr(0, 5) + name.substr(6), name + ".tmp"})
+    fs::copy_file(f, dir_ / "ready" / bad);
+  SessionSpool spool(config());
+  EXPECT_EQ(spool.stats().purged_on_open, 3u);
   EXPECT_EQ(spool.ready(), 1u);
   EXPECT_TRUE(spool.take().has_value());
+  EXPECT_TRUE(fs::is_empty(dir_ / "ready"));
 }
 
 TEST_F(SpoolTest, DetectsBitRotViaChecksum) {
   SessionSpool spool(config());
   spool.put(make_session(3));
   // Flip one byte in the middle of the stored session file.
-  const fs::path f = dir_ / "ready" / "sess-000000000000.mxs";
+  const fs::path f = ready_file("sess-");
   std::fstream io(f, std::ios::in | std::ios::out | std::ios::binary);
   io.seekp(200);
   char b;
@@ -281,7 +367,7 @@ TEST_F(SpoolTest, V3CacheHitSkipsDiskAndStillBurnsTheFile) {
     SessionSpool spool(config(/*cache=*/2));
     spool.put_v3(s);
     // A disk read would now fail its checksum; a cache hit never looks.
-    flip_byte(dir_ / "ready" / "v3ss-000000000000.mx3");
+    flip_byte(ready_file("v3ss-"));
     const auto got = spool.take_v3(s.pool_lineage);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(proto::serialize_session_v3(*got),
@@ -350,7 +436,7 @@ TEST_F(SpoolTest, V3DetectsBitRotViaChecksum) {
   const proto::PrecomputedSessionV3 s = make_v3_session(3, Block{0xB1, 0x7});
   SessionSpool spool(config());  // no cache: the take reads the disk
   spool.put_v3(s);
-  flip_byte(dir_ / "ready" / "v3ss-000000000000.mx3");
+  flip_byte(ready_file("v3ss-"));
   EXPECT_THROW((void)spool.take_v3(s.pool_lineage), std::runtime_error);
 }
 
@@ -426,6 +512,45 @@ TEST_F(SpoolTest, ConcurrentTakersAndPutterServeEachSessionOnce) {
   EXPECT_EQ(st.v3_claimed, kPerLane);
 }
 
+// Two spools (two server processes, say) open one directory, each puts
+// its own sessions, and both drain concurrently. Content-addressed names
+// never collide, so every session is served exactly once, with no
+// checksum error, and each spool gives back every byte it counted.
+TEST_F(SpoolTest, TwoSpoolsOnOneDirectoryServeEverySessionOnce) {
+  constexpr std::uint64_t kEach = 4;
+  SessionSpool a(config());
+  SessionSpool b(config());
+  for (std::uint64_t i = 0; i < kEach; ++i) {
+    a.put(make_session(300 + i));
+    b.put(make_session(400 + i));
+  }
+  std::vector<std::string> seen[2];
+  std::string error[2];
+  const auto taker = [](SessionSpool& spool, std::vector<std::string>& out,
+                        std::string& err) {
+    try {
+      while (const auto s = spool.take()) out.push_back(hex_key(s->delta));
+    } catch (const std::exception& e) {
+      err = e.what();
+    }
+  };
+  std::thread ta(taker, std::ref(a), std::ref(seen[0]), std::ref(error[0]));
+  std::thread tb(taker, std::ref(b), std::ref(seen[1]), std::ref(error[1]));
+  ta.join();
+  tb.join();
+
+  EXPECT_EQ(error[0], "");
+  EXPECT_EQ(error[1], "");
+  std::set<std::string> served;
+  for (const auto& side : seen)
+    for (const auto& key : side)
+      EXPECT_TRUE(served.insert(key).second) << key << " served twice";
+  EXPECT_EQ(served.size(), 2 * kEach);
+  EXPECT_EQ(a.stats().bytes_on_disk, 0u);
+  EXPECT_EQ(b.stats().bytes_on_disk, 0u);
+  EXPECT_TRUE(fs::is_empty(dir_ / "ready"));
+}
+
 // ---------------------------------------------------------------------------
 // Reusable lane: keyed garble-once artifacts, fetched without claiming.
 
@@ -470,15 +595,37 @@ TEST_F(SpoolTest, ReusableEvaluationCounterPersistsAcrossRestart) {
     EXPECT_EQ(entries[0].evaluations, 128u);
     EXPECT_EQ(spool.stats().reusable_evaluations, 128u);
   }
-  // Losing the index costs the counter but not the artifact: the key is
-  // recovered by parsing the blob itself.
-  fs::remove(dir_ / "spool.idx");
+  // Losing the counter file costs the counter but not the artifact: the
+  // key is in the artifact's file name.
+  ASSERT_TRUE(fs::remove(dir_ / "reusable.counts"));
   SessionSpool rebuilt(config());
   const auto entries = rebuilt.reusable_entries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].key, key);
   EXPECT_EQ(entries[0].evaluations, 0u);
   ASSERT_TRUE(rebuilt.fetch_reusable(key).has_value());
+}
+
+// The counter is telemetry kept in memory: serving touches no file, and
+// the spool writes the counts once, when it closes.
+TEST_F(SpoolTest, ReusableEvaluationsWriteNothingUntilTheSpoolCloses) {
+  {
+    SessionSpool spool(config());
+    spool.put_reusable("k-8", std::vector<std::uint8_t>(32, 0x01));
+    spool.add_reusable_evaluations("k-8", 1);
+  }
+  ASSERT_TRUE(fs::exists(dir_ / "reusable.counts"));
+  std::map<std::string, std::array<long long, 3>> before;
+  {
+    SessionSpool spool(config());
+    before = listing();
+    for (int i = 0; i < 100; ++i) spool.add_reusable_evaluations("k-8", 16);
+    EXPECT_EQ(listing(), before);
+    EXPECT_EQ(spool.stats().reusable_evaluations, 1601u);
+  }
+  EXPECT_NE(listing(), before);
+  SessionSpool reopened(config());
+  EXPECT_EQ(reopened.stats().reusable_evaluations, 1601u);
 }
 
 TEST_F(SpoolTest, ReusableFetchDestroysBitRottedArtifact) {

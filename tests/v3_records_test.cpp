@@ -75,6 +75,12 @@ TEST(V3Records, RoundFrameRoundTripAndPackedBits) {
                                               141, 17);
   EXPECT_EQ(back.rows, f.rows);
   EXPECT_EQ(back.output_map, f.output_map);
+  // The direct writer puts down the same bytes, here into a reused
+  // buffer that last held a larger frame.
+  std::vector<std::uint8_t> buf = serialize_round_frame(make_frame(2, 200, 30));
+  buf.clear();
+  write_round_frame(buf, f.rows, f.output_map);
+  EXPECT_EQ(buf, bytes);
 }
 
 TEST(V3Records, TicketRoundTripIsFixedSize) {
