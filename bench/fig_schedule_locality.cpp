@@ -112,7 +112,7 @@ Variant analyze(circuit::Circuit circ, std::size_t mac_width) {
   v.sum_live = circuit::sum_live_ranges(circ);
   crypto::SystemRandom rng(crypto::Block{0, 0});
   const gc::CircuitGarbler garbler(circ, gc::Scheme::kHalfGates, rng);
-  v.garbler_buffer_bytes = garbler.label_buffer_bytes();
+  v.garbler_buffer_bytes = garbler.working_set_bytes();
   v.evaluator_buffer_bytes =
       gc::StreamingEvaluator(circ, gc::Scheme::kHalfGates).working_set_bytes();
   v.hw = hwsim::schedule_gate_program(

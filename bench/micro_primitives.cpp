@@ -196,6 +196,44 @@ void BM_EvaluateV3MacRound(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateV3MacRound)->Arg(8)->Arg(16)->Arg(32);
 
+// The served v3 circuit's once-per-process cost: analyze_v3 classifies
+// the gates and compiles both sides' gate programs.
+void BM_AnalyzeV3(benchmark::State& state) {
+  const auto b = static_cast<std::size_t>(state.range(0));
+  const circuit::Circuit c =
+      circuit::make_mac_circuit(circuit::MacOptions{b, b, true});
+  for (auto _ : state) {
+    auto an = gc::analyze_v3(c);
+    benchmark::DoNotOptimize(an);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AnalyzeV3)->Arg(8)->Arg(16)->Arg(32);
+
+// What a v3 session pays before its first round: one V3Garbler and one
+// V3Evaluator built from a cached analysis, sharing its programs. The
+// "per_engine" counter is the mean time of the two, in seconds.
+void BM_V3EnginesFromAnalysis(benchmark::State& state) {
+  const auto b = static_cast<std::size_t>(state.range(0));
+  const circuit::Circuit c =
+      circuit::make_mac_circuit(circuit::MacOptions{b, b, true});
+  const gc::V3Analysis an = gc::analyze_v3(c);
+  crypto::SystemRandom rng(Block{b, 9});
+  const Block delta = crypto::random_delta(rng);
+  const Block seed = rng.next_block();
+  for (auto _ : state) {
+    gc::V3Garbler g(c, an, delta, seed, rng);
+    gc::V3Evaluator ev(c, an, seed);
+    benchmark::DoNotOptimize(&g);
+    benchmark::DoNotOptimize(&ev);
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+  state.counters["per_engine"] = benchmark::Counter(
+      2.0 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_V3EnginesFromAnalysis)->Arg(8)->Arg(16)->Arg(32);
+
 void BM_MaxeleratorSimRound(benchmark::State& state) {
   const auto b = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

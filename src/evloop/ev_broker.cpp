@@ -139,9 +139,7 @@ EvBroker::Ledger::Ledger(svc::MetricsRegistry& m, std::size_t shards)
 EvBroker::EvBroker(const EvBrokerConfig& cfg)
     : cfg_(cfg),
       m_(metrics_, std::max<std::size_t>(cfg.shards, 1)),
-      circ_(circuit::make_mac_circuit(
-          circuit::MacOptions{cfg.bits, cfg.bits, true})),
-      v3_an_(gc::analyze_v3(circ_)),
+      served_(net::served_circuit(cfg.bits)),
       v3_reg_(crypto::SystemRandom().next_block()),
       spool_(svc::SpoolConfig{cfg.spool_dir, cfg.ram_cache_sessions, true}),
       pool_(cfg.precompute_cores, crypto::SystemRandom().next_block()) {
@@ -155,7 +153,7 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
   }
   expect_.scheme = cfg_.scheme;
   expect_.bit_width = static_cast<std::uint32_t>(cfg_.bits);
-  expect_.circuit_hash = net::circuit_fingerprint(circ_);
+  expect_.circuit_hash = served_.fingerprint;
   expect_.rounds_per_session =
       static_cast<std::uint32_t>(cfg_.rounds_per_session);
   expect_.allow_stream = cfg_.allow_stream;
@@ -169,7 +167,7 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
     cfg_.spool_high_watermark = cfg_.spool_low_watermark;
   if (expect_.allow_reusable) ensure_reusable();
 
-  serve_ctx_.circ = &circ_;
+  serve_ctx_.circ = &served_.circ;
   serve_ctx_.expect = expect_;
   serve_ctx_.reg = &v3_reg_;
   serve_ctx_.reusable = reusable_ctx_ ? &*reusable_ctx_ : nullptr;
@@ -245,7 +243,7 @@ void EvBroker::ensure_reusable() {
       if (rc.view.fingerprint == expect_.circuit_hash &&
           rc.view.bit_width == cfg_.bits) {
         reusable_ctx_ = net::make_reusable_context(
-            circ_, std::move(rc),
+            served_.circ, std::move(rc),
             static_cast<std::uint32_t>(cfg_.rounds_per_session),
             cfg_.demo_seed);
         m_.reusable_artifact_loaded.inc();
@@ -257,10 +255,10 @@ void EvBroker::ensure_reusable() {
   }
   crypto::SystemRandom garble_rng;
   gc::ReusableCircuit rc = net::garble_reusable(
-      circ_, static_cast<std::uint32_t>(cfg_.bits), garble_rng);
+      served_.circ, static_cast<std::uint32_t>(cfg_.bits), garble_rng);
   spool_.put_reusable(reusable_key_, proto::serialize_reusable(rc));
   reusable_ctx_ = net::make_reusable_context(
-      circ_, std::move(rc),
+      served_.circ, std::move(rc),
       static_cast<std::uint32_t>(cfg_.rounds_per_session), cfg_.demo_seed);
   m_.reusable_garbles.inc();
 }
@@ -341,7 +339,7 @@ void EvBroker::producer_loop() {
       const std::size_t batch = std::min(pool_.cores(), high - ready);
       std::vector<proto::PrecomputedSession> fresh(batch);
       pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
-        fresh[item] = proto::garble_session(circ_, cfg_.scheme,
+        fresh[item] = proto::garble_session(served_.circ, cfg_.scheme,
                                             cfg_.rounds_per_session,
                                             pool_.core_rng(core));
       });
@@ -354,9 +352,9 @@ void EvBroker::producer_loop() {
       std::vector<proto::PrecomputedSessionV3> fresh(batch);
       pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
         auto& rng = pool_.core_rng(core);
-        fresh[item] = proto::garble_session_v3(circ_, v3_an_, v3_g_bits_,
-                                               v3_reg_.delta(),
-                                               rng.next_block(), rng);
+        fresh[item] = proto::garble_session_v3(
+            served_.circ, served_.v3, v3_g_bits_, v3_reg_.delta(),
+            rng.next_block(), rng);
       });
       garbled += batch;
       hand_off_then_spool(handoff_v3_, fresh,

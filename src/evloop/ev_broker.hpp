@@ -50,9 +50,7 @@
 #include <thread>
 #include <vector>
 
-#include "circuit/circuits.hpp"
 #include "core/gc_core_pool.hpp"
-#include "gc/v3.hpp"
 #include "net/fault.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
@@ -140,7 +138,6 @@ class EvBroker {
   // The one export — the `STATS` line and `--json FILE`: the registry
   // snapshot with the spool ledger nested under "spool".
   [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] const circuit::Circuit& circuit() const { return circ_; }
   [[nodiscard]] std::uint64_t v3_outstanding_claims() const {
     return v3_reg_.outstanding_claims();
   }
@@ -230,8 +227,7 @@ class EvBroker {
   svc::MetricsRegistry metrics_;
   Ledger m_;
   std::unique_ptr<net::FaultInjector> faults_;  // null when fault_plan empty
-  circuit::Circuit circ_;
-  gc::V3Analysis v3_an_;
+  const net::ServedCircuit& served_;
   net::V3PoolRegistry v3_reg_;
   std::vector<std::vector<bool>> v3_g_bits_;
   net::ServerExpectation expect_;

@@ -36,6 +36,10 @@ const GarbledTable& take(const Block*& in, GarbledTable& t) {
 Block take_row(const GarbledTable*& in) { return (in++)->ct[0]; }
 Block take_row(const Block*& in) { return *in++; }
 
+constexpr std::uint8_t kClassMask = 7;
+constexpr std::uint8_t kSwap = 8;
+constexpr std::uint8_t kTrack = 16;
+
 // Every wire the garbler answers label queries about after the round.
 std::vector<Wire> protocol_wires(const Circuit& c) {
   std::vector<Wire> held = {kConstZero, kConstOne};
@@ -51,21 +55,17 @@ std::vector<Wire> protocol_wires(const Circuit& c) {
 
 }  // namespace
 
-GateEngine::GateEngine(const Circuit& c, const std::vector<GateClass>& cls,
-                       const std::vector<std::uint8_t>& known,
-                       std::uint8_t side, Scheme scheme, const Block& delta,
-                       const Block& label_seed)
-    : circ_(c),
-      plan_(circuit::plan_label_slots(
-          c, side == kGarblerKnown ? protocol_wires(c) : std::vector<Wire>{})),
-      labels_(plan_.num_slots, Block::zero()),
-      values_(cls.empty() ? 0 : plan_.num_slots, 0),
-      gg_(scheme, delta),
-      label_seed_(label_seed) {
+std::shared_ptr<const GateProgram> compile_gate_program(
+    const Circuit& c, const std::vector<GateClass>& cls,
+    const std::vector<std::uint8_t>& known, std::uint8_t side) {
   if (cls.empty() ? !known.empty()
                   : cls.size() != c.gates.size() || known.size() != c.num_wires)
-    throw std::invalid_argument("GateEngine: class table/circuit mismatch");
-  ops_.reserve(c.gates.size());
+    throw std::invalid_argument("GateProgram: class table/circuit mismatch");
+  auto prog = std::make_shared<GateProgram>();
+  prog->plan = circuit::plan_label_slots(
+      c, side == kGarblerKnown ? protocol_wires(c) : std::vector<Wire>{});
+  prog->values = !cls.empty();
+  prog->ops.reserve(c.gates.size());
   for (std::size_t i = 0; i < c.gates.size(); ++i) {
     const circuit::Gate& g = c.gates[i];
     const bool free = circuit::is_free(g.type);
@@ -73,21 +73,33 @@ GateEngine::GateEngine(const Circuit& c, const std::vector<GateClass>& cls,
         !cls.empty() ? cls[i] : free ? GateClass::kFree : GateClass::kFull;
     const bool half = k == GateClass::kGenHalf || k == GateClass::kEvalHalf;
     if ((k == GateClass::kFree) != free ||
-        plan_.slot_of_wire[g.a] == circuit::SlotPlan::kNoSlot ||
-        plan_.slot_of_wire[g.b] == circuit::SlotPlan::kNoSlot)
-      throw std::invalid_argument("GateEngine: malformed gate");
+        prog->plan.slot_of_wire[g.a] == circuit::SlotPlan::kNoSlot ||
+        prog->plan.slot_of_wire[g.b] == circuit::SlotPlan::kNoSlot)
+      throw std::invalid_argument("GateProgram: malformed gate");
     const std::uint8_t half_side =
         k == GateClass::kGenHalf ? kGarblerKnown : kEvaluatorKnown;
     auto op = static_cast<std::uint8_t>(k);
     if (half && (known[g.a] & half_side) == 0) op |= kSwap;
     if (!cls.empty() && (known[g.out] & side) != 0) op |= kTrack;
-    ops_.push_back(op);
-    n_full_ += k == GateClass::kFull ? 1 : 0;
-    n_half_ += half ? 1 : 0;
+    prog->ops.push_back(op);
+    prog->tables += k == GateClass::kFull || half ? 1 : 0;
+    prog->rows += k == GateClass::kFull ? 2 : half ? 1 : 0;
   }
-  // Allocated after the planner's temporaries are freed: allocated ahead
-  // of them, this small long-lived buffer fragmented the heap and cost
-  // sessbench's stream-b16 workload ~1 MB of peak RSS.
+  return prog;
+}
+
+GateEngine::GateEngine(const Circuit& c,
+                       std::shared_ptr<const GateProgram> prog, Scheme scheme,
+                       const Block& delta, const Block& label_seed)
+    : circ_(c),
+      prog_(std::move(prog)),
+      gg_(scheme, delta),
+      label_seed_(label_seed) {
+  if (!prog_ || prog_->ops.size() != c.gates.size() ||
+      prog_->plan.slot_of_wire.size() != c.num_wires)
+    throw std::invalid_argument("GateEngine: no program for this circuit");
+  labels_.assign(prog_->plan.num_slots, Block::zero());
+  values_.assign(prog_->values ? prog_->plan.num_slots : 0, 0);
   state_.assign(c.dffs.size(), Block::zero());
 }
 
@@ -98,11 +110,11 @@ void GateEngine::garble(Row* out) {
   // Raw pointers and locals: the value-byte stores below may alias any
   // member, which would make every access reload it.
   const circuit::Gate* const gates = circ_.gates.data();
-  const std::uint8_t* const ops = ops_.data();
-  const std::uint32_t* const slot = plan_.slot_of_wire.data();
+  const std::uint8_t* const ops = prog_->ops.data();
+  const std::uint32_t* const slot = prog_->plan.slot_of_wire.data();
   Block* const s = labels_.data();
   std::uint8_t* const v = values_.data();
-  const std::size_t n = ops_.size();
+  const std::size_t n = prog_->ops.size();
   const std::uint64_t round = round_;
   const Block delta = gg_.delta();
   for (std::size_t gi = 0; gi < n; ++gi) {
@@ -184,11 +196,11 @@ Block GateEngine::garble_v3(std::size_t gi, std::uint8_t op, std::uint32_t a,
 template <class Row>
 void GateEngine::evaluate(const Row* in) {
   const circuit::Gate* const gates = circ_.gates.data();
-  const std::uint8_t* const ops = ops_.data();
-  const std::uint32_t* const slot = plan_.slot_of_wire.data();
+  const std::uint8_t* const ops = prog_->ops.data();
+  const std::uint32_t* const slot = prog_->plan.slot_of_wire.data();
   Block* const s = labels_.data();
   std::uint8_t* const v = values_.data();
-  const std::size_t n = ops_.size();
+  const std::size_t n = prog_->ops.size();
   const std::uint64_t round = round_;
   GarbledTable tab;
   for (std::size_t gi = 0; gi < n; ++gi) {
@@ -246,7 +258,8 @@ void GateEngine::finish_round() {
 
 CircuitGarbler::CircuitGarbler(const Circuit& c, Scheme scheme,
                                crypto::RandomSource& rng)
-    : GateEngine(c, {}, {}, kGarblerKnown, scheme, crypto::random_delta(rng)),
+    : GateEngine(c, compile_gate_program(c, {}, {}, kGarblerKnown), scheme,
+                 crypto::random_delta(rng)),
       rng_(rng),
       initial_state_active_(c.dffs.size(), Block::zero()) {}
 
@@ -343,7 +356,8 @@ RoundTables tables_from_bytes(const std::uint8_t* data, std::size_t n_tables,
 }
 
 StreamingEvaluator::StreamingEvaluator(const Circuit& c, Scheme scheme)
-    : GateEngine(c, {}, {}, kEvaluatorKnown, scheme, Block::zero()) {}
+    : GateEngine(c, compile_gate_program(c, {}, {}, kEvaluatorKnown), scheme,
+                 Block::zero()) {}
 
 void StreamingEvaluator::set_initial_state_labels(std::vector<Block> labels) {
   if (labels.size() != circ_.dffs.size())

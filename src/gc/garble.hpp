@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -71,7 +72,7 @@ enum class GateClass : std::uint8_t {
   kKnownOut,
 };
 
-// Per-wire knowledge bits (V3Analysis::known): which party can compute
+// Per-wire knowledge bits (analyze_v3): which party can compute
 // the wire's plaintext value.
 inline constexpr std::uint8_t kGarblerKnown = 1;
 inline constexpr std::uint8_t kEvaluatorKnown = 2;
@@ -83,17 +84,38 @@ inline constexpr std::uint8_t kEvaluatorKnown = 2;
   return Block{2ull * w, round | 1ull << 62};
 }
 
+// One side's compiled form of a circuit: the slot plan and one op byte
+// per gate, immutable once built and shared by every engine that runs
+// the circuit on that side. The garbler side holds every wire it
+// answers label queries about after the round (the constants, both
+// input vectors, DFF q/d wires and the outputs); the evaluator side
+// holds nothing, so its plan is the circuit's live width.
+struct GateProgram {
+  circuit::SlotPlan plan;
+  // Per gate: its GateClass and two flags, kSwap (a half gate's known
+  // operand is b) and kTrack (the side knows the output's value).
+  std::vector<std::uint8_t> ops;
+  std::size_t tables = 0;  // full and half gates: a v2 round's tables
+  std::size_t rows = 0;    // 2 per full gate, 1 per half: a v3 round's rows
+  bool values = false;     // engines keep one value byte per slot
+};
+
+// `side` is kGarblerKnown or kEvaluatorKnown; `cls` and `known` are
+// analyze_v3's class table and knowledge bits (the program tracks the
+// values of wires `side` knows), or both empty for the v2 table.
+std::shared_ptr<const GateProgram> compile_gate_program(
+    const circuit::Circuit& c, const std::vector<GateClass>& cls,
+    const std::vector<std::uint8_t>& known, std::uint8_t side);
+
 // The one gate engine: one loop that garbles a round and one that
-// evaluates it, each switching on the per-gate class, on a label buffer
-// laid out by circuit::plan_label_slots. The garbler side holds every
-// wire it answers label queries about after the round (the constants,
-// both input vectors, DFF q/d wires and the outputs); the evaluator side
-// holds nothing, so its buffer is the circuit's live width. The modes
-// are classes built on the engine and differ only at the round's edges:
-// they write the round-start labels, run a loop, and read the held wires.
+// evaluates it, each switching on the per-gate op of a compiled
+// GateProgram. The engine owns only the round's buffers: labels by
+// slot, values by slot and the DFF state. The modes are classes built
+// on the engine and differ only at the round's edges: they write the
+// round-start labels, run a loop, and read the held wires.
 class GateEngine {
  public:
-  [[nodiscard]] const circuit::SlotPlan& plan() const { return plan_; }
+  [[nodiscard]] const circuit::SlotPlan& plan() const { return prog_->plan; }
   [[nodiscard]] std::size_t label_slots() const { return labels_.size(); }
   // Label and value buffers in bytes: the round's working set.
   [[nodiscard]] std::size_t working_set_bytes() const {
@@ -101,15 +123,11 @@ class GateEngine {
   }
 
  protected:
-  // `side` is kGarblerKnown for a garbler, kEvaluatorKnown for an
-  // evaluator. `cls` is the class table and `known` its per-wire
-  // knowledge bits; the engine keeps one value byte per slot for the
-  // wires `side` knows, which half gates branch on. Both empty: the v2
-  // table, every non-free gate kFull, and no values.
-  GateEngine(const circuit::Circuit& c, const std::vector<GateClass>& cls,
-             const std::vector<std::uint8_t>& known, std::uint8_t side,
-             Scheme scheme, const Block& delta,
-             const Block& label_seed = Block::zero());
+  // Runs `prog`, which must be compiled from `c`: a null program or one
+  // compiled from another circuit is an invalid_argument.
+  GateEngine(const circuit::Circuit& c,
+             std::shared_ptr<const GateProgram> prog, Scheme scheme,
+             const Block& delta, const Block& label_seed = Block::zero());
 
   // One round between the round-start labels and its rows. Row is
   // GarbledTable (v2: tables() of them, a half gate taking one table) or
@@ -118,17 +136,17 @@ class GateEngine {
   void garble(Row* out);
   template <class Row>
   void evaluate(const Row* in);
-  [[nodiscard]] std::size_t tables() const { return n_full_ + n_half_; }
-  [[nodiscard]] std::size_t rows() const { return 2 * n_full_ + n_half_; }
+  [[nodiscard]] std::size_t tables() const { return prog_->tables; }
+  [[nodiscard]] std::size_t rows() const { return prog_->rows; }
 
   [[nodiscard]] Block& label(circuit::Wire w) {
-    return labels_[plan_.slot_of_wire[w]];
+    return labels_[prog_->plan.slot_of_wire[w]];
   }
   [[nodiscard]] const Block& label(circuit::Wire w) const {
-    return labels_[plan_.slot_of_wire[w]];
+    return labels_[prog_->plan.slot_of_wire[w]];
   }
   [[nodiscard]] std::uint8_t& value(circuit::Wire w) {
-    return values_[plan_.slot_of_wire[w]];
+    return values_[prog_->plan.slot_of_wire[w]];
   }
   [[nodiscard]] Block seed_label(circuit::Wire w, std::uint64_t round) const {
     return hash_(label_seed_, v3_label_tweak(w, round));
@@ -154,19 +172,9 @@ class GateEngine {
   Block garble_v3(std::size_t gi, std::uint8_t op, std::uint32_t a,
                   std::uint32_t b, Row*& out);
 
-  // ops_ holds one byte per gate: its GateClass and two flags, kSwap
-  // (a half gate's known operand is b) and kTrack (`side` knows the
-  // output's value).
-  static constexpr std::uint8_t kClassMask = 7;
-  static constexpr std::uint8_t kSwap = 8;
-  static constexpr std::uint8_t kTrack = 16;
-
-  circuit::SlotPlan plan_;
-  std::vector<std::uint8_t> ops_;
+  std::shared_ptr<const GateProgram> prog_;
   std::vector<Block> labels_;
   std::vector<std::uint8_t> values_;
-  std::size_t n_full_ = 0;
-  std::size_t n_half_ = 0;
   GateGarbler gg_;
   crypto::GcHash hash_;
   Block label_seed_;
@@ -205,9 +213,6 @@ class CircuitGarbler : public GateEngine {
   // 0-label of a wire in the last garbled round. Only held wires keep
   // theirs after the round; any other wire's slot may have been reused.
   [[nodiscard]] const Block& label0(circuit::Wire w) const { return label(w); }
-  [[nodiscard]] std::size_t label_buffer_bytes() const {
-    return working_set_bytes();
-  }
 
  private:
   crypto::RandomSource& rng_;

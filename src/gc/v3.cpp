@@ -22,44 +22,43 @@ V3Analysis analyze_v3(const circuit::Circuit& c,
 
   V3Analysis an;
   an.late = late_garbler_inputs;
-  an.known.assign(c.num_wires, 0);
-  an.known[circuit::kConstZero] = kGarblerKnown | kEvaluatorKnown;
-  an.known[circuit::kConstOne] = kGarblerKnown | kEvaluatorKnown;
+  std::vector<std::uint8_t> known(c.num_wires, 0);
+  known[circuit::kConstZero] = kGarblerKnown | kEvaluatorKnown;
+  known[circuit::kConstOne] = kGarblerKnown | kEvaluatorKnown;
   for (std::size_t i = 0; i < c.garbler_inputs.size(); ++i)
     if (late_garbler_inputs.empty() || !late_garbler_inputs[i])
-      an.known[c.garbler_inputs[i]] = kGarblerKnown;
-  for (const circuit::Wire w : c.evaluator_inputs)
-    an.known[w] = kEvaluatorKnown;
+      known[c.garbler_inputs[i]] = kGarblerKnown;
+  for (const circuit::Wire w : c.evaluator_inputs) known[w] = kEvaluatorKnown;
   // DFF q wires stay unknown to both sides: their labels are carried
   // across rounds and their values depend on both parties' inputs.
 
-  an.cls.resize(c.gates.size());
+  std::vector<GateClass> cls(c.gates.size());
   for (std::size_t i = 0; i < c.gates.size(); ++i) {
     const circuit::Gate& g = c.gates[i];
-    const std::uint8_t ka = an.known[g.a];
-    const std::uint8_t kb = an.known[g.b];
-    an.known[g.out] = ka & kb;
+    const std::uint8_t ka = known[g.a];
+    const std::uint8_t kb = known[g.b];
+    known[g.out] = ka & kb;
     if (circuit::is_free(g.type)) {
-      an.cls[i] = GateClass::kFree;
+      cls[i] = GateClass::kFree;
       continue;
     }
     if ((ka & kGarblerKnown) && (kb & kGarblerKnown)) {
-      an.cls[i] = GateClass::kKnownOut;
+      cls[i] = GateClass::kKnownOut;
       ++an.n_known_out;
     } else if ((ka & kGarblerKnown) || (kb & kGarblerKnown)) {
-      an.cls[i] = GateClass::kGenHalf;
+      cls[i] = GateClass::kGenHalf;
       ++an.n_gen_half;
-      an.rows_per_round += 1;
     } else if ((ka & kEvaluatorKnown) || (kb & kEvaluatorKnown)) {
-      an.cls[i] = GateClass::kEvalHalf;
+      cls[i] = GateClass::kEvalHalf;
       ++an.n_eval_half;
-      an.rows_per_round += 1;
     } else {
-      an.cls[i] = GateClass::kFull;
+      cls[i] = GateClass::kFull;
       ++an.n_full;
-      an.rows_per_round += 2;
     }
   }
+  an.garbler_program = compile_gate_program(c, cls, known, kGarblerKnown);
+  an.evaluator_program = compile_gate_program(c, cls, known, kEvaluatorKnown);
+  an.rows_per_round = an.garbler_program->rows;
   return an;
 }
 
@@ -69,8 +68,8 @@ V3Analysis analyze_v3(const circuit::Circuit& c,
 V3Garbler::V3Garbler(const circuit::Circuit& c, const V3Analysis& an,
                      const Block& delta, const Block& label_seed,
                      crypto::RandomSource& rng)
-    : GateEngine(c, an.cls, an.known, kGarblerKnown, Scheme::kHalfGates,
-                 delta, label_seed),
+    : GateEngine(c, an.garbler_program, Scheme::kHalfGates, delta,
+                 label_seed),
       late_(an.late),
       rng_(rng) {
   if (!delta.lsb())
@@ -130,8 +129,8 @@ Block V3Garbler::late_input_label(std::size_t i, bool v) const {
 
 V3Evaluator::V3Evaluator(const circuit::Circuit& c, const V3Analysis& an,
                          const Block& label_seed)
-    : GateEngine(c, an.cls, an.known, kEvaluatorKnown, Scheme::kHalfGates,
-                 Block::zero(), label_seed),
+    : GateEngine(c, an.evaluator_program, Scheme::kHalfGates, Block::zero(),
+                 label_seed),
       outs_(c.outputs.size()) {
   for (std::size_t k = 0; k < c.dffs.size(); ++k)
     state_[k] = seed_label(c.dffs[k].q, 0);

@@ -46,11 +46,12 @@
 // tables, so a v3 session interoperates gate-for-gate with the v2
 // garbler on the full gates).
 //
-// Engine: V3Garbler and V3Evaluator own no gate loop. They run the one
-// gate engine of gc/garble.hpp on analyze_v3's class table, with one
-// value byte per label slot for the half gates' known operands, and keep
-// only the round's edges: seed-derived and random input labels, the
-// evaluator's checked corrections, and the flat row stream.
+// Engine: V3Garbler and V3Evaluator own no gate loop and compile
+// nothing. They run the one gate engine of gc/garble.hpp on the two
+// programs analyze_v3 compiled (one value byte per label slot for the
+// half gates' known operands), and keep only the round's edges: seed-
+// derived and random input labels, the evaluator's checked corrections,
+// and the flat row stream.
 #pragma once
 
 #include <cstdint>
@@ -68,14 +69,16 @@ namespace maxel::gc {
 // sides must compute it from the same circuit (it depends only on the
 // public structure), or evaluation desyncs on the row stream.
 struct V3Analysis {
-  std::vector<GateClass> cls;        // per gate, netlist order
-  std::vector<std::uint8_t> known;   // per wire: kGarblerKnown|kEvaluatorKnown
   std::vector<bool> late;            // garbler inputs bound after garbling
   std::size_t rows_per_round = 0;    // total ciphertext blocks per round
   std::size_t n_full = 0;
   std::size_t n_gen_half = 0;
   std::size_t n_eval_half = 0;
   std::size_t n_known_out = 0;
+  // Each side's compiled class table, shared by every engine built from
+  // this analysis; null in a default-constructed one (an engine throws).
+  std::shared_ptr<const GateProgram> garbler_program;
+  std::shared_ptr<const GateProgram> evaluator_program;
 };
 
 // `late_garbler_inputs` (optional, indexed like c.garbler_inputs) marks

@@ -93,7 +93,7 @@ std::unique_ptr<proto::Channel> make_channel(
 // mode-specific part of the verbose line.
 struct Attempt {
   const ClientConfig& cfg;
-  const circuit::Circuit& circ;
+  const ServedCircuit& served;
   proto::Channel& ch;
   V3ClientState* pool;  // null on the v2 wire
   const std::vector<std::vector<bool>>& e_bits;
@@ -128,7 +128,7 @@ std::vector<bool> v2_body(Attempt& a) {
     ot = base_ot.get();
   }
 
-  gc::StreamingEvaluator evaluator(a.circ, cfg.scheme);
+  gc::StreamingEvaluator evaluator(a.served.circ, cfg.scheme);
   stats.working_set_bytes = evaluator.working_set_bytes();
 
   // One round's label OT and evaluation, the same in both deliveries.
@@ -173,7 +173,7 @@ std::vector<bool> v2_body(Attempt& a) {
       // each count must be the one this circuit implies.
       const auto t0 = Clock::now();
       const proto::WireChunk::Round round =
-          proto::recv_v2_round(a.ch, a.circ, cfg.scheme, evaluator);
+          proto::recv_v2_round(a.ch, a.served.circ, cfg.scheme, evaluator);
       stats.transfer_seconds += seconds_since(t0);
       if (done == 0) stats.first_table_seconds = seconds_since(a.t_total);
       ot_and_eval(round);
@@ -207,12 +207,12 @@ std::vector<bool> pooled_result(Attempt& a, Clock::time_point t0,
 // Protocol v3: slim wire format, input labels from the cross-session OT
 // pool.
 std::vector<bool> v3_body(Attempt& a) {
-  const gc::V3Analysis an = gc::analyze_v3(a.circ);
   crypto::SystemRandom rng;
   const auto t0 = Clock::now();
-  return pooled_result(
-      a, t0, eval_v3_session(a.ch, a.circ, an, a.e_bits, *a.pool, rng),
-      "v3");
+  return pooled_result(a, t0,
+                       eval_v3_session(a.ch, a.served.circ, a.served.v3,
+                                       a.e_bits, *a.pool, rng),
+                       "v3");
 }
 
 // Reusable mode: the artifact view cached across attempts and sessions
@@ -222,14 +222,14 @@ std::vector<bool> reusable_body(Attempt& a) {
   crypto::SystemRandom rng;
   const auto t0 = Clock::now();
   const ReusableEvalOutcome out =
-      eval_reusable_session(a.ch, a.circ, a.e_bits, *a.pool, rng);
+      eval_reusable_session(a.ch, a.served, a.e_bits, *a.pool, rng);
   return pooled_result(a, t0, out,
                        out.artifact_received ? "reusable, artifact received"
                                              : "reusable, artifact cached");
 }
 
-// One complete session attempt: circuit, fresh channel, hello (with the
-// v3 extension when `pool` is given), the evaluator's demo inputs, the
+// One complete session attempt: fresh channel, hello (with the v3
+// extension when `pool` is given), the evaluator's demo inputs, the
 // mode's body, then the reference check and the byte and time stamps.
 // Throws on any failure; run_client maps non-NetError escapes
 // (parse/eval blowups from corrupted-but-framed bytes) to the typed,
@@ -238,8 +238,7 @@ ClientStats run_attempt(const ClientConfig& cfg,
                         const std::shared_ptr<FaultInjector>& injector,
                         V3ClientState* pool, SessionBody body) {
   const auto t_total = Clock::now();
-  const circuit::Circuit circ =
-      circuit::make_mac_circuit(circuit::MacOptions{cfg.bits, cfg.bits, true});
+  const ServedCircuit& served = served_circuit(cfg.bits);
   std::unique_ptr<proto::Channel> ch = make_channel(cfg, injector);
 
   ClientStats stats;
@@ -252,7 +251,7 @@ ClientStats run_attempt(const ClientConfig& cfg,
     hello.mode = static_cast<std::uint8_t>(cfg.mode);
     hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
     hello.rounds = cfg.rounds_hint;
-    hello.circuit_hash = circuit_fingerprint(circ);
+    hello.circuit_hash = served.fingerprint;
     if (pool) {
       HelloExtV3 ext;
       ext.client_id = pool->client_id;
@@ -271,7 +270,7 @@ ClientStats run_attempt(const ClientConfig& cfg,
   std::vector<std::vector<bool>> e_bits(stats.rounds);
   for (auto& row : e_bits) row = x_inputs.next_bits();
 
-  Attempt a{cfg, circ, *ch, pool, e_bits, t_total, stats, {}};
+  Attempt a{cfg, served, *ch, pool, e_bits, t_total, stats, {}};
   stats.output_value = circuit::from_bits(body(a));
   if (cfg.check) {
     stats.checked = true;

@@ -1,7 +1,10 @@
 #include "net/handshake.hpp"
 
+#include <map>
+#include <mutex>
 #include <vector>
 
+#include "circuit/circuits.hpp"
 #include "crypto/sha256.hpp"
 #include "proto/codec.hpp"
 
@@ -40,6 +43,19 @@ std::array<std::uint8_t, 32> circuit_fingerprint(const circuit::Circuit& c) {
     w.u8(d.init ? 1 : 0);
   }
   return crypto::Sha256::hash(enc.data(), enc.size());
+}
+
+const ServedCircuit& served_circuit(std::size_t bits) {
+  static std::mutex mu;
+  static auto* const table = new std::map<std::size_t, ServedCircuit>;
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto it = table->find(bits);
+  if (it != table->end()) return it->second;
+  ServedCircuit s;
+  s.circ = circuit::make_mac_circuit(circuit::MacOptions{bits, bits, true});
+  s.fingerprint = circuit_fingerprint(s.circ);
+  s.v3 = gc::analyze_v3(s.circ);
+  return table->emplace(bits, std::move(s)).first->second;
 }
 
 void send_hello(proto::Channel& ch, const ClientHello& h) {

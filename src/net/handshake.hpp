@@ -21,6 +21,7 @@
 
 #include "circuit/netlist.hpp"
 #include "gc/scheme.hpp"
+#include "gc/v3.hpp"
 #include "net/error.hpp"
 #include "proto/channel.hpp"
 #include "proto/v3_records.hpp"
@@ -86,6 +87,19 @@ enum class SessionMode : std::uint8_t {
 // any divergence in circuit construction across builds is caught at
 // handshake time instead of as garbage outputs.
 std::array<std::uint8_t, 32> circuit_fingerprint(const circuit::Circuit& c);
+
+// The circuit served at one bit width, make_mac_circuit(MacOptions{b, b,
+// true}), with its fingerprint and its v3 analysis (whose compiled gate
+// programs every v3 engine shares). Clients, brokers and the spool
+// filler all read it from served_circuit, which builds it on first use
+// under a mutex and never frees it. A width make_mac_circuit rejects
+// throws std::invalid_argument and leaves no entry behind.
+struct ServedCircuit {
+  circuit::Circuit circ;
+  std::array<std::uint8_t, 32> fingerprint{};
+  gc::V3Analysis v3;
+};
+const ServedCircuit& served_circuit(std::size_t bits);
 
 struct ClientHello {
   std::uint64_t magic = kHelloMagic;

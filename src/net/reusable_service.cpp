@@ -59,9 +59,10 @@ ReusableServeContext make_reusable_context(const circuit::Circuit& c,
 }
 
 ReusableEvalOutcome eval_reusable_session(
-    proto::Channel& ch, const circuit::Circuit& circ,
+    proto::Channel& ch, const ServedCircuit& served,
     const std::vector<std::vector<bool>>& evaluator_bits, V3ClientState& st,
     crypto::RandomSource& rng) {
+  const circuit::Circuit& circ = served.circ;
   const std::size_t n_in = circ.evaluator_inputs.size();
   const std::size_t n_g = circ.garbler_inputs.size();
   const std::uint64_t rounds = evaluator_bits.size();
@@ -78,7 +79,7 @@ ReusableEvalOutcome eval_reusable_session(
   if (join.artifact.artifact_bytes > 0) {
     // Size was cap-checked by the offer parser; receive, hash-verify,
     // parse (view framing only — a secrets-bearing blob is refused by
-    // the parser), and pin to the locally built netlist.
+    // the parser), and pin to the served netlist.
     std::vector<std::uint8_t> blob(
         static_cast<std::size_t>(join.artifact.artifact_bytes));
     ch.recv_bytes(blob.data(), blob.size());
@@ -86,7 +87,7 @@ ReusableEvalOutcome eval_reusable_session(
       throw CorruptionError("reusable artifact failed its checksum");
     gc::ReusableView view = proto::parse_reusable_view(blob.data(),
                                                        blob.size());
-    if (view.fingerprint != circuit_fingerprint(circ))
+    if (view.fingerprint != served.fingerprint)
       throw NetError(
           "reusable artifact is for a different circuit fingerprint");
     st.reusable_view = std::move(view);

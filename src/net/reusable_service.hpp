@@ -79,9 +79,9 @@ struct ReusableEvalOutcome : V3EvalOutcome {
 // was accepted. evaluator_bits[r] holds round r's true input bits. The
 // artifact view is taken from st.reusable_view when the server confirms
 // the cached hash, else received, SHA-verified, fingerprint-checked
-// against `circ`, and cached into `st` for the next session.
+// against `served`, and cached into `st` for the next session.
 ReusableEvalOutcome eval_reusable_session(
-    proto::Channel& ch, const circuit::Circuit& circ,
+    proto::Channel& ch, const ServedCircuit& served,
     const std::vector<std::vector<bool>>& evaluator_bits, V3ClientState& st,
     crypto::RandomSource& rng);
 

@@ -10,10 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "circuit/circuits.hpp"
 #include "core/gc_core_pool.hpp"
 #include "crypto/rng.hpp"
 #include "net/cli.hpp"
+#include "net/handshake.hpp"
 #include "proto/precompute.hpp"
 #include "svc/session_spool.hpp"
 
@@ -105,8 +105,7 @@ int spool_command(int argc, char** argv) {
   try {
     SessionSpool spool(SpoolConfig{dir, 0, true});
     if (fill > 0) {
-      const circuit::Circuit c =
-          circuit::make_mac_circuit(circuit::MacOptions{bits, bits, true});
+      const circuit::Circuit& c = net::served_circuit(bits).circ;
       core::GcCorePool pool(0, crypto::SystemRandom().next_block());
       std::vector<proto::PrecomputedSession> fresh(fill);
       pool.parallel_for(fill, [&](std::size_t item, std::size_t core) {

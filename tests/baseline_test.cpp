@@ -2,6 +2,9 @@
 // the FPGA-overlay analytic model that form Table 2's comparison columns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "baseline/garbledcpu.hpp"
 #include "baseline/overlay.hpp"
 #include "baseline/overlay_sim.hpp"
@@ -97,11 +100,22 @@ TEST(Overlay, PerCoreSlowerThanSoftware) {
 
 TEST(SoftwareEvaluation, FasterThanGarbling) {
   // Evaluation needs ~half the hash calls of garbling (half gates: 2 vs
-  // 4 per AND); the evaluator should be at least as fast.
-  const SoftwareMacResult g = measure_software_mac(16, 120);
-  const SoftwareMacResult e = measure_software_evaluation(16, 120);
-  EXPECT_EQ(e.rounds, 120u);
-  EXPECT_GT(e.macs_per_sec(), 0.8 * g.macs_per_sec());
+  // 4 per AND); the evaluator should be at least as fast. One ~16 ms
+  // wall-clock pair can land on either side of a burst of load from
+  // other processes, so 5 alternating garble/evaluate pairs are timed
+  // and the median of their throughput ratios is compared: load that
+  // comes or goes between pairs moves one ratio, not the median.
+  constexpr std::size_t kPairs = 5;
+  std::vector<double> ratio;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const double g = measure_software_mac(16, 120).macs_per_sec();
+    const SoftwareMacResult e = measure_software_evaluation(16, 120);
+    EXPECT_EQ(e.rounds, 120u);
+    ratio.push_back(e.macs_per_sec() / g);
+  }
+  std::nth_element(ratio.begin(), ratio.begin() + kPairs / 2, ratio.end());
+  EXPECT_GT(ratio[kPairs / 2], 0.8)
+      << "evaluate/garble MAC/s ratios " << ::testing::PrintToString(ratio);
 }
 
 

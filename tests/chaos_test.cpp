@@ -744,7 +744,8 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
   for (auto& row : e_bits) row = x_inputs.next_bits();
   crypto::SystemRandom rng;
   EXPECT_THROW(
-      net::eval_reusable_session(*client_ch, circ, e_bits, *state, rng),
+      net::eval_reusable_session(*client_ch, net::served_circuit(kBits),
+                                 e_bits, *state, rng),
       net::CorruptionError);
   client_ch.reset();  // hang up; the server session dies typed
   server.join();

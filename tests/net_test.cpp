@@ -13,12 +13,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
+#include "gc/v3.hpp"
 #include "hostile_round.hpp"
 #include "live_broker.hpp"
 #include "net/client.hpp"
@@ -392,6 +394,51 @@ TEST(Handshake, FingerprintIgnoresNameButNotStructure) {
   const circuit::Circuit c =
       circuit::make_mac_circuit(circuit::MacOptions{16, 16, true});
   EXPECT_NE(circuit_fingerprint(a), circuit_fingerprint(c));
+}
+
+// The served circuit is one process-wide entry per bit width: every
+// thread asking for a width gets the same object, equal to a fresh
+// build, and a width make_mac_circuit rejects leaves nothing behind.
+TEST(ServedCircuit, OneInstancePerWidthAcrossThreads) {
+  constexpr std::size_t kThreads = 8;
+  std::vector<const ServedCircuit*> b8(kThreads), b16(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      b8[t] = &served_circuit(8);
+      b16[t] = &served_circuit(16);
+    });
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(b8[t], b8[0]);
+    EXPECT_EQ(b16[t], b16[0]);
+  }
+  EXPECT_NE(b8[0], b16[0]);
+
+  for (const ServedCircuit* s : {b8[0], b16[0]}) {
+    const std::size_t bits = s->circ.garbler_inputs.size();
+    const circuit::Circuit fresh =
+        circuit::make_mac_circuit(circuit::MacOptions{bits, bits, true});
+    EXPECT_EQ(s->fingerprint, circuit_fingerprint(fresh)) << "b=" << bits;
+    const gc::V3Analysis an = gc::analyze_v3(fresh);
+    EXPECT_EQ(s->v3.rows_per_round, an.rows_per_round) << "b=" << bits;
+    EXPECT_EQ(s->v3.n_full, an.n_full) << "b=" << bits;
+    EXPECT_EQ(s->v3.n_gen_half, an.n_gen_half) << "b=" << bits;
+    EXPECT_EQ(s->v3.n_eval_half, an.n_eval_half) << "b=" << bits;
+    EXPECT_EQ(s->v3.n_known_out, an.n_known_out) << "b=" << bits;
+  }
+  EXPECT_EQ(b8[0]->circ.garbler_inputs.size(), 8u);
+  EXPECT_EQ(b16[0]->circ.garbler_inputs.size(), 16u);
+
+  // Twice: a half-built entry would make the second call return it. A
+  // later valid width then still builds (the lock was released).
+  EXPECT_THROW((void)served_circuit(0), std::invalid_argument);
+  EXPECT_THROW((void)served_circuit(0), std::invalid_argument);
+  const ServedCircuit& b12 = served_circuit(12);
+  EXPECT_EQ(b12.fingerprint,
+            circuit_fingerprint(circuit::make_mac_circuit(
+                circuit::MacOptions{12, 12, true})));
+  EXPECT_EQ(&served_circuit(8), b8[0]);
 }
 
 // ---------------------------------------------------------------------------

@@ -177,7 +177,9 @@ class PooledTranscript : public ::testing::Test {
     crypto::SystemRandom rng(crypto::Block{0xC11E, rng_tag});
     const std::vector<bool> decoded =
         mode == net::SessionMode::kReusable
-            ? net::eval_reusable_session(ch, circ_, e_bits_, st, rng).decoded
+            ? net::eval_reusable_session(ch, net::served_circuit(kBits),
+                                         e_bits_, st, rng)
+                  .decoded
             : net::eval_v3_session(ch, circ_, an_, e_bits_, st, rng).decoded;
     EXPECT_EQ(circuit::from_bits(decoded),
               net::demo_mac_reference(kDemoSeed, kBits, kRounds));

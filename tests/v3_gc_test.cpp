@@ -6,7 +6,9 @@
 // (a structured row is a leak, however few of them v3 ships).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -139,6 +141,78 @@ TEST(V3RoundTrip, MacAccumulationMatchesReference) {
     EXPECT_EQ(circuit::from_bits(decode_with_map(out, m.output_map)), acc)
         << "round " << r;
   }
+}
+
+// One analysis serves any number of sessions at once: the programs it
+// compiled hold no per-session state. Two garbler/evaluator pairs built
+// from one analysis, run with their rounds interleaved, each decode
+// their own MAC, and each ships rows bit-identical to a pair built from
+// an analysis of its own with the same randomness.
+TEST(V3RoundTrip, PairsSharingOneAnalysisMatchPrivatelyBuiltPairs) {
+  const MacOptions opt{16, 16, true};
+  const circuit::Circuit c = circuit::make_mac_circuit(opt);
+  const V3Analysis shared = analyze_v3(c);
+  struct Session {
+    Session(const circuit::Circuit& c, const V3Analysis& an, std::uint64_t id)
+        : rng(Block{id, 0x5E55}),
+          delta(make_delta(rng)),
+          seed(rng.next_block()),
+          g(c, an, delta, seed, rng),
+          e(c, an, seed),
+          data(Block{id, 0xDA7A}) {}
+    SystemRandom rng;
+    Block delta, seed;
+    V3Garbler g;
+    V3Evaluator e;
+    crypto::Prg data;
+    std::uint64_t acc = 0;
+  };
+  std::vector<std::unique_ptr<Session>> on_shared, on_own;
+  std::vector<V3Analysis> own;
+  for (std::uint64_t id = 0; id < 2; ++id) own.push_back(analyze_v3(c));
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    on_shared.push_back(std::make_unique<Session>(c, shared, id));
+    on_own.push_back(std::make_unique<Session>(c, own[id], id));
+  }
+  // Garbles and evaluates one round of `s`; returns its rows.
+  const auto step = [&](Session& s, std::size_t r) {
+    const std::uint64_t av = s.data.next_u64() & 0xFFFF;
+    const std::uint64_t xv = s.data.next_u64() & 0xFFFF;
+    s.acc = circuit::mac_reference(s.acc, av, xv, opt);
+    const auto x_bits = circuit::to_bits(xv, 16);
+    const V3RoundMaterial m = s.g.garble_round(circuit::to_bits(av, 16));
+    std::vector<Block> e_labels;
+    for (std::size_t i = 0; i < 16; ++i)
+      e_labels.push_back(x_bits[i] ? m.evaluator_pairs[i].second
+                                   : m.evaluator_pairs[i].first);
+    const auto out = s.e.eval_round(m.rows, x_bits, e_labels);
+    EXPECT_EQ(circuit::from_bits(decode_with_map(out, m.output_map)), s.acc)
+        << "round " << r;
+    return m.rows;
+  };
+  for (std::size_t r = 0; r < 12; ++r)
+    for (std::size_t id = 0; id < 2; ++id) {
+      const std::vector<Block> rows = step(*on_shared[id], r);
+      EXPECT_EQ(rows, step(*on_own[id], r)) << "pair " << id << " round " << r;
+    }
+  EXPECT_NE(on_shared[0]->acc, on_shared[1]->acc);
+}
+
+// An analysis that was never run carries no compiled programs: an engine
+// built from it is a typed invalid_argument, never a v2-shaped stream.
+// So is an analysis of another circuit.
+TEST(V3Analysis, EnginesRejectAnAnalysisWithoutPrograms) {
+  const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
+  SystemRandom rng(Block{0x0A, 0x0B});
+  const Block delta = make_delta(rng);
+  const Block seed = rng.next_block();
+  const V3Analysis none;
+  EXPECT_THROW(V3Garbler(c, none, delta, seed, rng), std::invalid_argument);
+  EXPECT_THROW(V3Evaluator(c, none, seed), std::invalid_argument);
+  const V3Analysis other =
+      analyze_v3(circuit::make_mac_circuit(MacOptions{16, 16, true}));
+  EXPECT_THROW(V3Garbler(c, other, delta, seed, rng), std::invalid_argument);
+  EXPECT_THROW(V3Evaluator(c, other, seed), std::invalid_argument);
 }
 
 TEST(V3LateBinding, CorrectionsCarryLateInputs) {
